@@ -1,44 +1,10 @@
-"""Numerical backend selection.
+"""Name of the numerical backend.
 
-The hot kernels in :mod:`lfvdw._kernels` are written once as array code and
-optionally compiled with numba. Selection happens at import time through the
-environment variable ``LFVDW_BACKEND``:
-
-``auto``
-    use numba when it imports, plain numpy otherwise (default)
-``numba``
-    require numba; raise if it is not installed
-``numpy``
-    skip compilation even if numba is installed
+The kernels in :mod:`lfvdw._kernels` are plain numpy array code; there is
+no other path and no switch. ``BACKEND`` stays as a module constant because
+run metadata (the benchmark harness in ``perfbench/``) imports it and records
+it next to the numpy version.
 """
 
-from __future__ import annotations
-
-import os
-
-__all__ = ["BACKEND", "jit"]
-
-_requested = os.environ.get("LFVDW_BACKEND", "auto").strip().lower()
-if _requested not in ("auto", "numba", "numpy"):
-    raise ValueError(
-        f"LFVDW_BACKEND must be one of auto/numba/numpy, got {_requested!r}"
-    )
-
-_nb = None
-if _requested in ("auto", "numba"):
-    try:
-        import numba as _nb  # type: ignore[no-redef]
-    except ImportError:
-        if _requested == "numba":
-            raise
-        _nb = None
-
-#: Name of the active backend, either ``"numba"`` or ``"numpy"``.
-BACKEND = "numpy" if _nb is None else "numba"
-
-
-def jit(func):
-    """Compile ``func`` with numba when active, return it unchanged otherwise."""
-    if _nb is not None:
-        return _nb.njit(cache=True)(func)
-    return func
+#: Name of the kernel backend; numpy is the only one.
+BACKEND = "numpy"

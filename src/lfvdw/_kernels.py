@@ -1,20 +1,16 @@
 """Array kernels shared by the response, cavity, green and potentials modules.
 
-Every function here is written once as numpy array code over 1-D float64
-node arrays and compiled with numba when that backend is active (see
-:mod:`lfvdw._backend`). Keep the bodies restricted to operations numba's
-nopython mode supports.
+Every function here is plain numpy array code over 1-D float64 node arrays.
 
 Bit contract
 ------------
-Both backends give the bits of the C library's libm, so that results do not
+The kernels give the bits of the C library's libm, so that results do not
 depend on which SIMD features numpy detects on the host (numpy's vectorised
 ``exp``, ``expm1`` and ``power`` differ from libm in the last bit on a few
 percent of inputs where AVX-512 is available). Therefore:
 
 - exponentials go through :func:`_exp` and :func:`_expm1`, which map
-  ``math.exp`` / ``math.expm1`` over the nodes on the numpy backend and
-  compile to numba's scalar libm calls on the numba backend;
+  ``math.exp`` / ``math.expm1`` over the nodes;
 - integer powers are written as products (``t * t * t``, not ``t**3``);
 - no bare ``np.exp``, ``np.expm1`` or ``**`` appears in a kernel body.
 
@@ -43,14 +39,13 @@ import math
 
 import numpy as np
 
-from ._backend import BACKEND, jit
-
 __all__ = [
     "lorentz_sum",
     "alpha_sum",
     "kernel_g",
     "kernel_h",
     "kernel_force",
+    "born_bracket",
     "p0",
     "p1",
     "p2",
@@ -70,31 +65,20 @@ _SERIES_CUT = 1.5
 _SERIES_TERMS = 16
 
 
-if BACKEND == "numba":
-
-    @jit
-    def _exp(x):
-        return np.exp(x)
-
-    @jit
-    def _expm1(x):
-        return np.expm1(x)
-
-else:
-
-    def _libm(fn, x):
-        return np.fromiter(map(fn, x.tolist()), np.float64, x.shape[0])
-
-    def _exp(x):
-        """e^x per node through libm."""
-        return _libm(math.exp, x)
-
-    def _expm1(x):
-        """e^x - 1 per node through libm."""
-        return _libm(math.expm1, x)
+def _libm(fn, x):
+    return np.fromiter(map(fn, x.tolist()), np.float64, x.shape[0])
 
 
-@jit
+def _exp(x):
+    """e^x per node through libm."""
+    return _libm(math.exp, x)
+
+
+def _expm1(x):
+    """e^x - 1 per node through libm."""
+    return _libm(math.expm1, x)
+
+
 def lorentz_sum(u, strength, resonance, damping):
     """Sum of Lorentz terms S_j / (w_Tj^2 + g_j u + u^2) over node array u."""
     out = np.zeros_like(u)
@@ -103,7 +87,6 @@ def lorentz_sum(u, strength, resonance, damping):
     return out
 
 
-@jit
 def alpha_sum(u, strength, resonance):
     """Polarizability-type sum a_k w_k^2 / (w_k^2 + u^2) over node array u."""
     out = np.zeros_like(u)
@@ -113,19 +96,16 @@ def alpha_sum(u, strength, resonance):
     return out
 
 
-@jit
 def kernel_g(x):
     """Traced electric pair kernel 2 e^{-2x} (3 + 6x + 5x^2 + 2x^3 + x^4)."""
     return 2.0 * _exp(-2.0 * x) * (3.0 + x * (6.0 + x * (5.0 + x * (2.0 + x))))
 
 
-@jit
 def kernel_h(x):
     """Traced magnetic pair kernel 2 e^{-2x} (1 + 2x + x^2)."""
     return 2.0 * _exp(-2.0 * x) * (1.0 + x * (2.0 + x))
 
 
-@jit
 def kernel_force(y):
     """Radial-derivative kernel 6 g(y) - y g'(y) = 4 e^{-2y} (9 + 18y + 16y^2 + 8y^3 + 3y^4 + y^5)."""
     return 4.0 * _exp(-2.0 * y) * (
@@ -133,13 +113,22 @@ def kernel_force(y):
     )
 
 
-@jit
+def born_bracket(x, chi, zeta):
+    """Dilute-shell bracket e^{-2x} [(2/x^3 + 4/x^2 + 2/x + 1) chi - (2/x + 1) zeta].
+
+    The two polynomials times e^{-2x} are the tails int_x^inf g(s)/s^4 ds
+    and int_x^inf h(s)/s^2 ds of the traced pair kernels.
+    """
+    return _exp(-2.0 * x) * (
+        (((2.0 / x + 4.0) / x + 2.0) / x + 1.0) * chi - (2.0 / x + 1.0) * zeta
+    )
+
+
 def p0(t):
     # e^{-t} sinh(t)/t = -expm1(-2t)/(2t), stable for all t > 0
     return -_expm1(-2.0 * t) / (2.0 * t)
 
 
-@jit
 def _p_series(t, l):
     # e^{-t} sum_k t^{2k+l} / (2^k k! (2l+2k+1)!!), positive terms only
     if l == 1:
@@ -153,7 +142,6 @@ def _p_series(t, l):
     return _exp(-t) * acc
 
 
-@jit
 def p1(t):
     tc = np.maximum(t, 1.0)
     tc2 = tc * tc
@@ -161,7 +149,6 @@ def p1(t):
     return np.where(t < _SERIES_CUT, _p_series(t, 1), closed)
 
 
-@jit
 def p2(t):
     tc = np.maximum(t, 1.0)
     tc2 = tc * tc
@@ -173,39 +160,32 @@ def p2(t):
     return np.where(t < _SERIES_CUT, _p_series(t, 2), closed)
 
 
-@jit
 def q1(t):
     return t * p0(t) - p1(t)
 
 
-@jit
 def q2(t):
     return t * p1(t) - 2.0 * p2(t)
 
 
-@jit
 def s1(t):
     return -(1.0 / t + 1.0 / (t * t))
 
 
-@jit
 def s2(t):
     tsq = t * t
     return -(1.0 / t + 3.0 / tsq + 3.0 / (tsq * t))
 
 
-@jit
 def t1(t):
     return 1.0 + 1.0 / t + 1.0 / (t * t)
 
 
-@jit
 def t2(t):
     tsq = t * t
     return 1.0 + 3.0 / t + 6.0 / tsq + 6.0 / (tsq * t)
 
 
-@jit
 def cavity_c(t0, nrel, eps_like, l):
     """Mie-type cavity reflection coefficient C_l(iu), real on the imaginary axis.
 
@@ -217,17 +197,20 @@ def cavity_c(t0, nrel, eps_like, l):
     """
     tn = nrel * t0
     if l == 1:
+        p = p1(t0)
+        q = t0 * p0(t0) - p
         num = s1(t0) * t1(tn) - eps_like * s1(tn) * t1(t0)
-        den = eps_like * s1(tn) * q1(t0) - p1(t0) * t1(tn)
+        den = eps_like * s1(tn) * q - p * t1(tn)
         sign = -1.0
     else:
+        p = p2(t0)
+        q = t0 * p1(t0) - 2.0 * p
         num = s2(t0) * t2(tn) - eps_like * s2(tn) * t2(t0)
-        den = eps_like * s2(tn) * q2(t0) - p2(t0) * t2(tn)
+        den = eps_like * s2(tn) * q - p * t2(tn)
         sign = 1.0
     return sign * _exp(-2.0 * t0) * num / den
 
 
-@jit
 def cavity_c1_expansion(t0, eps, mu, nrel):
     """Three-term small-radius expansion of C_1(iu).
 
@@ -241,7 +224,6 @@ def cavity_c1_expansion(t0, eps, mu, nrel):
     return lead + mid + const
 
 
-@jit
 def cavity_d(t0, nrel, eps, mu):
     """Cavity-to-medium transmission factor D(iu), real on the imaginary axis.
 
@@ -260,7 +242,6 @@ def cavity_d(t0, nrel, eps, mu):
     return _exp((nrel - 1.0) * t0) * num / den
 
 
-@jit
 def ring_trace(coef, avals, bvals, vvmats):
     """Trace of the ring product of transverse dyads over quadrature nodes.
 

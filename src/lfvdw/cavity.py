@@ -12,13 +12,14 @@ ordinary spherical Bessel functions at high precision and must agree.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
-from .errors import DomainError, InvariantError, PoleError, UnsupportedOrderError
+from .errors import DomainError, GeometryError, InvariantError, PoleError, UnsupportedOrderError
 from .response import MediumResponse
 
 __all__ = [
@@ -40,8 +41,8 @@ class CavitySpec:
     host: MediumResponse
 
     def __post_init__(self):
-        if not self.radius > 0.0:
-            raise ValueError("cavity radius must be > 0")
+        if not 0.0 < self.radius < math.inf:
+            raise GeometryError("cavity radius must be finite and > 0")
         if self.radius * self.host.max_resonance > 0.5:
             warnings.warn(
                 "cavity radius is not small against c/w_max; the real-cavity "

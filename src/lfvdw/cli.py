@@ -93,6 +93,10 @@ def _render_doc(cfg: RunConfig, payload: dict, fmt: str) -> str:
 
 def _cavity_radius(cfg: RunConfig, args) -> float:
     if getattr(args, "cavity_radius", None) is not None:
+        if not 0.0 < args.cavity_radius < math.inf:
+            raise ConfigError(
+                f"--cavity-radius must be finite and > 0, got {args.cavity_radius}"
+            )
         return cfg.unit.length_in(args.cavity_radius)
     if cfg.sweep.cavity_radius:
         return cfg.sweep.cavity_radius[0]
@@ -222,6 +226,8 @@ def _read_positions(path: str, cfg: RunConfig) -> list[tuple[AtomModel, list[flo
                     xyz = [cfg.unit.length_in(float(c)) for c in coords]
                 except ValueError:
                     raise ConfigError(f"{path}:{ln}: non-numeric coordinate") from None
+                if not all(map(math.isfinite, xyz)):
+                    raise ConfigError(f"{path}:{ln}: non-finite coordinate")
                 entries.append((cfg.atom(name), xyz))
     except OSError as exc:
         raise ConfigError(f"cannot read positions file {path}: {exc}") from None

@@ -100,7 +100,6 @@ class Sweep:
     u: tuple[float, ...] = ()
     l: tuple[float, ...] = ()
     cavity_radius: tuple[float, ...] = ()
-    eps_static: tuple[float, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -289,7 +288,7 @@ def load_config(path: str, tol_override: float | None = None) -> RunConfig:
         raise ConfigError(f"quadrature: {exc}") from None
 
     sweep_node = _as_mapping(data.get("sweep"), "sweep")
-    _check_keys(sweep_node, ("u", "l", "R_c", "eps_static"), "sweep")
+    _check_keys(sweep_node, ("u", "l", "R_c"), "sweep")
     r_c_node = sweep_node.get("R_c")
     if r_c_node is not None and not isinstance(r_c_node, (list, tuple)):
         r_c_node = [r_c_node]
@@ -297,7 +296,6 @@ def load_config(path: str, tol_override: float | None = None) -> RunConfig:
         u=_grid(sweep_node.get("u"), "sweep.u", unit.freq_in),
         l=_grid(sweep_node.get("l"), "sweep.l", unit.length_in),
         cavity_radius=_grid(r_c_node, "sweep.R_c", unit.length_in),
-        eps_static=_grid(sweep_node.get("eps_static"), "sweep.eps_static", lambda x: x),
     )
 
     return RunConfig(

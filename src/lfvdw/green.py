@@ -21,8 +21,16 @@ so that Tr[G G] = mu^2 g(y) / (16 pi^2 n^4 u^4 L^6).
 
 born_scatter_trace gives the linear-Born scattering trace Tr G^(1)(r_A,
 r_A, iu) for an atom centered in a homogeneous dilute sphere: zero for an
-infinite body, and for a finite sphere the (signed) radial integrals of
-g and h over the material missing beyond the outer radius.
+infinite body, and for a finite sphere of outer radius R_o the signed
+radial integrals of g and h over the material missing beyond R_o. Both
+have closed forms; with X = u R_o,
+
+    int_X^inf g(x)/x^4 dx = e^{-2X} (2/X^3 + 4/X^2 + 2/X + 1)
+    int_X^inf h(x)/x^2 dx = e^{-2X} (2/X + 1)
+
+so that
+
+    Tr G^(1) = u/(4 pi) e^{-2X} [(2/X^3 + 4/X^2 + 2/X + 1) chi - (2/X + 1) zeta].
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DomainError, GeometryError, PoleError, SingularityError
-from .quadrature import QuadSpec, integrate_semi_infinite
+from .quadrature import QuadSpec
 from .response import MediumResponse
 
 __all__ = [
@@ -109,24 +117,6 @@ def pair_kernel_h(x):
     return float(out[0]) if arr.ndim == 0 else out
 
 
-def ring_leg_parts(m: MediumResponse, u_nodes: np.ndarray, length: float):
-    """Scalar ingredients of one bulk-dyad ring leg at each u node.
-
-    Returns (coef, a, b) with coef = (mu n u / 4 pi) e^{-y}, y = n u length,
-    such that the leg dyad is coef (a I - b vv).
-    """
-    if not length > 0.0:
-        raise SingularityError("ring legs need strictly positive length")
-    eps = np.atleast_1d(m.eps_iu(u_nodes))
-    mu = np.atleast_1d(m.mu_iu(u_nodes))
-    n = np.sqrt(eps * mu)
-    y = n * u_nodes * length
-    a = (1.0 + 1.0 / y + 1.0 / y**2) / y
-    b = (1.0 + 3.0 / y + 3.0 / y**2) / y
-    coef = mu * n * u_nodes / (4.0 * math.pi) * np.exp(-y)
-    return coef, a, b
-
-
 @dataclass(frozen=True)
 class BodyShell:
     """Concentric dilute body around an atom at the origin.
@@ -157,7 +147,10 @@ def born_scatter_trace(shell: BodyShell, u, q: QuadSpec = QuadSpec()):
 
         chi(u)/(4 pi u^2) * I[g(us)/s^4] - zeta(u)/(4 pi) * I[h(us)/s^2]
 
-    with I[.] the radial integral over [R_o, inf). Scalar or array u.
+    with I[.] the radial integral over [R_o, inf), evaluated in closed form
+    (see the module docstring). Scalar or array u. ``q`` is not used, since
+    nothing is integrated numerically; it stays in the signature because
+    callers pass it positionally.
     """
     arr = np.asarray(u, dtype=np.float64)
     scalar = arr.ndim == 0
@@ -180,23 +173,6 @@ def born_scatter_trace(shell: BodyShell, u, q: QuadSpec = QuadSpec()):
             stacklevel=2,
         )
 
-    r_o = shell.outer_radius
-    out = np.empty_like(nodes)
-    for i, ui in enumerate(nodes):
-        scale = r_o + 0.5 / ui
-        el = 0.0
-        if chi[i] != 0.0:
-            el = integrate_semi_infinite(
-                lambda v: _kernels.kernel_g(ui * (r_o + v)) / (r_o + v) ** 4,
-                q,
-                scale=scale,
-            ).value
-        mag = 0.0
-        if zeta[i] != 0.0:
-            mag = integrate_semi_infinite(
-                lambda v: _kernels.kernel_h(ui * (r_o + v)) / (r_o + v) ** 2,
-                q,
-                scale=scale,
-            ).value
-        out[i] = chi[i] * el / (4.0 * math.pi * ui * ui) - zeta[i] * mag / (4.0 * math.pi)
+    bracket = _kernels.born_bracket(nodes * shell.outer_radius, chi, zeta)
+    out = nodes / (4.0 * math.pi) * bracket
     return float(out[0]) if scalar else out

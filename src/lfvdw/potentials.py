@@ -185,7 +185,9 @@ def u1_linearized(
     exponential cutoff:
 
         -(1/pi) int u^3 alpha e^{-2t} [ (1/t^3 + 2/t^2 + 1/t + 1/2) chi
-                                       - (1/t + 1/2) zeta ] du,  t = u R_c.
+                                       - (1/t + 1/2) zeta ] du,  t = u R_c,
+
+    the bracket being half of _kernels.born_bracket at x = t.
 
     It equals the radial pairwise sum over host atoms identically, and the
     two-term small-radius form up to O(u R_c) and O(chi^2) differences.
@@ -196,14 +198,11 @@ def u1_linearized(
         scale = scale_hint(atom)
 
     def f(u):
-        t = radius * u
         xv = np.atleast_1d(np.asarray(chi(u), dtype=np.float64))
         zv = np.atleast_1d(np.asarray(zeta(u), dtype=np.float64))
-        el = (((1.0 / t + 2.0) / t + 1.0) / t + 0.5) * xv
-        mag = (1.0 / t + 0.5) * zv
-        return -(1.0 / math.pi) * u**3 * np.atleast_1d(atom.alpha_iu(u)) * np.exp(
-            -2.0 * t
-        ) * (el - mag)
+        return -(0.5 / math.pi) * u * u * u * np.atleast_1d(atom.alpha_iu(u)) * (
+            _kernels.born_bracket(radius * u, xv, zv)
+        )
 
     return integrate_semi_infinite(f, q, scale=scale).value
 
@@ -439,6 +438,9 @@ def _ring_setup(atoms, cavity_radius: float | None, context: str):
     pos = np.array([np.asarray(p, dtype=np.float64) for _, p in entries])
     if pos.shape != (n_atoms, 3):
         raise GeometryError("positions must be 3-vectors")
+    bad = ~np.isfinite(pos).all(axis=1)
+    if bad.any():
+        raise GeometryError(f"atom {int(np.argmax(bad))} has a non-finite coordinate")
     for i in range(n_atoms):
         for j in range(i + 1, n_atoms):
             d = float(np.linalg.norm(pos[i] - pos[j]))

@@ -57,7 +57,7 @@ def verdict(label: str, ok: bool, detail: str):
 
 @pytest.fixture(scope="session", autouse=True)
 def warm_kernels():
-    # compile/load the jitted kernels before anything is timed
+    # run the main code paths once (imports, first-call set-up) before anything is timed
     pair_bulk(ATOM_A, ATOM_B, GLASS, 3.0, Q)
     u1_expanded(ATOM_A, CavitySpec(radius=0.05, host=GLASS), Q)
 

@@ -16,7 +16,7 @@ from lfvdw.cavity import (
     coeff_D_exact,
     coeff_D_leading,
 )
-from lfvdw.errors import DomainError, InvariantError, PoleError, UnsupportedOrderError
+from lfvdw.errors import DomainError, GeometryError, InvariantError, PoleError, UnsupportedOrderError
 from lfvdw.response import VACUUM, LorentzTerm, MediumResponse
 
 # ----------------------------------------------------------------------
@@ -238,6 +238,9 @@ def test_domain_and_kind_validation():
         CavitySpec(radius=0.0, host=VACUUM)
     with pytest.raises(ValueError):
         CavitySpec(radius=-0.1, host=VACUUM)
+    for radius in (-0.1, math.nan, math.inf):
+        with pytest.raises(GeometryError):
+            CavitySpec(radius=radius, host=VACUUM)
 
 
 def test_transmission_positivity_guard(monkeypatch):

@@ -246,6 +246,31 @@ def test_config_error_exit_code(tmp_path):
     assert "increasing" in err["message"]
 
 
+@pytest.mark.parametrize("radius", ["-1", "nan"])
+def test_bad_cavity_radius_is_a_config_error(radius):
+    proc = run_cli(
+        "coeffs", "--config", CONFIG, "--material", "glass",
+        "--cavity-radius", radius,
+    )
+    assert proc.returncode == 2
+    err = json.loads(proc.stdout)["error"]
+    assert err["type"] == "config"
+    assert "--cavity-radius" in err["message"]
+
+
+def test_non_finite_position_is_a_config_error(tmp_path):
+    positions = tmp_path / "nan.txt"
+    positions.write_text("probe 0 0 0\nprobe nan 0 0\n")
+    proc = run_cli(
+        "nbody", "--config", CONFIG, "--positions", str(positions),
+        "--material", "glass",
+    )
+    assert proc.returncode == 2
+    err = json.loads(proc.stdout)["error"]
+    assert err["type"] == "config"
+    assert f"{positions}:2" in err["message"]
+
+
 def test_physics_error_exit_code(tmp_path):
     positions = tmp_path / "overlap.txt"
     positions.write_text("probe 0 0 0\nprobe 0 0 0\n")

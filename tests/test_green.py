@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lfvdw import _kernels
 from lfvdw.errors import DomainError, GeometryError, PoleError, SingularityError
 from lfvdw.green import (
     BodyShell,
@@ -17,7 +18,7 @@ from lfvdw.green import (
     pair_kernel_g,
     pair_kernel_h,
 )
-from lfvdw.quadrature import QuadSpec
+from lfvdw.quadrature import QuadSpec, integrate_semi_infinite
 from lfvdw.response import VACUUM, LorentzTerm, MediumResponse
 
 MEDIUM = MediumResponse(
@@ -155,7 +156,37 @@ def test_born_trace_matches_radial_reference():
         zeta=lambda u: 0.002 * np.ones_like(u),
     )
     val = born_scatter_trace(shell, 0.8, QuadSpec())
-    assert val == pytest.approx(FROZEN_BORN_TRACE, rel=1e-10)
+    assert val == pytest.approx(FROZEN_BORN_TRACE, rel=1e-13, abs=0.0)
+
+
+def _radial_born_trace(r_o, u, chi, zeta):
+    # the radial integrals done numerically over s = R_o + v, as the
+    # closed form's reference
+    q = QuadSpec(rel_tol=1e-12)
+    scale = r_o + 0.5 / u
+    el = integrate_semi_infinite(
+        lambda v: _kernels.kernel_g(u * (r_o + v)) / (r_o + v) ** 4, q, scale=scale
+    ).value
+    mag = integrate_semi_infinite(
+        lambda v: _kernels.kernel_h(u * (r_o + v)) / (r_o + v) ** 2, q, scale=scale
+    ).value
+    return chi * el / (4.0 * math.pi * u * u) - zeta * mag / (4.0 * math.pi)
+
+
+@pytest.mark.parametrize("chi, zeta", [(4e-3, 0.0), (0.0, 3e-3), (5e-3, -2e-3)],
+                         ids=["chi_only", "zeta_only", "mixed"])
+def test_born_trace_closed_form_matches_radial_quadrature(chi, zeta):
+    for r_o in (0.3, 1.5, 2.0):
+        shell = BodyShell(
+            inner_radius=0.05,
+            outer_radius=r_o,
+            chi=lambda u: chi * np.ones_like(u),
+            zeta=lambda u: zeta * np.ones_like(u),
+        )
+        u = np.geomspace(1e-3, 50.0, 9)
+        got = born_scatter_trace(shell, u, QuadSpec())
+        want = np.array([_radial_born_trace(r_o, ui, chi, zeta) for ui in u])
+        np.testing.assert_allclose(got, want, rtol=1e-11, atol=0.0)
 
 
 def test_born_trace_sign_structure():

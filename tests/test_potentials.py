@@ -349,6 +349,12 @@ def test_ring_validation(atom_a, glass, quad):
         )
 
 
+def test_ring_rejects_non_finite_positions(atom_a, glass, quad):
+    atoms = [(atom_a, [0.0, 0.0, 0.0]), (atom_a, [math.nan, 0.0, 0.0])]
+    with pytest.raises(GeometryError, match="atom 1 has a non-finite coordinate"):
+        n_atom_bulk(atoms, glass, quad)
+
+
 # ----------------------------------------------------------------------
 # cavity-center stiffness
 # ----------------------------------------------------------------------
