@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import DomainError, GeometryError, InvariantError, PoleError, UnsupportedOrderError
-from .response import MediumResponse
+from .errors import GeometryError, InvariantError, PoleError, UnsupportedOrderError
+from .response import MediumResponse, _as_nodes, _host_arrays, _ret
 
 __all__ = [
     "CavitySpec",
@@ -52,22 +52,17 @@ class CavitySpec:
 
 
 def _pos_nodes(u):
-    """Validate u > 0 elementwise, return (array, was_scalar)."""
-    arr = np.asarray(u, dtype=np.float64)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    if arr.size == 0:
-        return arr, scalar
-    if not np.all(np.isfinite(arr)) or arr.min() < 0.0:
-        raise DomainError("frequency u must be finite and >= 0")
-    if arr.min() == 0.0:
+    """_as_nodes, plus the pole of the cavity coefficients at u = 0."""
+    nodes, scalar = _as_nodes(u)
+    if nodes.size and nodes.min() == 0.0:
         raise PoleError("cavity coefficients are singular at u = 0; "
                         "supply the analytic limit instead")
-    return arr, scalar
+    return nodes, scalar
 
 
-def _ret(values, scalar):
-    return float(values[0]) if scalar else values
+def _d_leading(eps):
+    """Local-field factor D = 3 eps/(2 eps + 1) of the small real cavity."""
+    return 3.0 * eps / (2.0 * eps + 1.0)
 
 
 def coeff_C_exact(spec: CavitySpec, l: int, u, kind: str = "electric"):
@@ -81,9 +76,7 @@ def coeff_C_exact(spec: CavitySpec, l: int, u, kind: str = "electric"):
     if kind not in _KINDS:
         raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
     nodes, scalar = _pos_nodes(u)
-    eps = np.atleast_1d(spec.host.eps_iu(nodes))
-    mu = np.atleast_1d(spec.host.mu_iu(nodes))
-    n = np.sqrt(eps * mu)
+    eps, mu, n = _host_arrays(spec.host, nodes)
     e_like = eps if kind == "electric" else mu
     t0 = spec.radius * nodes
     return _ret(_kernels.cavity_c(t0, n, e_like, l), scalar)
@@ -96,9 +89,7 @@ def coeff_C_expansion(spec: CavitySpec, u):
     is O(u R_c).
     """
     nodes, scalar = _pos_nodes(u)
-    eps = np.atleast_1d(spec.host.eps_iu(nodes))
-    mu = np.atleast_1d(spec.host.mu_iu(nodes))
-    n = np.sqrt(eps * mu)
+    eps, mu, n = _host_arrays(spec.host, nodes)
     t0 = spec.radius * nodes
     return _ret(_kernels.cavity_c1_expansion(t0, eps, mu, n), scalar)
 
@@ -111,9 +102,7 @@ def coeff_D_exact(spec: CavitySpec, u):
     being silently accepted.
     """
     nodes, scalar = _pos_nodes(u)
-    eps = np.atleast_1d(spec.host.eps_iu(nodes))
-    mu = np.atleast_1d(spec.host.mu_iu(nodes))
-    n = np.sqrt(eps * mu)
+    eps, mu, n = _host_arrays(spec.host, nodes)
     t0 = spec.radius * nodes
     d = _kernels.cavity_d(t0, n, eps, mu)
     if d.size and d.min() <= 0.0:
@@ -130,10 +119,5 @@ def coeff_D_leading(m: MediumResponse, u):
 
     Independent of mu and of the cavity radius; defined for u >= 0.
     """
-    arr = np.asarray(u, dtype=np.float64)
-    scalar = arr.ndim == 0
-    nodes = np.atleast_1d(arr)
-    if nodes.size and (not np.all(np.isfinite(nodes)) or nodes.min() < 0.0):
-        raise DomainError("frequency u must be finite and >= 0")
-    eps = np.atleast_1d(m.eps_iu(nodes))
-    return _ret(3.0 * eps / (2.0 * eps + 1.0), scalar)
+    nodes, scalar = _as_nodes(u)
+    return _ret(_d_leading(m.eps_iu(nodes)), scalar)

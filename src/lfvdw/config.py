@@ -164,6 +164,8 @@ def _grid(node, context: str, convert) -> tuple[float, ...]:
     vals = tuple(convert(_as_float(v, context)) for v in node)
     if any(b <= a for a, b in zip(vals, vals[1:])):
         raise ConfigError(f"{context} must be strictly increasing")
+    if vals[0] <= 0.0:
+        raise ConfigError(f"{context} must hold values > 0")
     return vals
 
 

@@ -46,7 +46,7 @@ import numpy as np
 from . import _kernels
 from .errors import DomainError, GeometryError, PoleError, SingularityError
 from .quadrature import QuadSpec
-from .response import MediumResponse
+from .response import MediumResponse, _as_nodes, _ret
 
 __all__ = [
     "GreenDyad",
@@ -101,20 +101,14 @@ def bulk_dyad(m: MediumResponse, r, rp, u: float) -> GreenDyad:
 
 def pair_kernel_g(x):
     """Traced electric pair kernel g(x); g(0) = 6."""
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.size and arr.min() < 0.0:
-        raise DomainError("kernel argument must be >= 0")
-    out = _kernels.kernel_g(np.atleast_1d(arr))
-    return float(out[0]) if arr.ndim == 0 else out
+    nodes, scalar = _as_nodes(x, "kernel argument x")
+    return _ret(_kernels.kernel_g(nodes), scalar)
 
 
 def pair_kernel_h(x):
     """Traced magnetic pair kernel h(x); h(0) = 2."""
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.size and arr.min() < 0.0:
-        raise DomainError("kernel argument must be >= 0")
-    out = _kernels.kernel_h(np.atleast_1d(arr))
-    return float(out[0]) if arr.ndim == 0 else out
+    nodes, scalar = _as_nodes(x, "kernel argument x")
+    return _ret(_kernels.kernel_h(nodes), scalar)
 
 
 @dataclass(frozen=True)
@@ -152,15 +146,12 @@ def born_scatter_trace(shell: BodyShell, u, q: QuadSpec = QuadSpec()):
     nothing is integrated numerically; it stays in the signature because
     callers pass it positionally.
     """
-    arr = np.asarray(u, dtype=np.float64)
-    scalar = arr.ndim == 0
-    nodes = np.atleast_1d(arr)
-    if nodes.size and (not np.all(np.isfinite(nodes)) or nodes.min() <= 0.0):
+    nodes, scalar = _as_nodes(u)
+    if nodes.size and nodes.min() == 0.0:
         raise DomainError("born_scatter_trace requires u > 0")
 
     if math.isinf(shell.outer_radius):
-        out = np.zeros_like(nodes)
-        return 0.0 if scalar else out
+        return _ret(np.zeros_like(nodes), scalar)
 
     chi = np.atleast_1d(np.asarray(shell.chi(nodes), dtype=np.float64))
     zeta = np.atleast_1d(np.asarray(shell.zeta(nodes), dtype=np.float64))
@@ -174,5 +165,4 @@ def born_scatter_trace(shell: BodyShell, u, q: QuadSpec = QuadSpec()):
         )
 
     bracket = _kernels.born_bracket(nodes * shell.outer_radius, chi, zeta)
-    out = nodes / (4.0 * math.pi) * bracket
-    return float(out[0]) if scalar else out
+    return _ret(nodes / (4.0 * math.pi) * bracket, scalar)

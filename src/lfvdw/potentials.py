@@ -26,10 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .cavity import CavitySpec, coeff_C_exact, coeff_D_leading
+from .cavity import CavitySpec, _d_leading, coeff_C_exact, coeff_D_leading
 from .errors import GeometryError, InvariantError
 from .quadrature import QuadSpec, integrate_semi_infinite
-from .response import AtomModel, MediumResponse, scale_hint
+from .response import AtomModel, MediumResponse, _host_arrays, scale_hint
 
 __all__ = [
     "U1Expansion",
@@ -113,12 +113,6 @@ class StiffnessResult:
     err_est: float
 
 
-def _host_arrays(host: MediumResponse, u: np.ndarray):
-    eps = np.atleast_1d(host.eps_iu(u))
-    mu = np.atleast_1d(host.mu_iu(u))
-    return eps, mu, np.sqrt(eps * mu)
-
-
 def _check_ratio(w: np.ndarray, bound: float, context: str):
     if w.size == 0:
         return
@@ -130,13 +124,24 @@ def _check_ratio(w: np.ndarray, bound: float, context: str):
         )
 
 
+def _pair_weight(atom_a, atom_b, m, u: np.ndarray, corrected: bool, context: str):
+    """(alpha_A alpha_B W / eps^2, n) on the nodes, with W = D^4 asserted
+    to stay in [1, 81/16] when corrected, else W = 1."""
+    eps, _, n = _host_arrays(m, u)
+    phi = atom_a.alpha_iu(u) * atom_b.alpha_iu(u) / eps**2
+    if corrected:
+        w = _d_leading(eps) ** 4
+        _check_ratio(w, _PAIR_BOUND, context)
+        phi = phi * w
+    return phi, n
+
+
 def u1_exact(atom: AtomModel, spec: CavitySpec, q: QuadSpec = QuadSpec()) -> float:
     """Cavity-reflection shift U1 via the exact dipole coefficient C_1(iu)."""
     scale = scale_hint(atom, spec.host)
 
     def f(u):
-        c1 = np.atleast_1d(coeff_C_exact(spec, 1, u))
-        return -(1.0 / math.pi) * u**3 * c1 * np.atleast_1d(atom.alpha_iu(u))
+        return -(1.0 / math.pi) * u**3 * coeff_C_exact(spec, 1, u) * atom.alpha_iu(u)
 
     return integrate_semi_infinite(f, q, scale=scale).value
 
@@ -153,12 +158,12 @@ def u1_expanded(atom: AtomModel, spec: CavitySpec, q: QuadSpec = QuadSpec()) -> 
 
     def f3(u):
         eps, _, _ = _host_arrays(spec.host, u)
-        return (eps - 1.0) / (2.0 * eps + 1.0) * np.atleast_1d(atom.alpha_iu(u))
+        return (eps - 1.0) / (2.0 * eps + 1.0) * atom.alpha_iu(u)
 
     def f1(u):
         eps, mu, _ = _host_arrays(spec.host, u)
         bracket = eps * eps * (1.0 - 5.0 * mu) + 3.0 * eps + 1.0
-        return u**2 * bracket / (2.0 * eps + 1.0) ** 2 * np.atleast_1d(atom.alpha_iu(u))
+        return u**2 * bracket / (2.0 * eps + 1.0) ** 2 * atom.alpha_iu(u)
 
     i3 = integrate_semi_infinite(f3, q, scale=scale)
     i1 = integrate_semi_infinite(f1, q, scale=scale)
@@ -200,7 +205,7 @@ def u1_linearized(
     def f(u):
         xv = np.atleast_1d(np.asarray(chi(u), dtype=np.float64))
         zv = np.atleast_1d(np.asarray(zeta(u), dtype=np.float64))
-        return -(0.5 / math.pi) * u * u * u * np.atleast_1d(atom.alpha_iu(u)) * (
+        return -(0.5 / math.pi) * u * u * u * atom.alpha_iu(u) * (
             _kernels.born_bracket(radius * u, xv, zv)
         )
 
@@ -217,14 +222,14 @@ def u2_single(atom: AtomModel, spec: CavitySpec, scatter_trace, q: QuadSpec = Qu
     scale = scale_hint(atom, spec.host)
 
     def f(u):
-        d2 = np.atleast_1d(coeff_D_leading(spec.host, u)) ** 2
+        d2 = coeff_D_leading(spec.host, u) ** 2
         _check_ratio(d2, _SINGLE_BOUND, "u2_single")
         tr = np.asarray(scatter_trace(u), dtype=np.float64)
         if tr.ndim == 0:
             tr = np.full(np.shape(u), float(tr))
         elif tr.shape != np.shape(u):
             raise ValueError("scatter_trace must return one value per node")
-        return 2.0 * u**2 * d2 * np.atleast_1d(atom.alpha_iu(u)) * tr
+        return 2.0 * u**2 * d2 * atom.alpha_iu(u) * tr
 
     return integrate_semi_infinite(f, q, scale=scale).value
 
@@ -269,11 +274,7 @@ def pair_free_space(
     if parts in ("electric", "both"):
 
         def f_el(u):
-            return (
-                np.atleast_1d(atom_a.alpha_iu(u))
-                * np.atleast_1d(atom_b.alpha_iu(u))
-                * _kernels.kernel_g(u * l)
-            )
+            return atom_a.alpha_iu(u) * atom_b.alpha_iu(u) * _kernels.kernel_g(u * l)
 
         total -= integrate_semi_infinite(f_el, q, scale=scale).value / (
             2.0 * math.pi * l**6
@@ -281,12 +282,7 @@ def pair_free_space(
     if parts in ("magnetic", "both") and atom_b.beta_resonances:
 
         def f_mag(u):
-            return (
-                u**2
-                * np.atleast_1d(atom_a.alpha_iu(u))
-                * np.atleast_1d(atom_b.beta_iu(u))
-                * _kernels.kernel_h(u * l)
-            )
+            return u**2 * atom_a.alpha_iu(u) * atom_b.beta_iu(u) * _kernels.kernel_h(u * l)
 
         total += integrate_semi_infinite(f_mag, q, scale=scale).value / (
             2.0 * math.pi * l**4
@@ -312,7 +308,7 @@ def _guard_separation(l: float, cavity_radius: float | None, context: str):
 
 def _enhancement_profile(m: MediumResponse, scale: float) -> np.ndarray:
     grid = scale * np.geomspace(1e-3, 1e3, 41)
-    w = np.atleast_1d(coeff_D_leading(m, grid)) ** 4
+    w = coeff_D_leading(m, grid) ** 4
     return np.column_stack([grid, w])
 
 
@@ -338,16 +334,7 @@ def pair_bulk(
     scale = scale_hint(atom_a, atom_b, m)
 
     def f(u):
-        eps, _, n = _host_arrays(m, u)
-        phi = (
-            np.atleast_1d(atom_a.alpha_iu(u))
-            * np.atleast_1d(atom_b.alpha_iu(u))
-            / eps**2
-        )
-        if corrected:
-            w = (3.0 * eps / (2.0 * eps + 1.0)) ** 4
-            _check_ratio(w, _PAIR_BOUND, "pair_bulk")
-            phi = phi * w
+        phi, n = _pair_weight(atom_a, atom_b, m, u, corrected, "pair_bulk")
         return phi * _kernels.kernel_g(n * u * l)
 
     res = integrate_semi_infinite(f, q, scale=scale)
@@ -371,11 +358,13 @@ def coeff_retarded(atom_a: AtomModel, atom_b: AtomModel, m: MediumResponse) -> f
     """Retarded coefficient C_r with U -> -C_r / l^7 for large l.
 
     Closed form in the static responses:
-    C_r = (23/(4 pi)) alpha_A(0) alpha_B(0) / (n(0) eps(0)^2) W(0).
+    C_r = (23/(4 pi)) alpha_A(0) alpha_B(0) / (n(0) eps(0)^2) W(0),
+    with W(0) asserted to stay in [1, 81/16].
     """
     eps0 = m.eps_iu(0.0)
     n0 = m.n_iu(0.0)
-    w0 = (3.0 * eps0 / (2.0 * eps0 + 1.0)) ** 4
+    w0 = _d_leading(eps0) ** 4
+    _check_ratio(np.asarray(w0), _PAIR_BOUND, "coeff_retarded")
     return (
         23.0
         / (4.0 * math.pi)
@@ -391,19 +380,13 @@ def coeff_nonretarded(
 ) -> float:
     """Non-retarded coefficient C_nr with U -> -C_nr / l^6 for small l.
 
-    C_nr = (3/pi) int alpha_A alpha_B [3 eps/(2 eps+1)]^4 / eps^2 du.
+    C_nr = (3/pi) int alpha_A alpha_B [3 eps/(2 eps+1)]^4 / eps^2 du, the
+    local-field factor asserted to stay in [1, 81/16].
     """
     scale = scale_hint(atom_a, atom_b, m)
 
     def f(u):
-        eps, _, _ = _host_arrays(m, u)
-        w = (3.0 * eps / (2.0 * eps + 1.0)) ** 4
-        return (
-            np.atleast_1d(atom_a.alpha_iu(u))
-            * np.atleast_1d(atom_b.alpha_iu(u))
-            * w
-            / eps**2
-        )
+        return _pair_weight(atom_a, atom_b, m, u, True, "coeff_nonretarded")[0]
 
     return (3.0 / math.pi) * integrate_semi_infinite(f, q, scale=scale).value
 
@@ -471,15 +454,15 @@ def _ring_integrand(models, m: MediumResponse, geo, context: str):
 
     def f(u):
         eps, mu, n = _host_arrays(m, u)
-        d2 = (3.0 * eps / (2.0 * eps + 1.0)) ** 2
+        d2 = _d_leading(eps) ** 2
         _check_ratio(d2, _SINGLE_BOUND, context)
         weight = (u**2 * d2) ** n_atoms
         for model in models:
-            weight = weight * np.atleast_1d(model.alpha_iu(u))
-        ring_sum = np.zeros_like(np.atleast_1d(u), dtype=np.float64)
+            weight = weight * model.alpha_iu(u)
+        ring_sum = np.zeros_like(u)
         base = mu * n * u / (4.0 * math.pi)
         for lengths, vv in geo:
-            y = n[:, None] * np.atleast_1d(u)[:, None] * lengths[None, :]
+            y = n[:, None] * u[:, None] * lengths[None, :]
             a_k = (1.0 + (1.0 + 1.0 / y) / y) / y
             b_k = (1.0 + (3.0 + 3.0 / y) / y) / y
             coef = base[:, None] * np.exp(-y)
@@ -544,15 +527,7 @@ def force_pair(
     scale = scale_hint(atom_a, atom_b, m)
 
     def f(u):
-        eps, _, n = _host_arrays(m, u)
-        w = (3.0 * eps / (2.0 * eps + 1.0)) ** 4
-        _check_ratio(w, _PAIR_BOUND, "force_pair")
-        phi = (
-            np.atleast_1d(atom_a.alpha_iu(u))
-            * np.atleast_1d(atom_b.alpha_iu(u))
-            * w
-            / eps**2
-        )
+        phi, n = _pair_weight(atom_a, atom_b, m, u, True, "force_pair")
         return phi * _kernels.kernel_force(n * u * l)
 
     return -integrate_semi_infinite(f, q, scale=scale).value / (2.0 * math.pi * l**7)
@@ -573,20 +548,19 @@ def cavity_center_stiffness(
     r = spec.radius
 
     def f(u):
-        c2 = np.atleast_1d(coeff_C_exact(spec, 2, u))
-        return u**5 * c2 * np.atleast_1d(atom.alpha_iu(u))
+        return u**5 * coeff_C_exact(spec, 2, u) * atom.alpha_iu(u)
 
     res = integrate_semi_infinite(f, q, scale=scale)
     k_exact = -res.value / (3.0 * math.pi)
 
     def f5(u):
         eps, _, _ = _host_arrays(spec.host, u)
-        return (eps - 1.0) / (3.0 * eps + 2.0) * np.atleast_1d(atom.alpha_iu(u))
+        return (eps - 1.0) / (3.0 * eps + 2.0) * atom.alpha_iu(u)
 
     def f3(u):
         eps, mu, _ = _host_arrays(spec.host, u)
         bracket = eps * eps * (7.0 * mu + 3.0) - 6.0 * eps - 4.0
-        return u**2 * bracket / (3.0 * eps + 2.0) ** 2 * np.atleast_1d(atom.alpha_iu(u))
+        return u**2 * bracket / (3.0 * eps + 2.0) ** 2 * atom.alpha_iu(u)
 
     i5 = integrate_semi_infinite(f5, q, scale=scale).value
     i3 = integrate_semi_infinite(f3, q, scale=scale).value

@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConfigError, ConvergenceError
 
 __all__ = ["QuadSpec", "QuadResult", "integrate_semi_infinite", "integrate_finite"]
 
@@ -77,11 +77,11 @@ class QuadSpec:
 
     def __post_init__(self):
         if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
-            raise ValueError("tolerances must be positive")
+            raise ConfigError("tolerances must be positive")
         if self.max_subdivisions < 8:
-            raise ValueError("max_subdivisions must be at least 8")
+            raise ConfigError("max_subdivisions must be at least 8")
         if self.transform not in ("rational_map", "exp_map"):
-            raise ValueError(f"unknown transform {self.transform!r}")
+            raise ConfigError(f"unknown transform {self.transform!r}")
 
 
 class QuadResult(NamedTuple):

@@ -28,18 +28,34 @@ from .errors import DomainError
 __all__ = ["LorentzTerm", "MediumResponse", "AtomModel", "VACUUM", "scale_hint"]
 
 
-def _as_nodes(u):
-    """Validate u >= 0 and return (float64 array, was_scalar)."""
+def _as_nodes(u, name: str = "imaginary-axis frequency u"):
+    """Validate finite nodes >= 0 and return (float64 array, was_scalar).
+
+    The one node check of the package; ``name`` says what the nodes are in
+    the error message.
+    """
     arr = np.asarray(u, dtype=np.float64)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
     if arr.size and (not np.all(np.isfinite(arr)) or arr.min() < 0.0):
-        raise DomainError("imaginary-axis frequency u must be finite and >= 0")
+        raise DomainError(f"{name} must be finite and >= 0")
     return arr, scalar
 
 
 def _ret(values: np.ndarray, scalar: bool):
+    """Undo _as_nodes: a float for scalar input, else the array."""
     return float(values[0]) if scalar else values
+
+
+def _host_arrays(host, u: np.ndarray):
+    """eps, mu and n = sqrt(eps mu) of a host medium on a 1-D node array.
+
+    Goes through the host's eps_iu/mu_iu, so any object with those
+    methods serves as a host.
+    """
+    eps = host.eps_iu(u)
+    mu = host.mu_iu(u)
+    return eps, mu, np.sqrt(eps * mu)
 
 
 @dataclass(frozen=True)
@@ -57,11 +73,11 @@ class LorentzTerm:
 
     def __post_init__(self):
         if not self.plasma_strength >= 0.0:
-            raise ValueError("plasma_strength must be >= 0")
+            raise DomainError("plasma_strength must be >= 0")
         if not self.resonance > 0.0:
-            raise ValueError("resonance must be > 0")
+            raise DomainError("resonance must be > 0")
         if not self.damping >= 0.0:
-            raise ValueError("damping must be >= 0")
+            raise DomainError("damping must be >= 0")
 
 
 def _term_arrays(terms: tuple[LorentzTerm, ...]):
@@ -69,6 +85,14 @@ def _term_arrays(terms: tuple[LorentzTerm, ...]):
         np.array([t.plasma_strength for t in terms], dtype=np.float64),
         np.array([t.resonance for t in terms], dtype=np.float64),
         np.array([t.damping for t in terms], dtype=np.float64),
+    )
+
+
+def _pole_arrays(poles: tuple[tuple[float, float], ...]):
+    """(strengths, frequencies) of (frequency, strength) pairs."""
+    return (
+        np.array([a for _, a in poles], dtype=np.float64),
+        np.array([w for w, _ in poles], dtype=np.float64),
     )
 
 
@@ -82,29 +106,25 @@ class MediumResponse:
     def __post_init__(self):
         object.__setattr__(self, "eps_terms", tuple(self.eps_terms))
         object.__setattr__(self, "mu_terms", tuple(self.mu_terms))
+        # Parameter arrays for the kernels; plain attributes, not fields,
+        # so eq, hash and repr see only the terms.
+        object.__setattr__(self, "_eps_arrays", _term_arrays(self.eps_terms))
+        object.__setattr__(self, "_mu_arrays", _term_arrays(self.mu_terms))
 
     def eps_iu(self, u):
         """Relative permittivity eps(iu) >= 1."""
         nodes, scalar = _as_nodes(u)
-        if not self.eps_terms:
-            return _ret(np.ones_like(nodes), scalar)
-        s, w, g = _term_arrays(self.eps_terms)
-        return _ret(1.0 + _kernels.lorentz_sum(nodes, s, w, g), scalar)
+        return _ret(1.0 + _kernels.lorentz_sum(nodes, *self._eps_arrays), scalar)
 
     def mu_iu(self, u):
         """Relative permeability mu(iu) >= 1."""
         nodes, scalar = _as_nodes(u)
-        if not self.mu_terms:
-            return _ret(np.ones_like(nodes), scalar)
-        s, w, g = _term_arrays(self.mu_terms)
-        return _ret(1.0 + _kernels.lorentz_sum(nodes, s, w, g), scalar)
+        return _ret(1.0 + _kernels.lorentz_sum(nodes, *self._mu_arrays), scalar)
 
     def n_iu(self, u):
         """Refractive index n(iu) = sqrt(eps(iu) mu(iu)) >= 1."""
         nodes, scalar = _as_nodes(u)
-        eps = np.atleast_1d(self.eps_iu(nodes))
-        mu = np.atleast_1d(self.mu_iu(nodes))
-        return _ret(np.sqrt(eps * mu), scalar)
+        return _ret(_host_arrays(self, nodes)[2], scalar)
 
     @property
     def is_vacuum(self) -> bool:
@@ -143,23 +163,19 @@ class AtomModel:
         )
         for w, _ in self.resonances + self.beta_resonances:
             if not w > 0.0:
-                raise ValueError("transition frequencies must be > 0")
-
-    def _sum(self, u, terms):
-        nodes, scalar = _as_nodes(u)
-        if not terms:
-            return _ret(np.zeros_like(nodes), scalar)
-        w = np.array([t[0] for t in terms], dtype=np.float64)
-        a = np.array([t[1] for t in terms], dtype=np.float64)
-        return _ret(_kernels.alpha_sum(nodes, a, w), scalar)
+                raise DomainError("transition frequencies must be > 0")
+        object.__setattr__(self, "_alpha_arrays", _pole_arrays(self.resonances))
+        object.__setattr__(self, "_beta_arrays", _pole_arrays(self.beta_resonances))
 
     def alpha_iu(self, u):
         """Polarizability alpha(iu), reduced units 4 pi eps0 (c/w_ref)^3."""
-        return self._sum(u, self.resonances)
+        nodes, scalar = _as_nodes(u)
+        return _ret(_kernels.alpha_sum(nodes, *self._alpha_arrays), scalar)
 
     def beta_iu(self, u):
         """Magnetizability beta(iu), reduced units (4 pi / mu0) (c/w_ref)^3."""
-        return self._sum(u, self.beta_resonances)
+        nodes, scalar = _as_nodes(u)
+        return _ret(_kernels.alpha_sum(nodes, *self._beta_arrays), scalar)
 
     @property
     def alpha_static(self) -> float:

@@ -4,13 +4,17 @@ Closed forms are used for low orders, the ascending power series for j_l at
 small argument (upward recurrence loses accuracy there), and the stable
 upward recurrence otherwise. Riccati derivatives [x f_l(x)]' come from the
 recurrence [x f_l]' = x f_{l-1} - l f_l, which is exact for both families.
+
+The package itself never needs these (its cavity kernels use exponentially
+scaled real forms); they serve the tests as an independent reference for
+the raw complex Mie expressions.
 """
 
 from __future__ import annotations
 
 import cmath
 
-from .errors import PoleError, UnsupportedOrderError
+from lfvdw.errors import PoleError, UnsupportedOrderError
 
 __all__ = ["sph_j", "sph_h1", "riccati_deriv", "MIN_ORDER", "MAX_ORDER"]
 

@@ -31,7 +31,7 @@ from lfvdw.potentials import (
 )
 from lfvdw.quadrature import QuadSpec
 from lfvdw.response import VACUUM, AtomModel, LorentzTerm, MediumResponse
-from lfvdw.specfun import riccati_deriv, sph_h1, sph_j
+from oracles.specfun import riccati_deriv, sph_h1, sph_j
 
 DATA = Path(__file__).parent / "data"
 CONFIG = str(DATA / "glass.yaml")

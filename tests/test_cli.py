@@ -104,7 +104,7 @@ def test_pair_table_structure():
     assert len(rows) == 3  # sweep.l has three entries
     for l, u, u_unc, ratio, slope in rows:
         assert u < u_unc < 0.0
-        assert ratio == pytest.approx(u / u_unc)
+        assert ratio == pytest.approx(u / u_unc, abs=0.0)
         assert 1.0 < ratio < 81.0 / 16.0
         assert -7.5 < slope < -5.5
 
@@ -155,7 +155,7 @@ def test_nbody_two_atoms_match_pair(tmp_path):
     )
     rows = [l for l in pair.stdout.splitlines() if not l.startswith("#")][1:]
     u_at_3 = float(rows[1].split(",")[1])
-    assert doc["energy"] == pytest.approx(u_at_3, rel=1e-10)
+    assert doc["energy"] == pytest.approx(u_at_3, rel=1e-10, abs=0.0)
 
 
 def test_nbody_triangle(tmp_path):
@@ -189,10 +189,10 @@ def test_limits_payload():
         "--material", "glass",
     )
     doc = json.loads(proc.stdout)
-    assert doc["C_r"] == pytest.approx(1.8963238084884511e-4, rel=1e-9)
-    assert doc["C_nr"] == pytest.approx(1.5262451744418493e-4, rel=1e-8)
+    assert doc["C_r"] == pytest.approx(1.8963238084884511e-4, rel=1e-9, abs=0.0)
+    assert doc["C_nr"] == pytest.approx(1.5262451744418493e-4, rel=1e-8, abs=0.0)
     assert doc["crossover_length_estimate"] == pytest.approx(
-        doc["C_r"] / doc["C_nr"]
+        doc["C_r"] / doc["C_nr"], abs=0.0
     )
 
 
@@ -233,7 +233,7 @@ def test_force_check_passes():
     doc = json.loads(proc.stdout)
     assert doc["pass"] is True
     assert doc["relative_deviation"] < 1e-6
-    assert doc["analytic"] == pytest.approx(-1.8119254953065484e-7, rel=1e-9)
+    assert doc["analytic"] == pytest.approx(-1.8119254953065484e-7, rel=1e-9, abs=0.0)
 
 
 def test_config_error_exit_code(tmp_path):
@@ -244,6 +244,16 @@ def test_config_error_exit_code(tmp_path):
     err = json.loads(proc.stdout)["error"]
     assert err["type"] == "config"
     assert "increasing" in err["message"]
+
+
+def test_non_positive_sweep_grid_is_a_config_error(tmp_path):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(Path(CONFIG).read_text().replace("R_c: 0.05", "R_c: [-1]"))
+    proc = run_cli("coeffs", "--config", str(bad), "--material", "glass")
+    assert proc.returncode == 2
+    err = json.loads(proc.stdout)["error"]
+    assert err["type"] == "config"
+    assert "sweep.R_c" in err["message"]
 
 
 @pytest.mark.parametrize("radius", ["-1", "nan"])
@@ -293,7 +303,7 @@ def test_tol_flag_loosens_quadrature():
     row_loose = data_section(loose.stdout).splitlines()[1]
     u_tight = float(row_tight.split(",")[1])
     u_loose = float(row_loose.split(",")[1])
-    assert u_loose == pytest.approx(u_tight, rel=1e-2)
+    assert u_loose == pytest.approx(u_tight, rel=1e-2, abs=0.0)
     assert row_loose != row_tight  # the override reached the integrator
 
 

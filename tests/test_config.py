@@ -131,16 +131,16 @@ def test_si_conversions(tmp_path):
         )
     )
     length_unit = C_SI / omega_ref
-    assert cfg.material("slab").eps_terms[0].plasma_strength == pytest.approx(2.0)
-    assert cfg.material("slab").eps_terms[0].resonance == pytest.approx(1.2)
+    assert cfg.material("slab").eps_terms[0].plasma_strength == pytest.approx(2.0, abs=0.0)
+    assert cfg.material("slab").eps_terms[0].resonance == pytest.approx(1.2, abs=0.0)
     w, a = cfg.atom("probe").resonances[0]
-    assert w == pytest.approx(1.0)
-    assert a == pytest.approx(4.5e-30 / length_unit**3)
-    assert cfg.sweep.l[0] == pytest.approx(5e-9 / length_unit)
+    assert w == pytest.approx(1.0, abs=0.0)
+    assert a == pytest.approx(4.5e-30 / length_unit**3, abs=0.0)
+    assert cfg.sweep.l[0] == pytest.approx(5e-9 / length_unit, abs=0.0)
     # output conversions round-trip the length and scale the energy
-    assert cfg.unit.length_out(cfg.sweep.l[0]) == pytest.approx(5e-9)
-    assert cfg.unit.energy_out(1.0) == pytest.approx(HBAR_SI * omega_ref)
-    assert cfg.unit.freq_out(1.2) == pytest.approx(1.2e15)
+    assert cfg.unit.length_out(cfg.sweep.l[0]) == pytest.approx(5e-9, abs=0.0)
+    assert cfg.unit.energy_out(1.0) == pytest.approx(HBAR_SI * omega_ref, abs=0.0)
+    assert cfg.unit.freq_out(1.2) == pytest.approx(1.2e15, abs=0.0)
 
 
 @pytest.mark.parametrize(
@@ -160,6 +160,9 @@ def test_si_conversions(tmp_path):
         ("sweep:\n  u: [1.0, 0.5]\n", "increasing"),
         ("sweep:\n  u: []\n", "non-empty"),
         ("sweep:\n  u: [1.0, .inf]\n", "finite"),
+        ("sweep:\n  u: [0.0, 1.0]\n", "sweep.u must hold values > 0"),
+        ("sweep:\n  l: [-2.0, 3.0]\n", "sweep.l must hold values > 0"),
+        ("sweep:\n  R_c: -1\n", "sweep.R_c must hold values > 0"),
         ("quadrature:\n  max_subdivisions: 10.5\n", "integer"),
         ("quadrature:\n  rel_tol: true\n", "number"),
         ("quadrature:\n  transform: warp\n", "transform"),
@@ -205,5 +208,5 @@ def test_unit_system_direct_validation():
     with pytest.raises(ConfigError):
         UnitSystem("SI", omega_ref=0.0)
     assert UnitSystem("SI", omega_ref=2e15).length_unit_m == pytest.approx(
-        C_SI / 2e15
+        C_SI / 2e15, abs=0.0
     )

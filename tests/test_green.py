@@ -75,7 +75,7 @@ def _random_direction(rng):
 
 def test_trace_property():
     g = bulk_dyad(VACUUM, np.array([1.0, 0.0, 0.0]), np.zeros(3), 0.7)
-    assert g.trace == pytest.approx(np.trace(g.matrix))
+    assert g.trace == pytest.approx(np.trace(g.matrix), abs=0.0)
     assert np.allclose(g.separation, [1.0, 0.0, 0.0])
     assert g.frequency == 0.7
 
@@ -93,7 +93,7 @@ def test_two_point_trace_identity():
         eps = MEDIUM.eps_iu(u)
         n = MEDIUM.n_iu(u)
         rhs = pair_kernel_g(n * u * l) / (16.0 * math.pi**2 * eps**2 * l**6)
-        assert lhs == pytest.approx(rhs, rel=1e-12)
+        assert lhs == pytest.approx(rhs, rel=1e-12, abs=0.0)
 
 
 def test_transverse_and_longitudinal_eigenvalues():
@@ -111,14 +111,22 @@ def test_transverse_and_longitudinal_eigenvalues():
 def test_pair_kernels_closed_values():
     assert pair_kernel_g(0.0) == 6.0
     assert pair_kernel_h(0.0) == 2.0
-    assert pair_kernel_g(1.0) == pytest.approx(34.0 * math.exp(-2.0), rel=1e-15)
-    assert pair_kernel_h(1.0) == pytest.approx(8.0 * math.exp(-2.0), rel=1e-15)
+    assert pair_kernel_g(1.0) == pytest.approx(34.0 * math.exp(-2.0), rel=1e-15, abs=0.0)
+    assert pair_kernel_h(1.0) == pytest.approx(8.0 * math.exp(-2.0), rel=1e-15, abs=0.0)
     x = np.array([0.0, 1.0, 3.0])
     assert pair_kernel_g(x).shape == (3,)
     with pytest.raises(DomainError):
         pair_kernel_g(-0.1)
     with pytest.raises(DomainError):
         pair_kernel_h(np.array([1.0, -2.0]))
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf])
+def test_pair_kernels_reject_non_finite_arguments(x):
+    with pytest.raises(DomainError):
+        pair_kernel_g(x)
+    with pytest.raises(DomainError):
+        pair_kernel_h(np.array([1.0, x]))
 
 
 def test_dyad_argument_validation():

@@ -68,7 +68,7 @@ def test_pairwise_sum_equals_linearized_single_atom(atom_a, quad):
     host = DiluteHost(density=0.0053, host_atom=AtomModel(resonances=((1.3, 0.015),)))
     direct = u1_pairwise_sum(atom_a, host, 0.05, quad)
     linear = u1_linearized(atom_a, 0.05, host.chi_iu, host.zeta_iu, quad)
-    assert direct == pytest.approx(linear, rel=1e-8)
+    assert direct == pytest.approx(linear, rel=1e-8, abs=0.0)
 
 
 def test_infinite_body_defers_to_pairwise_sum(atom_a, quad):
@@ -103,7 +103,7 @@ def test_pairwise_sum_is_linear_in_density(atom_a, quad):
     body_hi = thick.to_shell(0.05, 6.0)
     u_lo = total_pairwise_sum(atom_a, thin, body_lo, 0.05, quad)
     u_hi = total_pairwise_sum(atom_a, thick, body_hi, 0.05, quad)
-    assert u_hi == pytest.approx(3.0 * u_lo, rel=1e-10)
+    assert u_hi == pytest.approx(3.0 * u_lo, rel=1e-10, abs=0.0)
 
 
 def test_pairwise_sum_shells_add(atom_a, quad):
@@ -111,14 +111,14 @@ def test_pairwise_sum_shells_add(atom_a, quad):
     inner = total_pairwise_sum(atom_a, host, host.to_shell(0.05, 2.0), 0.05, quad)
     outer = total_pairwise_sum(atom_a, host, host.to_shell(2.0, 9.0), 0.05, quad)
     full = total_pairwise_sum(atom_a, host, host.to_shell(0.05, 9.0), 0.05, quad)
-    assert inner + outer == pytest.approx(full, rel=1e-9)
+    assert inner + outer == pytest.approx(full, rel=1e-9, abs=0.0)
 
 
 def test_pairwise_sum_converges_to_infinite_limit(atom_a, quad):
     host = DiluteHost(density=0.003, host_atom=HOST_ATOM)
     infinite = u1_pairwise_sum(atom_a, host, 0.05, quad)
     truncated = total_pairwise_sum(atom_a, host, host.to_shell(0.05, 40.0), 0.05, quad)
-    assert truncated == pytest.approx(infinite, rel=1e-4)
+    assert truncated == pytest.approx(infinite, rel=1e-4, abs=0.0)
     assert abs(truncated) < abs(infinite)  # tail of the attraction is missing
 
 
@@ -128,9 +128,9 @@ def test_pairwise_sum_converges_to_infinite_limit(atom_a, quad):
 
 def test_finite_difference_exact_on_polynomials():
     est = finite_difference_force(lambda x: 3.0 * x * x, 1.5)
-    assert est.value == pytest.approx(-9.0, rel=1e-12)
+    assert est.value == pytest.approx(-9.0, rel=1e-12, abs=0.0)
     est = finite_difference_force(lambda x: x**4 - 2.0 * x, 2.0, StepPolicy(1e-2, 3))
-    assert est.value == pytest.approx(-30.0, rel=1e-10)
+    assert est.value == pytest.approx(-30.0, rel=1e-10, abs=0.0)
 
 
 def test_finite_difference_constant_is_zero():
@@ -142,7 +142,7 @@ def test_finite_difference_constant_is_zero():
 def test_finite_difference_power_law():
     # the shape of a retarded pair potential
     est = finite_difference_force(lambda x: -1.0 / x**7, 2.0, StepPolicy(1e-2, 3))
-    assert est.value == pytest.approx(-7.0 / 2.0**8, rel=1e-10)
+    assert est.value == pytest.approx(-7.0 / 2.0**8, rel=1e-10, abs=0.0)
     assert est.err_est < 1e-8 * abs(est.value)
 
 

@@ -62,7 +62,7 @@ MAGN = MediumResponse(mu_terms=(LorentzTerm(plasma_strength=1.0, resonance=1.0),
 def test_u1_exact_matches_reference(atom_a, glass, quad):
     spec = CavitySpec(radius=0.05, host=glass)
     val = u1_exact(atom_a, spec, quad)
-    assert val == pytest.approx(FROZEN_U1_EXACT_GLASS_R005, rel=1e-10)
+    assert val == pytest.approx(FROZEN_U1_EXACT_GLASS_R005, rel=1e-10, abs=0.0)
 
 
 def test_u1_expansion_terms(atom_a, glass, quad):
@@ -101,7 +101,7 @@ def test_u1_linearized_matches_reference(atom_b, quad):
     chi = lambda u: 4.0 * math.pi * rho * atom_b.alpha_iu(u)
     zeta = lambda u: 4.0 * math.pi * rho * atom_b.beta_iu(u)
     val = u1_linearized(guest, 0.05, chi, zeta, quad)
-    assert val == pytest.approx(FROZEN_U1_LIN_RHO0053_R005, rel=1e-10)
+    assert val == pytest.approx(FROZEN_U1_LIN_RHO0053_R005, rel=1e-10, abs=0.0)
 
 
 def test_u2_zero_trace_gives_zero(atom_a, glass, quad):
@@ -113,7 +113,7 @@ def test_single_atom_total_is_exact_sum(atom_a, glass, quad):
     spec = CavitySpec(radius=0.05, host=glass)
     res = single_atom_total(atom_a, spec, lambda u: np.zeros_like(u), quad)
     assert res.total == res.U1 + res.U2
-    assert res.U1 == pytest.approx(u1_expanded(atom_a, spec, quad).total)
+    assert res.U1 == pytest.approx(u1_expanded(atom_a, spec, quad).total, abs=0.0)
     assert res.U2 == 0.0
 
 
@@ -136,7 +136,7 @@ def test_u2_rejects_transmission_below_unity(atom_a, quad):
 
 def test_pair_free_space_reference(atom_a, quad):
     val = pair_free_space(atom_a, atom_a, 5.0, quad)
-    assert val == pytest.approx(FROZEN_U_PAIR_VACUUM_L5, rel=1e-10)
+    assert val == pytest.approx(FROZEN_U_PAIR_VACUUM_L5, rel=1e-10, abs=0.0)
 
 
 def test_pair_free_space_limits(atom_a, quad):
@@ -144,26 +144,26 @@ def test_pair_free_space_limits(atom_a, quad):
     c_nr = coeff_nonretarded(atom_a, atom_a, VACUUM, quad)
     far = pair_free_space(atom_a, atom_a, 500.0, quad)
     near = pair_free_space(atom_a, atom_a, 5e-4, quad)
-    assert far * 500.0**7 == pytest.approx(-c_r, rel=2e-3)
-    assert near * 5e-4**6 == pytest.approx(-c_nr, rel=1e-5)
+    assert far * 500.0**7 == pytest.approx(-c_r, rel=2e-3, abs=0.0)
+    assert near * 5e-4**6 == pytest.approx(-c_nr, rel=1e-5, abs=0.0)
 
 
 def test_vacuum_pair_coefficients_closed_forms(atom_a, quad):
     # single resonance (w, a): C_r = 23 a^2/(4 pi), C_nr = (3/4) a^2 w
     assert coeff_retarded(atom_a, atom_a, VACUUM) == pytest.approx(
-        23.0 * 0.02**2 / (4.0 * math.pi), rel=1e-15
+        23.0 * 0.02**2 / (4.0 * math.pi), rel=1e-15, abs=0.0
     )
     assert coeff_nonretarded(atom_a, atom_a, VACUUM, quad) == pytest.approx(
-        0.75 * 0.02**2, rel=1e-10
+        0.75 * 0.02**2, rel=1e-10, abs=0.0
     )
 
 
 def test_pair_coefficients_in_medium(atom_a, atom_b, glass, quad):
     assert coeff_retarded(atom_a, atom_b, glass) == pytest.approx(
-        FROZEN_C_R_GLASS, rel=1e-13
+        FROZEN_C_R_GLASS, rel=1e-13, abs=0.0
     )
     assert coeff_nonretarded(atom_a, atom_b, glass, quad) == pytest.approx(
-        FROZEN_C_NR_GLASS, rel=1e-10
+        FROZEN_C_NR_GLASS, rel=1e-10, abs=0.0
     )
 
 
@@ -173,7 +173,7 @@ def test_magnetoelectric_pair_is_repulsive(atom_a, atom_b, quad):
     # retarded closed form +7 alpha(0) beta(0) / (4 pi l^7)
     far = pair_free_space(atom_a, atom_b, 400.0, quad, parts="magnetic")
     assert far * 400.0**7 == pytest.approx(
-        7.0 * 0.02 * 0.004 / (4.0 * math.pi), rel=1e-3
+        7.0 * 0.02 * 0.004 / (4.0 * math.pi), rel=1e-3, abs=0.0
     )
 
 
@@ -182,17 +182,17 @@ def test_pair_parts_sum(atom_a, atom_b, quad):
     both = pair_free_space(atom_a, atom_b, l, quad)
     el = pair_free_space(atom_a, atom_b, l, quad, parts="electric")
     mag = pair_free_space(atom_a, atom_b, l, quad, parts="magnetic")
-    assert both == pytest.approx(el + mag, rel=1e-12)
+    assert both == pytest.approx(el + mag, rel=1e-12, abs=0.0)
     with pytest.raises(ValueError):
         pair_free_space(atom_a, atom_b, l, quad, parts="scalar")
 
 
 def test_pair_bulk_reference(atom_a, atom_b, glass, quad):
     res = pair_bulk(atom_a, atom_b, glass, 3.0, quad)
-    assert res.U == pytest.approx(FROZEN_U_PAIR_GLASS_L3, rel=1e-10)
+    assert res.U == pytest.approx(FROZEN_U_PAIR_GLASS_L3, rel=1e-10, abs=0.0)
     assert res.corrected
     unc = pair_bulk(atom_a, atom_b, glass, 3.0, quad, corrected=False)
-    assert unc.U == pytest.approx(FROZEN_U_PAIR_GLASS_L3_UNCORR, rel=1e-10)
+    assert unc.U == pytest.approx(FROZEN_U_PAIR_GLASS_L3_UNCORR, rel=1e-10, abs=0.0)
     assert not unc.corrected
     assert res.U < unc.U < 0.0  # the local field correction deepens the well
 
@@ -223,6 +223,20 @@ def test_pair_separation_guards(atom_a, atom_b, glass, quad):
         pair_free_space(atom_a, atom_b, -1.0, quad)
 
 
+@pytest.mark.parametrize(
+    "limit",
+    [
+        lambda a, b, m, q: coeff_nonretarded(a, b, m, q),
+        lambda a, b, m, q: coeff_retarded(a, b, m),
+    ],
+    ids=["nonretarded", "retarded"],
+)
+def test_limit_coefficients_reject_enhancement_below_unity(atom_a, atom_b, quad, limit):
+    # eps < 1 gives W = [3 eps/(2 eps + 1)]^4 < 1, as pair_bulk already refuses
+    with pytest.raises(InvariantError):
+        limit(atom_a, atom_b, ConstantMedium(0.5), quad)
+
+
 def test_retardation_slopes_in_vacuum(atom_a, quad):
     # log-log slope of |U(l)|: -6 non-retarded, -7 retarded
     def slope(l_lo, l_hi):
@@ -242,7 +256,7 @@ def test_retardation_slopes_in_vacuum(atom_a, quad):
 
 def test_force_reference(atom_a, atom_b, glass, quad):
     val = force_pair(atom_a, atom_b, glass, 3.0, quad)
-    assert val == pytest.approx(FROZEN_F_PAIR_GLASS_L3, rel=1e-10)
+    assert val == pytest.approx(FROZEN_F_PAIR_GLASS_L3, rel=1e-10, abs=0.0)
     assert val < 0.0  # attractive
 
 
@@ -255,7 +269,7 @@ def test_force_matches_finite_difference(atom_a, atom_b, glass):
         l,
         StepPolicy(initial=5e-3 * l, levels=2),
     )
-    assert analytic == pytest.approx(fd.value, rel=1e-8)
+    assert analytic == pytest.approx(fd.value, rel=1e-8, abs=0.0)
     assert fd.err_est < 1e-8 * abs(analytic)
 
 
@@ -271,7 +285,7 @@ def test_retarded_force_limit(atom_a, quad):
     c_r = coeff_retarded(atom_a, atom_a, VACUUM)
     l = 400.0
     f = force_pair(atom_a, atom_a, VACUUM, l, quad)
-    assert f == pytest.approx(-7.0 * c_r / l**8, rel=2e-3)
+    assert f == pytest.approx(-7.0 * c_r / l**8, rel=2e-3, abs=0.0)
 
 
 # ----------------------------------------------------------------------
@@ -284,7 +298,7 @@ def test_two_atom_ring_reduces_to_pair(atom_a, atom_b, glass, quad):
     ring = n_atom_bulk(
         [(atom_a, [0.0, 0.0, 0.0]), (atom_b, [l, 0.0, 0.0])], glass, quad
     )
-    assert ring == pytest.approx(pair, rel=1e-12)
+    assert ring == pytest.approx(pair, rel=1e-12, abs=0.0)
 
 
 def test_ring_ordering_enumeration(atom_a, quad):
@@ -298,7 +312,7 @@ def test_ring_ordering_enumeration(atom_a, quad):
             if n > 2:
                 assert cycle[1] < cycle[-1]  # reversal representative
         total = math.fsum(e for _, e in orderings)
-        assert total == pytest.approx(n_atom_bulk(atoms, VACUUM, quad), rel=1e-12)
+        assert total == pytest.approx(n_atom_bulk(atoms, VACUUM, quad), rel=1e-12, abs=0.0)
 
 
 def test_triple_ring_static_limit(atom_a, quad):
@@ -311,7 +325,7 @@ def test_triple_ring_static_limit(atom_a, quad):
         (atom_a, [s / 2.0, s * math.sqrt(3.0) / 2.0, 0.0]),
     ]
     val = n_atom_bulk(atoms, VACUUM, quad)
-    assert val == pytest.approx(FROZEN_U3_STATIC_EQ_S0002, rel=5e-3)
+    assert val == pytest.approx(FROZEN_U3_STATIC_EQ_S0002, rel=5e-3, abs=0.0)
     assert val > 0.0
 
 
@@ -367,13 +381,13 @@ def test_stiffness_vacuum_is_neutral(atom_a, quad):
 
 def test_stiffness_dielectric_reference(atom_a, quad):
     res = cavity_center_stiffness(atom_a, CavitySpec(radius=0.05, host=DIEL), quad)
-    assert res.K == pytest.approx(FROZEN_K_DIEL_R005, rel=1e-9)
+    assert res.K == pytest.approx(FROZEN_K_DIEL_R005, rel=1e-9, abs=0.0)
     assert res.classification == "unstable"
 
 
 def test_stiffness_magnetic_reference(atom_a, quad):
     res = cavity_center_stiffness(atom_a, CavitySpec(radius=0.05, host=MAGN), quad)
-    assert res.K == pytest.approx(FROZEN_K_MAGN_R005, rel=1e-9)
+    assert res.K == pytest.approx(FROZEN_K_MAGN_R005, rel=1e-9, abs=0.0)
     assert res.classification == "restoring"
 
 
@@ -383,4 +397,4 @@ def test_stiffness_small_radius_expansion(atom_a, quad):
             atom_a, CavitySpec(radius=0.01, host=medium), quad
         )
         assert math.copysign(1.0, res.K) == math.copysign(1.0, res.K_small_radius)
-        assert res.K_small_radius == pytest.approx(res.K, rel=0.1)
+        assert res.K_small_radius == pytest.approx(res.K, rel=0.1, abs=0.0)

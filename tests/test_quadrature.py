@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from lfvdw.errors import ConvergenceError
+from lfvdw.errors import ConfigError, ConvergenceError, LfvdwError
 from lfvdw.quadrature import QuadSpec, integrate_finite, integrate_semi_infinite
 
 
@@ -19,19 +19,26 @@ def test_spec_defaults():
     assert spec.transform == "rational_map"
 
 
-@pytest.mark.parametrize(
-    "bad",
-    [
-        dict(rel_tol=0.0),
-        dict(rel_tol=-1e-8),
-        dict(abs_tol=0.0),
-        dict(max_subdivisions=4),
-        dict(transform="cosine"),
-    ],
-)
+BAD_SPECS = [
+    dict(rel_tol=0.0),
+    dict(rel_tol=-1e-8),
+    dict(abs_tol=0.0),
+    dict(max_subdivisions=4),
+    dict(transform="cosine"),
+]
+
+
+@pytest.mark.parametrize("bad", BAD_SPECS)
 def test_spec_validation(bad):
     with pytest.raises(ValueError):
         QuadSpec(**bad)
+
+
+@pytest.mark.parametrize("bad", BAD_SPECS)
+def test_spec_validation_raises_config_error(bad):
+    with pytest.raises(LfvdwError) as err:
+        QuadSpec(**bad)
+    assert err.type is ConfigError
 
 
 # the three analytic examples, reproduced through both transforms;
@@ -51,7 +58,7 @@ CASES = [
 def test_analytic_examples_both_transforms(f, exact, transform, scale):
     spec = QuadSpec(transform=transform)
     res = integrate_semi_infinite(f, spec, scale=scale)
-    assert res.value == pytest.approx(exact, rel=3e-8)
+    assert res.value == pytest.approx(exact, rel=3e-8, abs=0.0)
     assert res.err_est >= 0.0
     assert res.evals % 15 == 0
 
@@ -63,7 +70,7 @@ def test_scale_invariance_rational_map():
         for s in (0.1, 1.0, 7.0, 40.0)
     ]
     for v in vals:
-        assert v == pytest.approx(2.0, rel=1e-9)
+        assert v == pytest.approx(2.0, rel=1e-9, abs=0.0)
 
 
 def test_determinism():
@@ -87,7 +94,7 @@ def test_tighter_tolerance_costs_more_and_errs_less():
 
 def test_finite_interval():
     res = integrate_finite(np.sin, 0.0, math.pi, QuadSpec())
-    assert res.value == pytest.approx(2.0, rel=1e-12)
+    assert res.value == pytest.approx(2.0, rel=1e-12, abs=0.0)
 
 
 def test_finite_interval_degenerate_and_reversed():

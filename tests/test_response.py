@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lfvdw.errors import DomainError
+from lfvdw.errors import DomainError, LfvdwError
 from lfvdw.response import VACUUM, AtomModel, LorentzTerm, MediumResponse, scale_hint
 
 
@@ -22,14 +22,14 @@ def test_vacuum_is_exactly_one():
 def test_static_value_single_term():
     # S = w^2 makes eps(0) = 2
     m = MediumResponse(eps_terms=(LorentzTerm(plasma_strength=1.21, resonance=1.1),))
-    assert m.eps_iu(0.0) == pytest.approx(2.0, rel=1e-15)
+    assert m.eps_iu(0.0) == pytest.approx(2.0, rel=1e-15, abs=0.0)
 
 
 def test_damped_term_at_unit_frequency():
     m = MediumResponse(
         eps_terms=(LorentzTerm(plasma_strength=3.0, resonance=1.0, damping=0.1),)
     )
-    assert m.eps_iu(1.0) == pytest.approx(1.0 + 3.0 / 2.1, rel=1e-15)
+    assert m.eps_iu(1.0) == pytest.approx(1.0 + 3.0 / 2.1, rel=1e-15, abs=0.0)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -42,7 +42,7 @@ def test_damped_term_at_unit_frequency():
 def test_single_term_identity(s, w, g, u):
     m = MediumResponse(eps_terms=(LorentzTerm(plasma_strength=s, resonance=w, damping=g),))
     expected = 1.0 + s / (w * w + g * u + u * u)
-    assert m.eps_iu(u) == pytest.approx(expected, rel=1e-14)
+    assert m.eps_iu(u) == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
 def test_monotone_decrease_along_imaginary_axis():
@@ -90,19 +90,19 @@ def test_negative_frequency_rejected():
 
 def test_atom_polarizability():
     atom = AtomModel(resonances=((1.0, 0.02), (3.0, 0.005)))
-    assert atom.alpha_static == pytest.approx(0.025, rel=1e-15)
-    assert atom.alpha_iu(0.0) == pytest.approx(0.025, rel=1e-15)
+    assert atom.alpha_static == pytest.approx(0.025, rel=1e-15, abs=0.0)
+    assert atom.alpha_iu(0.0) == pytest.approx(0.025, rel=1e-15, abs=0.0)
     # each pole contributes a w^2/(w^2+u^2)
     expected = 0.02 / 2.0 + 0.005 * 9.0 / 10.0
-    assert atom.alpha_iu(1.0) == pytest.approx(expected, rel=1e-15)
+    assert atom.alpha_iu(1.0) == pytest.approx(expected, rel=1e-15, abs=0.0)
     assert atom.beta_iu(1.0) == 0.0
     assert atom.beta_static == 0.0
 
 
 def test_atom_with_magnetic_response():
     atom = AtomModel(resonances=((1.0, 0.02),), beta_resonances=((2.0, 0.004),))
-    assert atom.beta_static == pytest.approx(0.004, rel=1e-15)
-    assert atom.beta_iu(2.0) == pytest.approx(0.002, rel=1e-15)
+    assert atom.beta_static == pytest.approx(0.004, rel=1e-15, abs=0.0)
+    assert atom.beta_iu(2.0) == pytest.approx(0.002, rel=1e-15, abs=0.0)
 
 
 def test_atom_validation():
@@ -110,6 +110,23 @@ def test_atom_validation():
         AtomModel(resonances=((0.0, 0.02),))
     with pytest.raises(ValueError):
         AtomModel(resonances=((-1.0, 0.02),))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: LorentzTerm(plasma_strength=-1.0, resonance=1.0),
+        lambda: LorentzTerm(plasma_strength=1.0, resonance=0.0),
+        lambda: LorentzTerm(plasma_strength=1.0, resonance=1.0, damping=-0.1),
+        lambda: AtomModel(resonances=((0.0, 0.02),)),
+        lambda: AtomModel(resonances=((1.0, 0.02),), beta_resonances=((-2.0, 0.004),)),
+    ],
+    ids=["strength", "resonance", "damping", "alpha-frequency", "beta-frequency"],
+)
+def test_model_validators_raise_domain_error(make):
+    with pytest.raises(LfvdwError) as err:
+        make()
+    assert err.type is DomainError
 
 
 def test_scale_hint():
