@@ -1,6 +1,7 @@
 """Array kernels shared by the response, cavity, green and potentials modules.
 
-Every function here is plain numpy array code over 1-D float64 node arrays.
+Every function here is plain numpy array code over float64 node arrays,
+1-D except where a docstring gives another shape.
 
 Bit contract
 ------------
@@ -58,6 +59,7 @@ __all__ = [
     "cavity_c",
     "cavity_c1_expansion",
     "cavity_d",
+    "pair_dyads",
     "ring_trace",
 ]
 
@@ -66,7 +68,7 @@ _SERIES_TERMS = 16
 
 
 def _libm(fn, x):
-    return np.fromiter(map(fn, x.tolist()), np.float64, x.shape[0])
+    return np.fromiter(map(fn, x.ravel().tolist()), np.float64, x.size).reshape(x.shape)
 
 
 def _exp(x):
@@ -242,30 +244,32 @@ def cavity_d(t0, nrel, eps, mu):
     return _exp((nrel - 1.0) * t0) * num / den
 
 
-def ring_trace(coef, avals, bvals, vvmats):
-    """Trace of the ring product of transverse dyads over quadrature nodes.
+def pair_dyads(nu, mu, dist, vv):
+    """Bulk Green dyads of P atom pairs at M nodes, shape (M, P, 3, 3).
 
-    Parameters
-    ----------
-    coef : (M, N) array
-        Scalar prefactor of each of the N ring legs at each of the M nodes
-        (medium factor times exponential decay).
-    avals, bvals : (M, N) array
-        Isotropic and longitudinal kernel values a(y), b(y) per leg.
-    vvmats : (N, 3, 3) array
-        Outer products of the leg unit vectors.
+    G = (mu n u / 4 pi) e^{-y} [a(y) I - b(y) vv],  y = n u L,
+    a(y) = 1/y + 1/y^2 + 1/y^3,  b(y) = 1/y + 3/y^2 + 3/y^3,
 
-    Returns
-    -------
-    (M,) array of Tr[G_1 G_2 ... G_N].
+    with nu = n u and mu per node, L the pair distances and vv the outer
+    products of the unit separation vectors, shape (P, 3, 3). Each dyad
+    is symmetric and unchanged when the pair is swapped.
     """
-    m_nodes, n_legs = coef.shape
-    eye = np.eye(3)
-    out = np.empty(m_nodes)
-    for m in range(m_nodes):
-        prod = np.eye(3)
-        for k in range(n_legs):
-            leg = coef[m, k] * (avals[m, k] * eye - bvals[m, k] * vvmats[k])
-            prod = prod @ leg
-        out[m] = prod[0, 0] + prod[1, 1] + prod[2, 2]
-    return out
+    y = nu[:, None] * dist[None, :]
+    a = (1.0 + (1.0 + 1.0 / y) / y) / y
+    b = (1.0 + (3.0 + 3.0 / y) / y) / y
+    coef = (mu * nu / (4.0 * math.pi))[:, None] * _exp(-y)
+    return coef[..., None, None] * (a[..., None, None] * np.eye(3) - b[..., None, None] * vv)
+
+
+def ring_trace(nu, mu, dist, vv, legs):
+    """Traces of ring products of bulk dyads, shape (M, O).
+
+    nu, mu, dist and vv are as in :func:`pair_dyads`; legs is an (O, N)
+    table of pair indices, one row per ring ordering, so that row o gives
+    Tr[G_{legs[o, 0]} G_{legs[o, 1]} ... G_{legs[o, N-1]}] at every node.
+    """
+    dyads = pair_dyads(nu, mu, dist, vv)
+    prod = dyads[:, legs[:, 0]]
+    for k in range(1, legs.shape[1]):
+        prod = prod @ dyads[:, legs[:, k]]
+    return prod[..., 0, 0] + prod[..., 1, 1] + prod[..., 2, 2]

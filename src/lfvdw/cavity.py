@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import GeometryError, InvariantError, PoleError, UnsupportedOrderError
+from .errors import DomainError, GeometryError, InvariantError, PoleError, UnsupportedOrderError
 from .response import MediumResponse, _as_nodes, _host_arrays, _ret
 
 __all__ = [
@@ -74,7 +74,7 @@ def coeff_C_exact(spec: CavitySpec, l: int, u, kind: str = "electric"):
     if l not in (1, 2):
         raise UnsupportedOrderError(f"cavity coefficient order l={l} not in {{1, 2}}")
     if kind not in _KINDS:
-        raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
+        raise DomainError(f"kind must be one of {_KINDS}, got {kind!r}")
     nodes, scalar = _pos_nodes(u)
     eps, mu, n = _host_arrays(spec.host, nodes)
     e_like = eps if kind == "electric" else mu

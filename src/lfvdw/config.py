@@ -77,9 +77,6 @@ class UnitSystem:
     def force_out(self, f: float) -> float:
         return f * HBAR_SI * self.omega_ref**2 / C_SI
 
-    def stiffness_out(self, k: float) -> float:
-        return k * HBAR_SI * self.omega_ref**3 / C_SI**2
-
     def length_out(self, l: float) -> float:
         return l * self.length_unit_m
 

@@ -6,11 +6,11 @@ reduced units, is
     G(iu) = (mu n u / 4 pi) e^{-y} [ a(y) I - b(y) vv ],    y = n u L,
     a(y) = 1/y + 1/y^2 + 1/y^3,    b(y) = 1/y + 3/y^2 + 3/y^3,
 
-with v the unit separation vector. bulk_dyad computes it from the complex
-literal form (mu k / 4 pi) e^{ikL} [(1/x + i/x^2 - 1/x^3) I - ...] with
-k = i n u and x = kL; every intermediate is exactly imaginary or exactly
-real in floating point, so the result carries zero imaginary part without
-any truncation step.
+with v the unit separation vector. This is the complex form
+(mu k / 4 pi) e^{ikL} [(1/x + i/x^2 - 1/x^3) I - ...] with k = i n u and
+x = kL, which is real on the imaginary axis, so bulk_dyad returns a real
+float64 matrix. It calls _kernels.pair_dyads, the kernel that also builds
+the legs of the N-atom ring.
 
 The traced two-point kernels are
 
@@ -35,7 +35,6 @@ so that
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -46,7 +45,7 @@ import numpy as np
 from . import _kernels
 from .errors import DomainError, GeometryError, PoleError, SingularityError
 from .quadrature import QuadSpec
-from .response import MediumResponse, _as_nodes, _ret
+from .response import MediumResponse, _as_nodes, _host_arrays, _ret
 
 __all__ = [
     "GreenDyad",
@@ -60,15 +59,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GreenDyad:
-    """3x3 bulk Green tensor sample at imaginary frequency u."""
+    """3x3 bulk Green tensor sample at imaginary frequency u (real float64)."""
 
     matrix: np.ndarray
     separation: np.ndarray
     frequency: float
 
     @property
-    def trace(self) -> complex:
-        return complex(np.trace(self.matrix))
+    def trace(self) -> float:
+        return float(np.trace(self.matrix))
 
 
 def bulk_dyad(m: MediumResponse, r, rp, u: float) -> GreenDyad:
@@ -76,7 +75,7 @@ def bulk_dyad(m: MediumResponse, r, rp, u: float) -> GreenDyad:
     r = np.asarray(r, dtype=np.float64)
     rp = np.asarray(rp, dtype=np.float64)
     if r.shape != (3,) or rp.shape != (3,):
-        raise ValueError("r and rp must be 3-vectors")
+        raise GeometryError("r and rp must be 3-vectors")
     if u == 0.0:
         raise PoleError("bulk dyad is singular at u = 0")
     if not u > 0.0:
@@ -87,15 +86,9 @@ def bulk_dyad(m: MediumResponse, r, rp, u: float) -> GreenDyad:
         raise SingularityError("bulk dyad is singular at coincident points")
     v = sep / dist
 
-    eps = m.eps_iu(u)
-    mu = m.mu_iu(u)
-    n = math.sqrt(eps * mu)
-    k = 1j * n * u
-    x = k * dist
-    a = 1.0 / x + 1j / x**2 - 1.0 / x**3
-    b = 1.0 / x + 3j / x**2 - 3.0 / x**3
-    pref = (mu * k / (4.0 * math.pi)) * cmath.exp(1j * x)
-    mat = pref * (a * np.eye(3) - b * np.outer(v, v))
+    nodes = np.array([u], dtype=np.float64)
+    _, mu, n = _host_arrays(m, nodes)
+    mat = _kernels.pair_dyads(n * nodes, mu, np.array([dist]), np.outer(v, v)[None])[0, 0]
     return GreenDyad(matrix=mat, separation=sep, frequency=float(u))
 
 

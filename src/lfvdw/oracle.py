@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, GeometryError
+from .errors import ConfigError, DomainError, GeometryError
 from .green import BodyShell
 from .potentials import pair_free_space
 from .quadrature import QuadSpec, integrate_finite
@@ -191,9 +191,9 @@ class StepPolicy:
 
     def __post_init__(self):
         if not self.initial > 0.0:
-            raise ValueError("initial step must be > 0")
+            raise ConfigError("initial step must be > 0")
         if self.levels < 1:
-            raise ValueError("need at least one halving level")
+            raise ConfigError("need at least one halving level")
 
 
 class ForceEstimate(NamedTuple):

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import _kernels
 from .cavity import CavitySpec, _d_leading, coeff_C_exact, coeff_D_leading
-from .errors import GeometryError, InvariantError
+from .errors import DomainError, GeometryError, InvariantError
 from .quadrature import QuadSpec, integrate_semi_infinite
 from .response import AtomModel, MediumResponse, _host_arrays, scale_hint
 
@@ -228,7 +228,7 @@ def u2_single(atom: AtomModel, spec: CavitySpec, scatter_trace, q: QuadSpec = Qu
         if tr.ndim == 0:
             tr = np.full(np.shape(u), float(tr))
         elif tr.shape != np.shape(u):
-            raise ValueError("scatter_trace must return one value per node")
+            raise DomainError("scatter_trace must return one value per node")
         return 2.0 * u**2 * d2 * atom.alpha_iu(u) * tr
 
     return integrate_semi_infinite(f, q, scale=scale).value
@@ -268,7 +268,7 @@ def pair_free_space(
     if not l > 0.0:
         raise GeometryError("separation must be > 0")
     if parts not in _PARTS:
-        raise ValueError(f"parts must be one of {_PARTS}, got {parts!r}")
+        raise DomainError(f"parts must be one of {_PARTS}, got {parts!r}")
     scale = scale_hint(atom_a, atom_b)
     total = 0.0
     if parts in ("electric", "both"):
@@ -391,30 +391,21 @@ def coeff_nonretarded(
     return (3.0 / math.pi) * integrate_semi_infinite(f, q, scale=scale).value
 
 
-def _ring_orderings(n: int) -> list[tuple[int, ...]]:
-    """Distinct atom cycles up to rotation and reflection, anchored at 0."""
-    if n == 2:
-        return [(0, 1)]
-    orderings = []
-    for perm in itertools.permutations(range(1, n)):
-        if perm[0] < perm[-1]:
-            orderings.append((0,) + perm)
-    return orderings
-
-
 def _ring_setup(atoms, cavity_radius: float | None, context: str):
-    """Validate an N-atom arrangement and precompute ring geometries.
+    """Validate an N-atom arrangement and precompute its pair geometry.
 
-    Returns (models, orderings, geometries, prefactor) where geometries
-    holds per-ordering (leg lengths, leg vv outer products).
+    Returns (models, orderings, dist, vv, legs, prefactor): the distinct
+    atom cycles up to rotation and reflection, anchored at 0, as an
+    (orderings, N) array; the P = N(N-1)/2 pair distances and vv outer
+    products; and the (orderings, N) table of the pair index of every leg.
     """
     entries = list(atoms)
     n_atoms = len(entries)
     if n_atoms < 2:
-        raise ValueError(f"{context} needs at least two atoms; "
-                         "use the single-atom operations for one")
+        raise GeometryError(f"{context} needs at least two atoms; "
+                            "use the single-atom operations for one")
     if n_atoms > _MAX_RING_ATOMS:
-        raise ValueError(
+        raise GeometryError(
             f"ring symmetrization grows factorially; N <= {_MAX_RING_ATOMS}"
         )
     models = [a for a, _ in entries]
@@ -424,32 +415,30 @@ def _ring_setup(atoms, cavity_radius: float | None, context: str):
     bad = ~np.isfinite(pos).all(axis=1)
     if bad.any():
         raise GeometryError(f"atom {int(np.argmax(bad))} has a non-finite coordinate")
-    for i in range(n_atoms):
-        for j in range(i + 1, n_atoms):
-            d = float(np.linalg.norm(pos[i] - pos[j]))
-            if d == 0.0:
-                raise GeometryError(f"atoms {i} and {j} coincide")
-            _guard_separation(d, cavity_radius, context)
+    first, second = np.triu_indices(n_atoms, 1)
+    sep = pos[second] - pos[first]
+    dist = np.linalg.norm(sep, axis=1)
+    for i, j, d in zip(first.tolist(), second.tolist(), dist.tolist()):
+        if d == 0.0:
+            raise GeometryError(f"atoms {i} and {j} coincide")
+        _guard_separation(d, cavity_radius, context)
+    v = sep / dist[:, None]
+    vv = v[:, :, None] * v[:, None, :]
 
-    orderings = _ring_orderings(n_atoms)
-    geo = []
-    for ordering in orderings:
-        lengths = np.empty(n_atoms)
-        vv = np.empty((n_atoms, 3, 3))
-        for k in range(n_atoms):
-            a, b = ordering[k], ordering[(k + 1) % n_atoms]
-            sep = pos[b] - pos[a]
-            lengths[k] = np.linalg.norm(sep)
-            v = sep / lengths[k]
-            vv[k] = np.outer(v, v)
-        geo.append((lengths, vv))
+    pair_index = np.empty((n_atoms, n_atoms), dtype=np.intp)
+    pair_index[first, second] = pair_index[second, first] = np.arange(len(dist))
+    perms = np.array(list(itertools.permutations(range(1, n_atoms))))
+    perms = perms[perms[:, 0] <= perms[:, -1]]  # equal only for the one N = 2 cycle
+    orderings = np.column_stack([np.zeros(len(perms), dtype=perms.dtype), perms])
+    legs = pair_index[orderings, np.roll(orderings, -1, axis=1)]
 
     sign = -1.0 if n_atoms % 2 == 0 else 1.0
     pref = sign * (4.0 * math.pi) ** n_atoms / ((2.0 if n_atoms == 2 else 1.0) * math.pi)
-    return models, orderings, geo, pref
+    return models, orderings, dist, vv, legs, pref
 
 
-def _ring_integrand(models, m: MediumResponse, geo, context: str):
+def _ring_integrand(models, m: MediumResponse, dist, vv, legs, context: str):
+    """Integrand summed over the orderings whose legs are the rows of legs."""
     n_atoms = len(models)
 
     def f(u):
@@ -459,15 +448,7 @@ def _ring_integrand(models, m: MediumResponse, geo, context: str):
         weight = (u**2 * d2) ** n_atoms
         for model in models:
             weight = weight * model.alpha_iu(u)
-        ring_sum = np.zeros_like(u)
-        base = mu * n * u / (4.0 * math.pi)
-        for lengths, vv in geo:
-            y = n[:, None] * u[:, None] * lengths[None, :]
-            a_k = (1.0 + (1.0 + 1.0 / y) / y) / y
-            b_k = (1.0 + (3.0 + 3.0 / y) / y) / y
-            coef = base[:, None] * np.exp(-y)
-            ring_sum += _kernels.ring_trace(coef, a_k, b_k, vv)
-        return weight * ring_sum
+        return weight * _kernels.ring_trace(n * u, mu, dist, vv, legs).sum(axis=1)
 
     return f
 
@@ -484,8 +465,8 @@ def n_atom_bulk(
     traces over all (N-1)!/2 distinct orderings (one for N = 2) with the
     (-1)^(N-1) alternation and the double-counting factor 2 at N = 2.
     """
-    models, _, geo, pref = _ring_setup(atoms, cavity_radius, "n_atom_bulk")
-    f = _ring_integrand(models, m, geo, "n_atom_bulk")
+    models, _, dist, vv, legs, pref = _ring_setup(atoms, cavity_radius, "n_atom_bulk")
+    f = _ring_integrand(models, m, dist, vv, legs, "n_atom_bulk")
     scale = scale_hint(m, *models)
     return pref * integrate_semi_infinite(f, q, scale=scale).value
 
@@ -498,12 +479,14 @@ def n_atom_orderings(
 ) -> list[tuple[tuple[int, ...], float]]:
     """Energy contribution of each distinct ring ordering, separately
     integrated; their sum is the N-atom potential."""
-    models, orderings, geo, pref = _ring_setup(atoms, cavity_radius, "n_atom_orderings")
+    models, orderings, dist, vv, legs, pref = _ring_setup(
+        atoms, cavity_radius, "n_atom_orderings"
+    )
     scale = scale_hint(m, *models)
     out = []
-    for ordering, one_geo in zip(orderings, geo):
-        f = _ring_integrand(models, m, [one_geo], "n_atom_orderings")
-        out.append((ordering, pref * integrate_semi_infinite(f, q, scale=scale).value))
+    for k, ordering in enumerate(orderings.tolist()):
+        f = _ring_integrand(models, m, dist, vv, legs[k : k + 1], "n_atom_orderings")
+        out.append((tuple(ordering), pref * integrate_semi_infinite(f, q, scale=scale).value))
     return out
 
 

@@ -9,7 +9,10 @@ are mapped to t in (0, 1) by one of two substitutions:
 
 The open panel rule never evaluates the endpoints, so integrands only need
 to be finite on the open interval. Integrands are called with a 1-D float64
-node array and must return an array of the same shape.
+node array and must return an array of the same shape. A panel whose
+Kronrod or Gauss sum is not finite raises InvariantError at once, naming
+the first non-finite node and its panel in the integration variable (t for
+semi-infinite integrals).
 
 Determinism: panels are refined in a fixed worst-error-first order with
 insertion-order tie breaking, and the final value is an fsum over panels
@@ -25,7 +28,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, ConvergenceError
+from .errors import ConfigError, ConvergenceError, DomainError, InvariantError
 
 __all__ = ["QuadSpec", "QuadResult", "integrate_semi_infinite", "integrate_finite"]
 
@@ -93,9 +96,16 @@ class QuadResult(NamedTuple):
 def _panel(g: Callable[[np.ndarray], np.ndarray], a: float, b: float):
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    y = np.asarray(g(mid + half * _XGK), dtype=np.float64)
+    x = mid + half * _XGK
+    y = np.asarray(g(x), dtype=np.float64)
     k15 = half * float(y @ _WGK)
     g7 = half * float(y[1::2] @ _WG)
+    if not (math.isfinite(k15) and math.isfinite(g7)):
+        k = int(np.argmin(np.isfinite(y)))
+        raise InvariantError(
+            f"integrand value {float(y[k])} at node {float(x[k])} of panel "
+            f"[{float(a)}, {float(b)}] makes the panel sum non-finite"
+        )
     return k15, abs(k15 - g7)
 
 
@@ -163,7 +173,7 @@ def integrate_semi_infinite(
         where the response functions still differ from their limits.
     """
     if not (scale > 0.0) or not math.isfinite(scale):
-        raise ValueError("scale must be positive and finite")
+        raise DomainError("scale must be positive and finite")
 
     if spec.transform == "rational_map":
 
@@ -190,10 +200,10 @@ def integrate_finite(
 ) -> QuadResult:
     """Integrate the vectorized integrand f over the finite interval [a, b]."""
     if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError("bounds must be finite")
+        raise DomainError("bounds must be finite")
     if a == b:
         return QuadResult(0.0, 0.0, 0)
     if a > b:
-        raise ValueError("require a < b")
+        raise DomainError("require a < b")
     breaks = tuple(a + (b - a) * k / 4.0 for k in range(5))
     return _adaptive(f, breaks, spec)

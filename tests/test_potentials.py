@@ -9,11 +9,14 @@ import numpy as np
 import pytest
 
 from conftest import ConstantMedium
-from lfvdw.cavity import CavitySpec
-from lfvdw.errors import GeometryError, InvariantError
+from lfvdw import _kernels
+from lfvdw.cavity import CavitySpec, coeff_C_exact
+from lfvdw.errors import ConfigError, DomainError, GeometryError, InvariantError, LfvdwError
+from lfvdw.green import bulk_dyad
 from lfvdw.oracle import StepPolicy, finite_difference_force
 from lfvdw.potentials import (
     SingleAtomResult,
+    _ring_setup,
     cavity_center_stiffness,
     coeff_nonretarded,
     coeff_retarded,
@@ -28,8 +31,8 @@ from lfvdw.potentials import (
     u1_linearized,
     u2_single,
 )
-from lfvdw.quadrature import QuadSpec
-from lfvdw.response import VACUUM, AtomModel, LorentzTerm, MediumResponse
+from lfvdw.quadrature import QuadSpec, integrate_finite, integrate_semi_infinite
+from lfvdw.response import VACUUM, AtomModel, LorentzTerm, MediumResponse, _host_arrays
 
 # ----------------------------------------------------------------------
 # mpmath tanh-sinh references (tests/oracles/gen_values.py)
@@ -102,6 +105,14 @@ def test_u1_linearized_matches_reference(atom_b, quad):
     zeta = lambda u: 4.0 * math.pi * rho * atom_b.beta_iu(u)
     val = u1_linearized(guest, 0.05, chi, zeta, quad)
     assert val == pytest.approx(FROZEN_U1_LIN_RHO0053_R005, rel=1e-10, abs=0.0)
+
+
+def test_u1_linearized_fails_fast_on_non_finite_chi(quad):
+    guest = AtomModel(resonances=((1.0, 0.02),))
+    chi = lambda u: np.where(u > 3.0, math.nan, 1e-3)
+    zeta = lambda u: np.zeros_like(u)
+    with pytest.raises(InvariantError, match="non-finite"):
+        u1_linearized(guest, 0.05, chi, zeta, quad)
 
 
 def test_u2_zero_trace_gives_zero(atom_a, glass, quad):
@@ -363,6 +374,34 @@ def test_ring_validation(atom_a, glass, quad):
         )
 
 
+def _ring_geometry(rng, n):
+    # non-planar points at least 0.6 apart
+    while True:
+        pos = rng.uniform(-1.5, 1.5, (n, 3))
+        gaps = np.linalg.norm(pos[:, None] - pos[None, :], axis=2)
+        if gaps[np.triu_indices(n, 1)].min() > 0.6:
+            return pos
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_stacked_ring_matches_explicit_dyad_products(atom_a, glass, n):
+    rng = np.random.default_rng(40 + n)
+    pos = _ring_geometry(rng, n)
+    _, orderings, dist, vv, legs, _ = _ring_setup(
+        [(atom_a, p) for p in pos], None, "test"
+    )
+    u = np.array([0.03, 0.4, 1.1, 2.7, 9.0])
+    _, mu, nr = _host_arrays(glass, u)
+    got = _kernels.ring_trace(nr * u, mu, dist, vv, legs)
+    assert got.shape == (u.size, len(orderings))
+    for k, uk in enumerate(u):
+        for o, cycle in enumerate(orderings):
+            prod = np.eye(3)
+            for a, b in zip(cycle, np.roll(cycle, -1)):
+                prod = prod @ bulk_dyad(glass, pos[a], pos[b], uk).matrix
+            assert got[k, o] == pytest.approx(np.trace(prod), rel=1e-13, abs=0.0)
+
+
 def test_ring_rejects_non_finite_positions(atom_a, glass, quad):
     atoms = [(atom_a, [0.0, 0.0, 0.0]), (atom_a, [math.nan, 0.0, 0.0])]
     with pytest.raises(GeometryError, match="atom 1 has a non-finite coordinate"):
@@ -398,3 +437,34 @@ def test_stiffness_small_radius_expansion(atom_a, quad):
         )
         assert math.copysign(1.0, res.K) == math.copysign(1.0, res.K_small_radius)
         assert res.K_small_radius == pytest.approx(res.K, rel=0.1, abs=0.0)
+
+
+# ----------------------------------------------------------------------
+# typed argument errors
+# ----------------------------------------------------------------------
+
+_ATOM = AtomModel(resonances=((1.0, 0.02),))
+_SPEC = CavitySpec(radius=0.05, host=VACUUM)
+_ARGUMENT_ERRORS = {
+    "quad_scale": (DomainError, lambda: integrate_semi_infinite(np.exp, scale=0.0)),
+    "quad_bounds": (DomainError, lambda: integrate_finite(np.sin, 0.0, math.inf)),
+    "quad_order": (DomainError, lambda: integrate_finite(np.sin, 2.0, 1.0)),
+    "cavity_kind": (DomainError, lambda: coeff_C_exact(_SPEC, 1, 1.0, "bogus")),
+    "pair_parts": (DomainError, lambda: pair_free_space(_ATOM, _ATOM, 2.0, parts="x")),
+    "u2_trace_shape": (DomainError, lambda: u2_single(_ATOM, _SPEC, lambda u: np.zeros(u.size + 1))),
+    "ring_one_atom": (GeometryError, lambda: n_atom_bulk([(_ATOM, [0.0, 0.0, 0.0])], VACUUM)),
+    "ring_seven_atoms": (GeometryError, lambda: n_atom_bulk(
+        [(_ATOM, [float(k), 0.0, 0.0]) for k in range(7)], VACUUM)),
+    "dyad_vectors": (GeometryError, lambda: bulk_dyad(VACUUM, np.ones(4), np.zeros(3), 1.0)),
+    "step_initial": (ConfigError, lambda: StepPolicy(initial=0.0)),
+    "step_levels": (ConfigError, lambda: StepPolicy(levels=0)),
+}
+
+
+@pytest.mark.parametrize("site", sorted(_ARGUMENT_ERRORS))
+def test_argument_checks_raise_typed_errors(site):
+    kind, call = _ARGUMENT_ERRORS[site]
+    with pytest.raises(LfvdwError) as err:
+        call()
+    assert isinstance(err.value, kind)
+    assert isinstance(err.value, ValueError)

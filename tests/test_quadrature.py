@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from lfvdw.errors import ConfigError, ConvergenceError, LfvdwError
+from lfvdw.errors import ConfigError, ConvergenceError, InvariantError, LfvdwError
 from lfvdw.quadrature import QuadSpec, integrate_finite, integrate_semi_infinite
 
 
@@ -130,3 +130,27 @@ def test_scalar_integrand_results_are_floats():
     assert isinstance(res.value, float)
     assert isinstance(res.err_est, float)
     assert isinstance(res.evals, int)
+
+
+def _nan_beyond(cut, calls):
+    # exp(-u) up to u = cut, nan after it; records the size of every call
+    def f(u):
+        calls.append(u.size)
+        return np.where(u > cut, math.nan, np.exp(-u))
+
+    return f
+
+
+def test_non_finite_integrand_fails_on_its_first_panel_semi_infinite():
+    # u = 3 maps to t = 0.75, inside the last of the 7 initial panels
+    calls = []
+    with pytest.raises(InvariantError, match=r"nan at node 0\.\d+ of panel \[0\.5, 1\.0\]"):
+        integrate_semi_infinite(_nan_beyond(3.0, calls), QuadSpec())
+    assert calls == [15] * 7
+
+
+def test_non_finite_integrand_fails_on_its_first_panel_finite():
+    calls = []
+    with pytest.raises(InvariantError, match=r"nan at node 3\.\d+ of panel \[3\.0, 4\.0\]"):
+        integrate_finite(_nan_beyond(3.0, calls), 0.0, 4.0, QuadSpec())
+    assert calls == [15] * 4
