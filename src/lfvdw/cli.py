@@ -4,8 +4,8 @@ Subcommands: coeffs, single, pair, nbody, limits, born-check, force-check.
 Every command reads one YAML config (--config), writes CSV or JSON
 (--out, --format), and stamps its output with the package version and a
 hash of the config file so identical inputs give byte-identical files.
-Grid sweeps evaluate their points through an order-preserving thread map
-(--threads); results do not depend on the thread count.
+Grid sweeps evaluate their points in order in the calling thread; --threads
+is still accepted for old scripts and changes nothing.
 
 Exit codes: 0 success, 1 a requested consistency check failed its
 tolerance, 2 configuration/usage error, 3 a physics invariant tripped.
@@ -15,10 +15,10 @@ Failures are reported as a machine-readable JSON error document.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -38,7 +38,6 @@ from .potentials import (
     u2_single,
     u1_expanded,
 )
-from .quadrature import QuadSpec
 from .response import AtomModel
 
 __all__ = ["main"]
@@ -177,19 +176,14 @@ def cmd_pair(cfg: RunConfig, args) -> int:
     r_c = cfg.sweep.cavity_radius[0] if cfg.sweep.cavity_radius else None
     corrected = not args.uncorrected
 
-    def point(l: float):
-        u_corr = pair_bulk(
-            atom_a, atom_b, material, l, cfg.quadrature, corrected=True, cavity_radius=r_c
-        ).U
-        u_unc = pair_bulk(
-            atom_a, atom_b, material, l, cfg.quadrature, corrected=False, cavity_radius=r_c
-        ).U
-        return u_corr, u_unc
-
-    with ThreadPoolExecutor(max_workers=max(1, args.threads)) as pool:
-        results = list(pool.map(point, l_grid))
-    u_corr = np.array([r[0] for r in results])
-    u_unc = np.array([r[1] for r in results])
+    u_corr, u_unc = np.array([
+        [
+            pair_bulk(atom_a, atom_b, material, l, cfg.quadrature,
+                      corrected=flag, cavity_radius=r_c).U
+            for flag in (True, False)
+        ]
+        for l in l_grid
+    ]).T
     u_main = u_corr if corrected else u_unc
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(u_unc != 0.0, u_main / u_unc, math.nan)
@@ -327,12 +321,7 @@ def cmd_force_check(cfg: RunConfig, args) -> int:
     q = cfg.quadrature
     analytic = force_pair(atom_a, atom_b, material, l, q)
 
-    fd_spec = QuadSpec(
-        rel_tol=min(q.rel_tol, _FD_REL_TOL),
-        abs_tol=q.abs_tol,
-        max_subdivisions=q.max_subdivisions,
-        transform=q.transform,
-    )
+    fd_spec = dataclasses.replace(q, rel_tol=min(q.rel_tol, _FD_REL_TOL))
 
     def energy(x: float) -> float:
         return pair_bulk(atom_a, atom_b, material, x, fd_spec).U
@@ -366,7 +355,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="output file (default: stdout)")
     common.add_argument("--format", choices=("csv", "json"))
     common.add_argument("--tol", type=float, help="override quadrature rel_tol")
-    common.add_argument("--threads", type=int, default=1)
+    common.add_argument("--threads", type=int, default=1,
+                        help="accepted for compatibility; changes nothing")
 
     parser = argparse.ArgumentParser(
         prog="lfvdw",

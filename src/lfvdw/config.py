@@ -267,7 +267,7 @@ def load_config(path: str, tol_override: float | None = None) -> RunConfig:
             raise ConfigError(f"{ctx}: {exc}") from None
 
     quad_node = _as_mapping(data.get("quadrature"), "quadrature")
-    _check_keys(quad_node, ("rel_tol", "abs_tol", "max_subdivisions", "transform"), "quadrature")
+    _check_keys(quad_node, ("rel_tol", "abs_tol", "max_subdivisions"), "quadrature")
     quad_kwargs = {}
     if "rel_tol" in quad_node:
         quad_kwargs["rel_tol"] = _as_float(quad_node["rel_tol"], "quadrature.rel_tol")
@@ -277,8 +277,6 @@ def load_config(path: str, tol_override: float | None = None) -> RunConfig:
         if not isinstance(quad_node["max_subdivisions"], int):
             raise ConfigError("quadrature.max_subdivisions must be an integer")
         quad_kwargs["max_subdivisions"] = quad_node["max_subdivisions"]
-    if "transform" in quad_node:
-        quad_kwargs["transform"] = str(quad_node["transform"])
     if tol_override is not None:
         quad_kwargs["rel_tol"] = tol_override
     try:

@@ -11,7 +11,7 @@ and y = n(iu) u l:
     retarded      U -> -C_r / l^7,  non-retarded U -> -C_nr / l^6
 
 All quadratures go through the adaptive engine in quadrature.py with the
-transform scale set to the largest resonance frequency of the models
+map scale set to the largest resonance frequency of the models
 involved, and every corrected integrand asserts its local-field
 enhancement bounds pointwise while it is being integrated.
 """
@@ -89,15 +89,11 @@ class SingleAtomResult:
 
 @dataclass(frozen=True)
 class PairResult:
-    """Two-atom potential sample plus its local-field enhancement profile.
-
-    enhancement_profile is a (n, 2) array of (u, [3 eps/(2 eps+1)]^4).
-    """
+    """Two-atom potential sample with its quadrature error estimate."""
 
     separation: float
     U: float
     corrected: bool
-    enhancement_profile: np.ndarray
     err_est: float
     evals: int
 
@@ -225,9 +221,7 @@ def u2_single(atom: AtomModel, spec: CavitySpec, scatter_trace, q: QuadSpec = Qu
         d2 = coeff_D_leading(spec.host, u) ** 2
         _check_ratio(d2, _SINGLE_BOUND, "u2_single")
         tr = np.asarray(scatter_trace(u), dtype=np.float64)
-        if tr.ndim == 0:
-            tr = np.full(np.shape(u), float(tr))
-        elif tr.shape != np.shape(u):
+        if tr.shape != np.shape(u):
             raise DomainError("scatter_trace must return one value per node")
         return 2.0 * u**2 * d2 * atom.alpha_iu(u) * tr
 
@@ -306,12 +300,6 @@ def _guard_separation(l: float, cavity_radius: float | None, context: str):
         )
 
 
-def _enhancement_profile(m: MediumResponse, scale: float) -> np.ndarray:
-    grid = scale * np.geomspace(1e-3, 1e3, 41)
-    w = coeff_D_leading(m, grid) ** 4
-    return np.column_stack([grid, w])
-
-
 def pair_bulk(
     atom_a: AtomModel,
     atom_b: AtomModel,
@@ -348,7 +336,6 @@ def pair_bulk(
         separation=l,
         U=u_val,
         corrected=corrected,
-        enhancement_profile=_enhancement_profile(m, scale),
         err_est=res.err_est / (2.0 * math.pi * l**6),
         evals=res.evals,
     )

@@ -2,17 +2,16 @@
 
 The engine is a worst-panel-first adaptive Gauss-Kronrod scheme (7/15 point
 pair, the classic QUADPACK rule). Semi-infinite integrals over u in (0, inf)
-are mapped to t in (0, 1) by one of two substitutions:
+are mapped to t in (0, 1) by the one substitution
 
-    rational_map : u = u0 t/(1-t)      du = u0/(1-t)^2 dt
-    exp_map      : u = -u0 log(1-t)    du = u0/(1-t) dt
+    u = u0 t/(1-t),    du = u0/(1-t)^2 dt.
 
 The open panel rule never evaluates the endpoints, so integrands only need
 to be finite on the open interval. Integrands are called with a 1-D float64
 node array and must return an array of the same shape. A panel whose
 Kronrod or Gauss sum is not finite raises InvariantError at once, naming
 the first non-finite node and its panel in the integration variable (t for
-semi-infinite integrals).
+semi-infinite integrals, with the node's u alongside).
 
 Determinism: panels are refined in a fixed worst-error-first order with
 insertion-order tie breaking, and the final value is an fsum over panels
@@ -71,20 +70,17 @@ _INIT_BREAKS = (0.0, 0.015625, 0.03125, 0.0625, 0.125, 0.25, 0.5, 1.0)
 
 @dataclass(frozen=True)
 class QuadSpec:
-    """Tolerances, budget and variable transform for one integration."""
+    """Tolerances and budget for one integration."""
 
     rel_tol: float = 1e-8
     abs_tol: float = 1e-14
     max_subdivisions: int = 2000
-    transform: str = "rational_map"
 
     def __post_init__(self):
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
-            raise ConfigError("tolerances must be positive")
+        if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
+            raise ConfigError("tolerances must be finite and positive")
         if self.max_subdivisions < 8:
             raise ConfigError("max_subdivisions must be at least 8")
-        if self.transform not in ("rational_map", "exp_map"):
-            raise ConfigError(f"unknown transform {self.transform!r}")
 
 
 class QuadResult(NamedTuple):
@@ -93,7 +89,7 @@ class QuadResult(NamedTuple):
     evals: int
 
 
-def _panel(g: Callable[[np.ndarray], np.ndarray], a: float, b: float):
+def _panel(g: Callable[[np.ndarray], np.ndarray], a: float, b: float, to_u=None):
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     x = mid + half * _XGK
@@ -102,8 +98,10 @@ def _panel(g: Callable[[np.ndarray], np.ndarray], a: float, b: float):
     g7 = half * float(y[1::2] @ _WG)
     if not (math.isfinite(k15) and math.isfinite(g7)):
         k = int(np.argmin(np.isfinite(y)))
+        node = float(x[k])
+        where = f"node {node}" if to_u is None else f"node {node} (u = {to_u(node)})"
         raise InvariantError(
-            f"integrand value {float(y[k])} at node {float(x[k])} of panel "
+            f"integrand value {float(y[k])} at {where} of panel "
             f"[{float(a)}, {float(b)}] makes the panel sum non-finite"
         )
     return k15, abs(k15 - g7)
@@ -113,12 +111,13 @@ def _adaptive(
     g: Callable[[np.ndarray], np.ndarray],
     breaks: tuple[float, ...],
     spec: QuadSpec,
+    to_u=None,
 ) -> QuadResult:
     heap = []
     seq = 0
     evals = 0
     for a, b in zip(breaks[:-1], breaks[1:]):
-        val, err = _panel(g, a, b)
+        val, err = _panel(g, a, b, to_u)
         heap.append((-err, seq, a, b, val, err))
         seq += 1
         evals += 15
@@ -145,7 +144,7 @@ def _adaptive(
         _, _, a, b, _, _ = heapq.heappop(heap)
         mid = 0.5 * (a + b)
         for lo, hi in ((a, mid), (mid, b)):
-            val, perr = _panel(g, lo, hi)
+            val, perr = _panel(g, lo, hi, to_u)
             heapq.heappush(heap, (-perr, seq, lo, hi, val, perr))
             seq += 1
             evals += 15
@@ -157,7 +156,7 @@ def integrate_semi_infinite(
     spec: QuadSpec = QuadSpec(),
     scale: float = 1.0,
 ) -> QuadResult:
-    """Integrate f over (0, inf) with the transform chosen in ``spec``.
+    """Integrate f over (0, inf) through u = scale t/(1-t).
 
     Parameters
     ----------
@@ -168,28 +167,21 @@ def integrate_semi_infinite(
     spec : QuadSpec
         Tolerances and node budget.
     scale : float
-        Transform scale u0; callers set it to the largest resonance
-        frequency of the models involved so the nodes cover the region
-        where the response functions still differ from their limits.
+        Map scale u0; callers set it to the largest resonance frequency
+        of the models involved so the nodes cover the region where the
+        response functions still differ from their limits.
     """
     if not (scale > 0.0) or not math.isfinite(scale):
         raise DomainError("scale must be positive and finite")
 
-    if spec.transform == "rational_map":
+    def to_u(t):
+        return scale * t / (1.0 - t)
 
-        def g(t: np.ndarray) -> np.ndarray:
-            u = scale * t / (1.0 - t)
-            jac = scale / (1.0 - t) ** 2
-            return np.asarray(f(u), dtype=np.float64) * jac
+    def g(t: np.ndarray) -> np.ndarray:
+        jac = scale / (1.0 - t) ** 2
+        return np.asarray(f(to_u(t)), dtype=np.float64) * jac
 
-    else:
-
-        def g(t: np.ndarray) -> np.ndarray:
-            u = -scale * np.log1p(-t)
-            jac = scale / (1.0 - t)
-            return np.asarray(f(u), dtype=np.float64) * jac
-
-    return _adaptive(g, _INIT_BREAKS, spec)
+    return _adaptive(g, _INIT_BREAKS, spec, to_u)
 
 
 def integrate_finite(

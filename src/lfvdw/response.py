@@ -127,10 +127,6 @@ class MediumResponse:
         return _ret(_host_arrays(self, nodes)[2], scalar)
 
     @property
-    def is_vacuum(self) -> bool:
-        return not self.eps_terms and not self.mu_terms
-
-    @property
     def max_resonance(self) -> float:
         freqs = [t.resonance for t in self.eps_terms + self.mu_terms]
         return max(freqs) if freqs else 0.0

@@ -22,7 +22,6 @@ class ConstantMedium:
     def __init__(self, eps: float, mu: float = 1.0):
         self._eps = float(eps)
         self._mu = float(mu)
-        self.is_vacuum = eps == 1.0 and mu == 1.0
         self.max_resonance = 0.0
 
     def eps_iu(self, u):

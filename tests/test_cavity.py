@@ -68,27 +68,29 @@ FROZEN_KERNELS = {
 }
 
 
+def _q2(t):
+    # Q_2 as _kernels.cavity_c writes it inline
+    return t * _kernels.p1(t) - 2.0 * _kernels.p2(t)
+
+
 @pytest.mark.parametrize("t", sorted(FROZEN_KERNELS))
 def test_scaled_kernels_match_reference(t):
     ref = FROZEN_KERNELS[t]
     tt = np.array([t])
     got = (
         _kernels.p1(tt)[0], _kernels.p2(tt)[0],
-        _kernels.q1(tt)[0], _kernels.q2(tt)[0],
+        _kernels.q1(tt)[0], _q2(tt)[0],
         _kernels.s1(tt)[0], _kernels.s2(tt)[0],
         _kernels.t1(tt)[0], _kernels.t2(tt)[0],
     )
-    # just above the series cut at t = 1.5, p2's closed form cancels and
-    # lands 2.8e-15 relative off its mpmath value
-    rel = 3e-15 if t == 1.5001 else 2e-15
     for g, r in zip(got, ref):
-        assert g == pytest.approx(r, rel=rel, abs=0.0)
+        assert g == pytest.approx(r, rel=2e-15, abs=0.0)
 
 
 def test_kernels_overflow_free_far_out():
     # the scaling removes every growing exponential; nothing may overflow
     t = np.array([1e4, 1e6])
-    for f in (_kernels.p0, _kernels.p1, _kernels.p2, _kernels.q1, _kernels.q2,
+    for f in (_kernels.p0, _kernels.p1, _kernels.p2, _kernels.q1, _q2,
               _kernels.s1, _kernels.s2, _kernels.t1, _kernels.t2):
         assert np.all(np.isfinite(f(t)))
 

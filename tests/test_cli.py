@@ -119,6 +119,7 @@ def test_pair_threads_do_not_change_output():
         "--material", "glass", "--threads", "4",
     )
     assert base.stdout == threaded.stdout
+    assert base.stderr == threaded.stderr == ""
 
 
 def test_pair_uncorrected_flag():
@@ -305,6 +306,17 @@ def test_tol_flag_loosens_quadrature():
     u_loose = float(row_loose.split(",")[1])
     assert u_loose == pytest.approx(u_tight, rel=1e-2, abs=0.0)
     assert row_loose != row_tight  # the override reached the integrator
+
+
+def test_infinite_tol_is_a_config_error():
+    proc = run_cli(
+        "pair", "--config", CONFIG, "--atom-a", "probe", "--atom-b", "partner",
+        "--material", "glass", "--tol", "inf",
+    )
+    assert proc.returncode == 2
+    err = json.loads(proc.stdout)["error"]
+    assert err["type"] == "config"
+    assert "tolerances" in err["message"]
 
 
 def test_version_flag():

@@ -31,7 +31,6 @@ quadrature:
   rel_tol: 1.0e-9
   abs_tol: 1.0e-15
   max_subdivisions: 500
-  transform: exp_map
 sweep:
   u: [0.1, 1.0, 10.0]
   l: [2.0, 3.0]
@@ -58,7 +57,6 @@ def test_full_config_parses(tmp_path):
     assert partner.beta_resonances == ((2.1, 0.004),)
     assert cfg.quadrature.rel_tol == 1e-9
     assert cfg.quadrature.max_subdivisions == 500
-    assert cfg.quadrature.transform == "exp_map"
     assert cfg.sweep.u == (0.1, 1.0, 10.0)
     assert cfg.sweep.l == (2.0, 3.0)
     assert cfg.sweep.cavity_radius == (0.05,)
@@ -165,7 +163,7 @@ def test_si_conversions(tmp_path):
         ("sweep:\n  R_c: -1\n", "sweep.R_c must hold values > 0"),
         ("quadrature:\n  max_subdivisions: 10.5\n", "integer"),
         ("quadrature:\n  rel_tol: true\n", "number"),
-        ("quadrature:\n  transform: warp\n", "transform"),
+        ("quadrature:\n  transform: exp_map\n", "unknown key"),
         ("unit_system: imperial\n", "unit_system"),
         ("unit_system: {SI: {}}\n", "omega_ref"),
         (

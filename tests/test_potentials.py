@@ -10,7 +10,7 @@ import pytest
 
 from conftest import ConstantMedium
 from lfvdw import _kernels
-from lfvdw.cavity import CavitySpec, coeff_C_exact
+from lfvdw.cavity import CavitySpec, coeff_C_exact, coeff_D_leading
 from lfvdw.errors import ConfigError, DomainError, GeometryError, InvariantError, LfvdwError
 from lfvdw.green import bulk_dyad
 from lfvdw.oracle import StepPolicy, finite_difference_force
@@ -32,7 +32,7 @@ from lfvdw.potentials import (
     u2_single,
 )
 from lfvdw.quadrature import QuadSpec, integrate_finite, integrate_semi_infinite
-from lfvdw.response import VACUUM, AtomModel, LorentzTerm, MediumResponse, _host_arrays
+from lfvdw.response import VACUUM, AtomModel, LorentzTerm, MediumResponse, _host_arrays, scale_hint
 
 # ----------------------------------------------------------------------
 # mpmath tanh-sinh references (tests/oracles/gen_values.py)
@@ -214,11 +214,10 @@ def test_pair_bulk_vacuum_reduces_to_free_space(atom_a, quad):
     assert bulk.U == free
 
 
-def test_enhancement_profile_bounds(atom_a, atom_b, glass, quad):
-    res = pair_bulk(atom_a, atom_b, glass, 3.0, quad)
-    prof = res.enhancement_profile
-    assert prof.ndim == 2 and prof.shape[1] == 2
-    ratios = prof[:, 1]
+def test_enhancement_profile_bounds(atom_a, atom_b, glass):
+    # the pair's local-field factor W = D^4 over six decades around its scale
+    grid = scale_hint(atom_a, atom_b, glass) * np.geomspace(1e-3, 1e3, 41)
+    ratios = coeff_D_leading(glass, grid) ** 4
     assert np.all(ratios >= 1.0 - 1e-12)
     assert np.all(ratios <= 81.0 / 16.0 + 1e-12)
 
@@ -452,6 +451,7 @@ _ARGUMENT_ERRORS = {
     "cavity_kind": (DomainError, lambda: coeff_C_exact(_SPEC, 1, 1.0, "bogus")),
     "pair_parts": (DomainError, lambda: pair_free_space(_ATOM, _ATOM, 2.0, parts="x")),
     "u2_trace_shape": (DomainError, lambda: u2_single(_ATOM, _SPEC, lambda u: np.zeros(u.size + 1))),
+    "u2_trace_scalar": (DomainError, lambda: u2_single(_ATOM, _SPEC, lambda u: 0.0)),
     "ring_one_atom": (GeometryError, lambda: n_atom_bulk([(_ATOM, [0.0, 0.0, 0.0])], VACUUM)),
     "ring_seven_atoms": (GeometryError, lambda: n_atom_bulk(
         [(_ATOM, [float(k), 0.0, 0.0]) for k in range(7)], VACUUM)),

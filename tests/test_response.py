@@ -16,7 +16,6 @@ def test_vacuum_is_exactly_one():
     assert np.all(VACUUM.eps_iu(u) == 1.0)
     assert np.all(VACUUM.mu_iu(u) == 1.0)
     assert np.all(VACUUM.n_iu(u) == 1.0)
-    assert VACUUM.is_vacuum
 
 
 def test_static_value_single_term():
