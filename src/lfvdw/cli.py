@@ -90,16 +90,22 @@ def _render_doc(cfg: RunConfig, payload: dict, fmt: str) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _positive(flag: str, value: float, allow_zero: bool = False) -> float:
+    if not (value >= 0.0 if allow_zero else value > 0.0) or value == math.inf:
+        raise ConfigError(f"{flag} must be finite and {'>=' if allow_zero else '>'} 0, got {value}")
+    return value
+
+
 def _cavity_radius(cfg: RunConfig, args) -> float:
     if getattr(args, "cavity_radius", None) is not None:
-        if not 0.0 < args.cavity_radius < math.inf:
-            raise ConfigError(
-                f"--cavity-radius must be finite and > 0, got {args.cavity_radius}"
-            )
-        return cfg.unit.length_in(args.cavity_radius)
+        return cfg.unit.length_in(_positive("--cavity-radius", args.cavity_radius))
     if cfg.sweep.cavity_radius:
         return cfg.sweep.cavity_radius[0]
     raise ConfigError("no cavity radius: pass --cavity-radius or set sweep.R_c")
+
+
+def _pair_models(cfg: RunConfig, args):
+    return cfg.atom(args.atom_a), cfg.atom(args.atom_b), cfg.material(args.material)
 
 
 def _local_slopes(l_grid: np.ndarray, u_vals: np.ndarray) -> np.ndarray:
@@ -167,9 +173,7 @@ def cmd_single(cfg: RunConfig, args) -> int:
 
 
 def cmd_pair(cfg: RunConfig, args) -> int:
-    atom_a = cfg.atom(args.atom_a)
-    atom_b = cfg.atom(args.atom_b)
-    material = cfg.material(args.material)
+    atom_a, atom_b, material = _pair_models(cfg, args)
     if not cfg.sweep.l:
         raise ConfigError("pair needs a sweep.l grid in the config")
     l_grid = np.array(cfg.sweep.l)
@@ -255,9 +259,7 @@ def cmd_nbody(cfg: RunConfig, args) -> int:
 
 
 def cmd_limits(cfg: RunConfig, args) -> int:
-    atom_a = cfg.atom(args.atom_a)
-    atom_b = cfg.atom(args.atom_b)
-    material = cfg.material(args.material)
+    atom_a, atom_b, material = _pair_models(cfg, args)
     c_r = coeff_retarded(atom_a, atom_b, material)
     c_nr = coeff_nonretarded(atom_a, atom_b, material, cfg.quadrature)
     crossover = c_r / c_nr if c_nr != 0.0 else math.inf
@@ -282,9 +284,13 @@ def cmd_limits(cfg: RunConfig, args) -> int:
 def cmd_born_check(cfg: RunConfig, args) -> int:
     guest = cfg.atom(args.guest)
     host_atom = cfg.atom(args.host_atom)
-    density = cfg.unit.density_in(args.density)
+    density = cfg.unit.density_in(_positive("--density", args.density, allow_zero=True))
     outer = cfg.unit.length_in(args.outer_radius)
     r_c = _cavity_radius(cfg, args)
+    if not outer >= r_c:
+        raise ConfigError(
+            f"--outer-radius must not be below the cavity radius, got {args.outer_radius}"
+        )
     host = DiluteHost(density=density, host_atom=host_atom)
     medium = host.to_medium()
     spec = CavitySpec(radius=r_c, host=medium)
@@ -314,10 +320,8 @@ def cmd_born_check(cfg: RunConfig, args) -> int:
 
 
 def cmd_force_check(cfg: RunConfig, args) -> int:
-    atom_a = cfg.atom(args.atom_a)
-    atom_b = cfg.atom(args.atom_b)
-    material = cfg.material(args.material)
-    l = cfg.unit.length_in(args.separation)
+    atom_a, atom_b, material = _pair_models(cfg, args)
+    l = cfg.unit.length_in(_positive("--separation", args.separation))
     q = cfg.quadrature
     analytic = force_pair(atom_a, atom_b, material, l, q)
 
@@ -374,10 +378,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--material", required=True)
     p.add_argument("--cavity-radius", type=float)
 
-    p = sub.add_parser("pair", parents=[common], help="two-atom potential over sweep.l")
-    p.add_argument("--atom-a", required=True)
-    p.add_argument("--atom-b", required=True)
-    p.add_argument("--material", required=True)
+    pair_args = argparse.ArgumentParser(add_help=False, parents=[common])
+    for flag in ("--atom-a", "--atom-b", "--material"):
+        pair_args.add_argument(flag, required=True)
+
+    p = sub.add_parser("pair", parents=[pair_args], help="two-atom potential over sweep.l")
     p.add_argument("--uncorrected", action="store_true",
                    help="report the uncorrected potential in the U column")
 
@@ -385,10 +390,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--positions", required=True, help="file with 'name x y z' lines")
     p.add_argument("--material", required=True)
 
-    p = sub.add_parser("limits", parents=[common], help="retarded/non-retarded coefficients")
-    p.add_argument("--atom-a", required=True)
-    p.add_argument("--atom-b", required=True)
-    p.add_argument("--material", required=True)
+    sub.add_parser("limits", parents=[pair_args], help="retarded/non-retarded coefficients")
 
     p = sub.add_parser("born-check", parents=[common],
                        help="module path vs pairwise-summation oracle")
@@ -398,11 +400,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outer-radius", type=float, required=True)
     p.add_argument("--cavity-radius", type=float)
 
-    p = sub.add_parser("force-check", parents=[common],
+    p = sub.add_parser("force-check", parents=[pair_args],
                        help="analytic force vs finite differences")
-    p.add_argument("--atom-a", required=True)
-    p.add_argument("--atom-b", required=True)
-    p.add_argument("--material", required=True)
     p.add_argument("--separation", type=float, required=True)
     return parser
 

@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, GeometryError
 from .green import BodyShell
-from .potentials import pair_free_space
-from .quadrature import QuadSpec, integrate_finite
+from .potentials import _free_pair_integrand, _free_pair_sum
+from .quadrature import QuadSpec, integrate_finite, integrate_semi_infinite
 from .response import AtomModel, LorentzTerm, MediumResponse, scale_hint
 
 __all__ = [
@@ -97,23 +97,18 @@ class DiluteHost:
         )
 
 
-def _inner_spec(q: QuadSpec) -> QuadSpec:
-    """Tighter tolerances for the pair potentials inside radial sums, so
-    inner quadrature noise stays below the outer error estimate."""
-    return replace(q, rel_tol=q.rel_tol * 1e-2, abs_tol=q.abs_tol * 1e-2)
-
-
 def _radial_integrand(guest: AtomModel, host: DiluteHost, q: QuadSpec) -> Callable:
-    inner = _inner_spec(q)
+    """s^2 [U_el(s) + U_mag(s)] on the radial nodes, all from one vector u-integral."""
+    # tighter inner tolerances keep u-quadrature noise below the radial error estimate
+    inner = replace(q, rel_tol=q.rel_tol * 1e-2, abs_tol=q.abs_tol * 1e-2)
+    scale = scale_hint(guest, host.host_atom)
+    mag = bool(host.host_atom.beta_resonances)
 
     def f(s_nodes):
-        s_nodes = np.atleast_1d(np.asarray(s_nodes, dtype=np.float64))
-        out = np.empty_like(s_nodes)
-        for i, s in enumerate(s_nodes):
-            out[i] = s * s * pair_free_space(
-                guest, host.host_atom, float(s), inner, parts="both"
-            )
-        return out
+        s = np.atleast_1d(np.asarray(s_nodes, dtype=np.float64))
+        g = _free_pair_integrand(guest, host.host_atom, s, True, mag)
+        raw = integrate_semi_infinite(g, inner, scale=scale).value.reshape(1 + mag, -1)
+        return s * s * _free_pair_sum(raw, s, True, mag)
 
     return f
 
@@ -125,12 +120,8 @@ def _retarded_tail(guest: AtomModel, host: DiluteHost, s_max: float) -> float:
     U_mag -> +7 a_A b_h/(4 pi s^7), valid once s_max is deep in the
     retarded regime (enforced by the truncation criterion).
     """
-    a = guest.alpha_static
-    return (
-        host.density
-        * (-23.0 * a * host.host_atom.alpha_static + 7.0 * a * host.host_atom.beta_static)
-        / (4.0 * s_max**4)
-    )
+    a, h = guest.alpha_static, host.host_atom
+    return host.density * (-23.0 * a * h.alpha_static + 7.0 * a * h.beta_static) / (4.0 * s_max**4)
 
 
 def u1_pairwise_sum(
@@ -145,9 +136,7 @@ def u1_pairwise_sum(
     pref = 4.0 * math.pi * host.density
 
     s_max = max(4.0 * R_c, 8.0 / scale_hint(guest, host.host_atom))
-    while (
-        abs(pref * f(np.array([s_max]))[0]) > q.abs_tol * 1e-2 and s_max < _S_MAX_CAP
-    ):
+    while abs(pref * f(np.array([s_max]))[0]) > q.abs_tol * 1e-2 and s_max < _S_MAX_CAP:
         s_max *= 2.0
     body = integrate_finite(f, R_c, s_max, q).value
     return pref * body + _retarded_tail(guest, host, s_max)

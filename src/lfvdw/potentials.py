@@ -142,6 +142,19 @@ def u1_exact(atom: AtomModel, spec: CavitySpec, q: QuadSpec = QuadSpec()) -> flo
     return integrate_semi_infinite(f, q, scale=scale).value
 
 
+def _small_radius_integrals(atom: AtomModel, spec: CavitySpec, q: QuadSpec, c: float, bracket):
+    """int (eps-1)/d alpha du and int u^2 bracket(eps, mu)/d^2 alpha du with
+    d = c eps + c - 1, as one two-component integral."""
+
+    def f(u):
+        eps, mu, _ = _host_arrays(spec.host, u)
+        alpha = atom.alpha_iu(u)
+        d = c * eps + (c - 1.0)
+        return np.column_stack([(eps - 1.0) / d * alpha, u**2 * bracket(eps, mu) / d**2 * alpha])
+
+    return integrate_semi_infinite(f, q, scale=scale_hint(atom, spec.host))
+
+
 def u1_expanded(atom: AtomModel, spec: CavitySpec, q: QuadSpec = QuadSpec()) -> U1Expansion:
     """U1 from the two displayed small-radius terms, kept separate.
 
@@ -149,26 +162,16 @@ def u1_expanded(atom: AtomModel, spec: CavitySpec, q: QuadSpec = QuadSpec()) -> 
     integrates u^2 [eps^2(1-5 mu) + 3 eps + 1]/(2 eps+1)^2 alpha. A vacuum
     host makes both brackets vanish identically.
     """
-    scale = scale_hint(atom, spec.host)
     r = spec.radius
-
-    def f3(u):
-        eps, _, _ = _host_arrays(spec.host, u)
-        return (eps - 1.0) / (2.0 * eps + 1.0) * atom.alpha_iu(u)
-
-    def f1(u):
-        eps, mu, _ = _host_arrays(spec.host, u)
-        bracket = eps * eps * (1.0 - 5.0 * mu) + 3.0 * eps + 1.0
-        return u**2 * bracket / (2.0 * eps + 1.0) ** 2 * atom.alpha_iu(u)
-
-    i3 = integrate_semi_infinite(f3, q, scale=scale)
-    i1 = integrate_semi_infinite(f1, q, scale=scale)
+    res = _small_radius_integrals(
+        atom, spec, q, 2.0, lambda eps, mu: eps * eps * (1.0 - 5.0 * mu) + 3.0 * eps + 1.0
+    )
+    (i3, i1), (e3, e1) = res.value.tolist(), res.err_est.tolist()
     return U1Expansion(
-        term_r3=-(3.0 / (math.pi * r**3)) * i3.value,
-        term_r1=-(9.0 / (5.0 * math.pi * r)) * i1.value,
-        err_est=(3.0 / (math.pi * r**3)) * i3.err_est
-        + (9.0 / (5.0 * math.pi * r)) * i1.err_est,
-        evals=i3.evals + i1.evals,
+        term_r3=-(3.0 / (math.pi * r**3)) * i3,
+        term_r1=-(9.0 / (5.0 * math.pi * r)) * i1,
+        err_est=(3.0 / (math.pi * r**3)) * e3 + (9.0 / (5.0 * math.pi * r)) * e1,
+        evals=res.evals,
     )
 
 
@@ -233,15 +236,35 @@ def single_atom_total(
 ) -> SingleAtomResult:
     """U1 + U2 for one embedded atom, with the U1 term breakdown attached."""
     expansion = u1_expanded(atom, spec, q)
-    u1 = expansion.total
-    u2 = u2_single(atom, spec, scatter_trace, q)
-    return SingleAtomResult(
-        U1=u1,
-        U2=u2,
-        total=u1 + u2,
-        term_r3=expansion.term_r3,
-        term_r1=expansion.term_r1,
-    )
+    u1, u2 = expansion.total, u2_single(atom, spec, scatter_trace, q)
+    return SingleAtomResult(U1=u1, U2=u2, total=u1 + u2,
+                            term_r3=expansion.term_r3, term_r1=expansion.term_r1)
+
+
+def _free_pair_integrand(atom_a: AtomModel, atom_b: AtomModel, l, el: bool, mag: bool):
+    """u-integrand of the free-space pair parts at the separations l, without
+    their prefactors: one column per separation of alpha_A alpha_B g(ul) if
+    el, then of u^2 alpha_A beta_B h(ul) if mag."""
+
+    def f(u):
+        x = np.multiply.outer(u, l)
+        alpha = atom_a.alpha_iu(u)
+        cols = [(alpha * atom_b.alpha_iu(u))[:, None] * _kernels.kernel_g(x)] if el else []
+        if mag:
+            cols.append((u**2 * alpha * atom_b.beta_iu(u))[:, None] * _kernels.kernel_h(x))
+        return np.hstack(cols)
+
+    return f
+
+
+def _free_pair_sum(raw, l, el: bool, mag: bool):
+    """-I_el/(2 pi l^6) + I_mag/(2 pi l^4) from the raw integrals, one row per part."""
+    total = 0.0
+    if el:
+        total = total - raw[0] / (2.0 * math.pi * l**6)
+    if mag:
+        total = total + raw[-1] / (2.0 * math.pi * l**4)
+    return total
 
 
 def pair_free_space(
@@ -258,33 +281,24 @@ def pair_free_space(
 
     The magnetic part couples atom A's polarizability to atom B's
     magnetizability; it vanishes when atom B has no beta resonances.
+    Both parts together are one two-component integral.
     """
-    if not l > 0.0:
-        raise GeometryError("separation must be > 0")
+    _guard_separation(l, None, "pair_free_space")
     if parts not in _PARTS:
         raise DomainError(f"parts must be one of {_PARTS}, got {parts!r}")
-    scale = scale_hint(atom_a, atom_b)
-    total = 0.0
-    if parts in ("electric", "both"):
-
-        def f_el(u):
-            return atom_a.alpha_iu(u) * atom_b.alpha_iu(u) * _kernels.kernel_g(u * l)
-
-        total -= integrate_semi_infinite(f_el, q, scale=scale).value / (
-            2.0 * math.pi * l**6
-        )
-    if parts in ("magnetic", "both") and atom_b.beta_resonances:
-
-        def f_mag(u):
-            return u**2 * atom_a.alpha_iu(u) * atom_b.beta_iu(u) * _kernels.kernel_h(u * l)
-
-        total += integrate_semi_infinite(f_mag, q, scale=scale).value / (
-            2.0 * math.pi * l**4
-        )
-    return total
+    el, mag = parts != "magnetic", parts != "electric" and bool(atom_b.beta_resonances)
+    if not (el or mag):
+        return 0.0
+    f = _free_pair_integrand(atom_a, atom_b, np.array([l]), el, mag)
+    res = integrate_semi_infinite(
+        f if el and mag else (lambda u: f(u)[:, 0]), q, scale=scale_hint(atom_a, atom_b)
+    )
+    return _free_pair_sum(np.atleast_1d(res.value).tolist(), l, el, mag)
 
 
 def _guard_separation(l: float, cavity_radius: float | None, context: str):
+    if not 0.0 < l < math.inf:
+        raise GeometryError("separation must be finite and > 0")
     if cavity_radius is None:
         return
     if l < 2.0 * cavity_radius:
@@ -316,8 +330,6 @@ def pair_bulk(
     ratio of corrected to uncorrected integrand is asserted to stay in
     [1, 81/16].
     """
-    if not l > 0.0:
-        raise GeometryError("separation must be > 0")
     _guard_separation(l, cavity_radius, "pair_bulk")
     scale = scale_hint(atom_a, atom_b, m)
 
@@ -352,14 +364,7 @@ def coeff_retarded(atom_a: AtomModel, atom_b: AtomModel, m: MediumResponse) -> f
     n0 = m.n_iu(0.0)
     w0 = _d_leading(eps0) ** 4
     _check_ratio(np.asarray(w0), _PAIR_BOUND, "coeff_retarded")
-    return (
-        23.0
-        / (4.0 * math.pi)
-        * atom_a.alpha_static
-        * atom_b.alpha_static
-        / (n0 * eps0**2)
-        * w0
-    )
+    return 23.0 / (4.0 * math.pi) * atom_a.alpha_static * atom_b.alpha_static / (n0 * eps0**2) * w0
 
 
 def coeff_nonretarded(
@@ -392,9 +397,7 @@ def _ring_setup(atoms, cavity_radius: float | None, context: str):
         raise GeometryError(f"{context} needs at least two atoms; "
                             "use the single-atom operations for one")
     if n_atoms > _MAX_RING_ATOMS:
-        raise GeometryError(
-            f"ring symmetrization grows factorially; N <= {_MAX_RING_ATOMS}"
-        )
+        raise GeometryError(f"ring symmetrization grows factorially; N <= {_MAX_RING_ATOMS}")
     models = [a for a, _ in entries]
     pos = np.array([np.asarray(p, dtype=np.float64) for _, p in entries])
     if pos.shape != (n_atoms, 3):
@@ -424,8 +427,9 @@ def _ring_setup(atoms, cavity_radius: float | None, context: str):
     return models, orderings, dist, vv, legs, pref
 
 
-def _ring_integrand(models, m: MediumResponse, dist, vv, legs, context: str):
-    """Integrand summed over the orderings whose legs are the rows of legs."""
+def _ring_integrand(models, m: MediumResponse, dist, vv, legs, context: str, summed: bool):
+    """Integrand of the orderings whose legs are the rows of legs: their
+    sum when summed, else one column per ordering."""
     n_atoms = len(models)
 
     def f(u):
@@ -435,7 +439,8 @@ def _ring_integrand(models, m: MediumResponse, dist, vv, legs, context: str):
         weight = (u**2 * d2) ** n_atoms
         for model in models:
             weight = weight * model.alpha_iu(u)
-        return weight * _kernels.ring_trace(n * u, mu, dist, vv, legs).sum(axis=1)
+        trace = _kernels.ring_trace(n * u, mu, dist, vv, legs)
+        return weight * trace.sum(axis=1) if summed else weight[:, None] * trace
 
     return f
 
@@ -453,7 +458,7 @@ def n_atom_bulk(
     (-1)^(N-1) alternation and the double-counting factor 2 at N = 2.
     """
     models, _, dist, vv, legs, pref = _ring_setup(atoms, cavity_radius, "n_atom_bulk")
-    f = _ring_integrand(models, m, dist, vv, legs, "n_atom_bulk")
+    f = _ring_integrand(models, m, dist, vv, legs, "n_atom_bulk", summed=True)
     scale = scale_hint(m, *models)
     return pref * integrate_semi_infinite(f, q, scale=scale).value
 
@@ -464,17 +469,15 @@ def n_atom_orderings(
     q: QuadSpec = QuadSpec(),
     cavity_radius: float | None = None,
 ) -> list[tuple[tuple[int, ...], float]]:
-    """Energy contribution of each distinct ring ordering, separately
-    integrated; their sum is the N-atom potential."""
+    """Energy contribution of each distinct ring ordering, one component
+    of a single vector integral with its own tolerance; their sum is the
+    N-atom potential."""
     models, orderings, dist, vv, legs, pref = _ring_setup(
         atoms, cavity_radius, "n_atom_orderings"
     )
-    scale = scale_hint(m, *models)
-    out = []
-    for k, ordering in enumerate(orderings.tolist()):
-        f = _ring_integrand(models, m, dist, vv, legs[k : k + 1], "n_atom_orderings")
-        out.append((tuple(ordering), pref * integrate_semi_infinite(f, q, scale=scale).value))
-    return out
+    f = _ring_integrand(models, m, dist, vv, legs, "n_atom_orderings", summed=False)
+    values = integrate_semi_infinite(f, q, scale=scale_hint(m, *models)).value
+    return [(tuple(o), pref * v) for o, v in zip(orderings.tolist(), values.tolist())]
 
 
 def force_pair(
@@ -491,8 +494,6 @@ def force_pair(
     atoms together. The cavity radius never enters the value, only the
     separation guard.
     """
-    if not l > 0.0:
-        raise GeometryError("separation must be > 0")
     _guard_separation(l, cavity_radius, "force_pair")
     scale = scale_hint(atom_a, atom_b, m)
 
@@ -523,29 +524,13 @@ def cavity_center_stiffness(
     res = integrate_semi_infinite(f, q, scale=scale)
     k_exact = -res.value / (3.0 * math.pi)
 
-    def f5(u):
-        eps, _, _ = _host_arrays(spec.host, u)
-        return (eps - 1.0) / (3.0 * eps + 2.0) * atom.alpha_iu(u)
-
-    def f3(u):
-        eps, mu, _ = _host_arrays(spec.host, u)
-        bracket = eps * eps * (7.0 * mu + 3.0) - 6.0 * eps - 4.0
-        return u**2 * bracket / (3.0 * eps + 2.0) ** 2 * atom.alpha_iu(u)
-
-    i5 = integrate_semi_infinite(f5, q, scale=scale).value
-    i3 = integrate_semi_infinite(f3, q, scale=scale).value
+    i5, i3 = _small_radius_integrals(
+        atom, spec, q, 3.0, lambda eps, mu: eps * eps * (7.0 * mu + 3.0) - 6.0 * eps - 4.0
+    ).value.tolist()
     k_small = (90.0 / r**5 * i5 - 75.0 / (7.0 * r**3) * i3) / (3.0 * math.pi)
 
-    tol = 1e-12
-    if k_exact > tol:
-        classification = "unstable"
-    elif k_exact < -tol:
-        classification = "restoring"
-    else:
-        classification = "neutral"
-    return StiffnessResult(
-        K=k_exact,
-        K_small_radius=k_small,
-        classification=classification,
-        err_est=res.err_est / (3.0 * math.pi),
+    classification = (
+        "unstable" if k_exact > 1e-12 else "restoring" if k_exact < -1e-12 else "neutral"
     )
+    return StiffnessResult(K=k_exact, K_small_radius=k_small, classification=classification,
+                           err_est=res.err_est / (3.0 * math.pi))

@@ -8,14 +8,18 @@ are mapped to t in (0, 1) by the one substitution
 
 The open panel rule never evaluates the endpoints, so integrands only need
 to be finite on the open interval. Integrands are called with a 1-D float64
-node array and must return an array of the same shape. A panel whose
-Kronrod or Gauss sum is not finite raises InvariantError at once, naming
-the first non-finite node and its panel in the integration variable (t for
-semi-infinite integrals, with the node's u alongside).
+node array of M nodes and return (M,) values for one integral or (M, K) for
+K integrals over shared panels. Each component k stops once its error
+estimate meets max(rel_tol |I_k|, abs_tol); the panel refined next has the
+largest max_k err_k w_k, with w_k = 1/max(rel_tol |I_k|, abs_tol) fixed on
+the initial panels (w = 1 for (M,) values). A panel whose Kronrod or Gauss
+sum is not finite raises InvariantError at once, naming the first
+non-finite node (and component) and its panel in the integration variable
+(t for semi-infinite integrals, with the node's u alongside).
 
 Determinism: panels are refined in a fixed worst-error-first order with
-insertion-order tie breaking, and the final value is an fsum over panels
-sorted by position, so results are bit-reproducible for a fixed spec.
+insertion-order tie breaking, and every total is a correctly rounded fsum
+over the panels, in which their order cannot change a bit.
 """
 
 from __future__ import annotations
@@ -84,8 +88,10 @@ class QuadSpec:
 
 
 class QuadResult(NamedTuple):
-    value: float
-    err_est: float
+    """value and err_est are floats for (M,) integrands, (K,) arrays else."""
+
+    value: float | np.ndarray
+    err_est: float | np.ndarray
     evals: int
 
 
@@ -94,17 +100,30 @@ def _panel(g: Callable[[np.ndarray], np.ndarray], a: float, b: float, to_u=None)
     half = 0.5 * (b - a)
     x = mid + half * _XGK
     y = np.asarray(g(x), dtype=np.float64)
-    k15 = half * float(y @ _WGK)
-    g7 = half * float(y[1::2] @ _WG)
-    if not (math.isfinite(k15) and math.isfinite(g7)):
-        k = int(np.argmin(np.isfinite(y)))
+    k15 = half * (_WGK @ y)
+    g7 = half * (_WG @ y[1::2])
+    if y.ndim == 1:
+        k15, g7 = float(k15), float(g7)
+        finite = math.isfinite(k15) and math.isfinite(g7)
+    else:
+        finite = np.isfinite(k15).all() and np.isfinite(g7).all()
+    if not finite:
+        k, *comp = np.unravel_index(np.argmin(np.isfinite(y)), y.shape)
         node = float(x[k])
         where = f"node {node}" if to_u is None else f"node {node} (u = {to_u(node)})"
+        what = "integrand value" if y.ndim == 1 else f"integrand component {comp[0]} value"
         raise InvariantError(
-            f"integrand value {float(y[k])} at {where} of panel "
+            f"{what} {float(y[k][tuple(comp)])} at {where} of panel "
             f"[{float(a)}, {float(b)}] makes the panel sum non-finite"
         )
     return k15, abs(k15 - g7)
+
+
+def _fsum(items):
+    """Correctly rounded sum of panel floats, or of (K,) arrays per component."""
+    if isinstance(items[0], float):
+        return math.fsum(items)
+    return np.array([math.fsum(c) for c in np.array(items).T.tolist()])
 
 
 def _adaptive(
@@ -113,41 +132,42 @@ def _adaptive(
     spec: QuadSpec,
     to_u=None,
 ) -> QuadResult:
-    heap = []
-    seq = 0
-    evals = 0
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        val, err = _panel(g, a, b, to_u)
-        heap.append((-err, seq, a, b, val, err))
-        seq += 1
-        evals += 15
+    first = [(a, b, *_panel(g, a, b, to_u)) for a, b in zip(breaks[:-1], breaks[1:])]
+    vector = not isinstance(first[0][2], float)
+
+    def tol(value):
+        if vector:
+            return np.maximum(spec.rel_tol * np.abs(value), spec.abs_tol)
+        return max(spec.rel_tol * abs(value), spec.abs_tol)
+
+    weight = 1.0 / tol(_fsum([p[2] for p in first])) if vector else None
+
+    def entry(seq, a, b, val, perr):
+        return (-(float((perr * weight).max()) if vector else perr), seq, a, b, val, perr)
+
+    heap = [entry(seq, *p) for seq, p in enumerate(first)]
     heapq.heapify(heap)
-
-    def _totals():
-        value = math.fsum(item[4] for item in sorted(heap, key=lambda it: it[2]))
-        err = math.fsum(item[5] for item in heap)
-        return value, err
-
+    seq = len(heap)
     subdivisions = 0
     while True:
-        value, err = _totals()
-        if err <= max(spec.rel_tol * abs(value), spec.abs_tol):
-            return QuadResult(value, err, evals)
+        value, err = _fsum([h[4] for h in heap]), _fsum([h[5] for h in heap])
+        ok = err <= tol(value)
+        if ok.all() if vector else ok:
+            return QuadResult(value, err, 15 * seq)
         if subdivisions >= spec.max_subdivisions:
+            k = int(np.argmax(err / tol(value))) if vector else 0
             raise ConvergenceError(
                 f"no convergence after {subdivisions} subdivisions "
-                f"(err_est={err:.3e}, value={value:.6e})",
+                f"({f'component {k}: ' if vector else ''}"
+                f"err_est={np.atleast_1d(err)[k]:.3e}, value={np.atleast_1d(value)[k]:.6e})",
                 value=value,
                 err_est=err,
-                evals=evals,
+                evals=15 * seq,
             )
         _, _, a, b, _, _ = heapq.heappop(heap)
-        mid = 0.5 * (a + b)
-        for lo, hi in ((a, mid), (mid, b)):
-            val, perr = _panel(g, lo, hi, to_u)
-            heapq.heappush(heap, (-perr, seq, lo, hi, val, perr))
+        for lo, hi in ((a, 0.5 * (a + b)), (0.5 * (a + b), b)):
+            heapq.heappush(heap, entry(seq, lo, hi, *_panel(g, lo, hi, to_u)))
             seq += 1
-            evals += 15
         subdivisions += 1
 
 
@@ -161,9 +181,10 @@ def integrate_semi_infinite(
     Parameters
     ----------
     f : callable
-        Vectorized integrand of the frequency-like variable u; must be
-        finite on the open half line and decay at least like a rational
-        function times an exponential.
+        Vectorized integrand of the frequency-like variable u, returning
+        (M,) or (M, K) values for M nodes; must be finite on the open half
+        line and decay at least like a rational function times an
+        exponential.
     spec : QuadSpec
         Tolerances and node budget.
     scale : float
@@ -179,7 +200,8 @@ def integrate_semi_infinite(
 
     def g(t: np.ndarray) -> np.ndarray:
         jac = scale / (1.0 - t) ** 2
-        return np.asarray(f(to_u(t)), dtype=np.float64) * jac
+        y = np.asarray(f(to_u(t)), dtype=np.float64)
+        return y * (jac if y.ndim == 1 else jac[:, None])
 
     return _adaptive(g, _INIT_BREAKS, spec, to_u)
 

@@ -1,0 +1,210 @@
+"""Print a fixed set of library values and CLI outputs, one per line.
+
+Run it once on each of two source trees and diff the results to see
+which bits a change moved:
+
+    PYTHONPATH=<old>/src python3 tests/oracles/dump_outputs.py > old.txt
+    PYTHONPATH=src python3 tests/oracles/dump_outputs.py > new.txt
+    python3 tests/oracles/dump_outputs.py --compare old.txt new.txt
+
+Every line reads ``key: value``. The library values are the reprs of the
+integrated quantities on a dielectric-magnetic (glass), a dielectric-only
+and a magnetic-only host at rel_tol 1e-8 and 1e-10; the CLI lines are the
+stdout of 16 invocations on tests/data/glass.yaml, one key per output
+line. ``--compare`` prints, for every key whose value differs, the
+largest relative deviation over the numbers on that line (or "text" when
+the lines differ in anything but numbers), and the keys present in only
+one file. The script writes nothing into the repository.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import math
+import re
+import sys
+import tempfile
+from pathlib import Path
+
+import lfvdw
+from lfvdw import cli
+from lfvdw.cavity import CavitySpec
+from lfvdw.green import born_scatter_trace
+from lfvdw.oracle import DiluteHost, total_pairwise_sum, u1_pairwise_sum
+from lfvdw.quadrature import QuadSpec
+from lfvdw.response import AtomModel, LorentzTerm, MediumResponse
+
+CONFIG = str(Path(__file__).resolve().parents[1] / "data" / "glass.yaml")
+
+PROBE = AtomModel(resonances=((1.0, 0.02),))
+PARTNER = AtomModel(resonances=((1.3, 0.015),), beta_resonances=((2.1, 0.004),))
+HOSTS = {
+    "glass": MediumResponse(
+        eps_terms=(LorentzTerm(plasma_strength=1.5, resonance=1.2, damping=0.02),),
+        mu_terms=(LorentzTerm(plasma_strength=0.2, resonance=2.0),),
+    ),
+    "dielectric": MediumResponse(
+        eps_terms=(LorentzTerm(plasma_strength=1.5, resonance=1.2, damping=0.02),),
+    ),
+    "magnetic": MediumResponse(
+        mu_terms=(LorentzTerm(plasma_strength=0.3, resonance=1.5),),
+    ),
+}
+# the dilute host atoms standing in for each host in the pairwise sums
+DILUTE = {"glass": PARTNER, "dielectric": PROBE, "magnetic": PARTNER}
+TOLS = (1e-8, 1e-10)
+SEPARATIONS = (0.01, 0.3, 2.5, 10.0)
+RING = [
+    (PROBE, (0.0, 0.0, 0.0)),
+    (PARTNER, (3.0, 0.0, 0.0)),
+    (PROBE, (0.0, 3.5, 0.0)),
+    (PARTNER, (1.0, 1.0, 4.0)),
+    (PROBE, (2.5, 3.0, 1.5)),
+    (PARTNER, (-2.0, 1.0, 2.5)),
+]
+R_C = 0.05
+OUTER = 10.0
+DENSITY = 0.03
+
+
+def _entries(key, fn):
+    """(key, repr) lines of fn(), one per element when it returns a list."""
+    try:
+        value = fn()
+    except lfvdw.LfvdwError as exc:
+        yield key, f"{type(exc).__name__}({exc})"
+        return
+    if isinstance(value, list):
+        for k, v in enumerate(value):
+            yield f"{key}#{k}", repr(v)
+    else:
+        yield key, repr(value)
+
+
+def library_lines():
+    for host_name, host in HOSTS.items():
+        for rel in TOLS:
+            q = QuadSpec(rel_tol=rel)
+            tag = f"[{host_name},{rel:g}]"
+            spec = CavitySpec(radius=R_C, host=host)
+            dilute = DiluteHost(density=DENSITY, host_atom=DILUTE[host_name])
+            shell = dilute.to_shell(R_C, OUTER)
+            born_spec = CavitySpec(radius=R_C, host=dilute.to_medium())
+
+            def trace(u):
+                return born_scatter_trace(shell, u)
+
+            for l in SEPARATIONS:
+                for flag in (True, False):
+                    yield (f"pair_bulk{tag}(l={l},corrected={flag})",
+                           lambda: lfvdw.pair_bulk(PROBE, PARTNER, host, l, q, corrected=flag).U)
+                yield (f"force_pair{tag}(l={l})",
+                       lambda: lfvdw.force_pair(PROBE, PARTNER, host, l, q))
+                for parts in ("both", "electric", "magnetic"):
+                    yield (f"pair_free_space{tag}(l={l},{parts})",
+                           lambda: lfvdw.pair_free_space(PROBE, PARTNER, l, q, parts))
+            yield f"coeff_nonretarded{tag}", lambda: lfvdw.coeff_nonretarded(PROBE, PARTNER, host, q)
+            for atom_name, atom in (("probe", PROBE), ("partner", PARTNER)):
+                at = f"{tag}({atom_name})"
+                yield f"u1_exact{at}", lambda: lfvdw.u1_exact(atom, spec, q)
+                yield f"u1_expanded.term_r3{at}", lambda: lfvdw.u1_expanded(atom, spec, q).term_r3
+                yield f"u1_expanded.term_r1{at}", lambda: lfvdw.u1_expanded(atom, spec, q).term_r1
+                yield f"stiffness.K{at}", lambda: lfvdw.cavity_center_stiffness(atom, spec, q).K
+                yield f"stiffness.K_small_radius{at}", lambda: lfvdw.cavity_center_stiffness(atom, spec, q).K_small_radius
+                yield (f"u1_linearized{at}",
+                       lambda: lfvdw.u1_linearized(atom, R_C, dilute.chi_iu, dilute.zeta_iu, q))
+                yield f"u2_single{at}", lambda: lfvdw.u2_single(atom, born_spec, trace, q)
+                yield (f"u1_pairwise_sum{at}",
+                       lambda: u1_pairwise_sum(atom, dilute, R_C, q))
+                yield (f"total_pairwise_sum{at}",
+                       lambda: total_pairwise_sum(atom, dilute, shell, R_C, q))
+            for n in range(2, 7):
+                yield f"n_atom_bulk{tag}(N={n})", lambda: lfvdw.n_atom_bulk(RING[:n], host, q)
+                yield (f"n_atom_orderings{tag}(N={n})",
+                       lambda: [e for _, e in lfvdw.n_atom_orderings(RING[:n], host, q)])
+
+
+def cli_lines():
+    with tempfile.TemporaryDirectory() as tmp:
+        positions = Path(tmp) / "ring4.txt"
+        positions.write_text("".join(
+            f"{'probe' if k % 2 == 0 else 'partner'} {x} {y} {z}\n"
+            for k, (_, (x, y, z)) in enumerate(RING[:4])
+        ))
+        pair = ["--atom-a", "probe", "--atom-b", "partner", "--material", "glass"]
+        commands = {
+            "coeffs": ["coeffs", "--material", "glass"],
+            "pair": ["pair", *pair],
+            "pair-uncorrected": ["pair", *pair, "--uncorrected"],
+            "limits": ["limits", *pair],
+            "single": ["single", "--atom", "probe", "--material", "glass"],
+            "nbody": ["nbody", "--positions", str(positions), "--material", "glass"],
+            "force-check": ["force-check", *pair, "--separation", "3"],
+            "born-check": ["born-check", "--guest", "probe", "--host-atom", "partner",
+                           "--density", "0.05", "--outer-radius", "10"],
+        }
+        for name, argv in commands.items():
+            for fmt in ("csv", "json"):
+                buf = io.StringIO()
+                with contextlib.redirect_stdout(buf):
+                    code = cli.main([*argv, "--config", CONFIG, "--format", fmt])
+                text = buf.getvalue().replace(str(positions), "<positions>")
+                yield f"cli {name} {fmt} exit", str(code)
+                for k, line in enumerate(text.splitlines()):
+                    yield f"cli {name} {fmt} {k:03d}", line
+
+
+def dump(out=sys.stdout):
+    # each callable runs as soon as it is yielded, so the loop variables
+    # it closes over still hold the values named in its key
+    for key, fn in library_lines():
+        for entry, value in _entries(key, fn):
+            out.write(f"{entry}: {value}\n")
+    for key, line in cli_lines():
+        out.write(f"{key}: {line}\n")
+
+
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf")
+
+
+def _read(path):
+    entries = {}
+    for line in Path(path).read_text().splitlines():
+        key, _, value = line.partition(": ")
+        entries[key] = value
+    return entries
+
+
+def _deviation(old: str, new: str) -> str:
+    if _NUMBER.sub("#", old) != _NUMBER.sub("#", new):
+        return "text"
+    worst = 0.0
+    for a, b in zip(_NUMBER.findall(old), _NUMBER.findall(new)):
+        x, y = float(a), float(b)
+        if x != y and not (math.isnan(x) and math.isnan(y)):
+            worst = max(worst, abs(x - y) / max(abs(x), abs(y)))
+    return f"{worst:.3g}"
+
+
+def compare(old_path, new_path, out=sys.stdout) -> int:
+    old, new = _read(old_path), _read(new_path)
+    changed = 0
+    keys = list(old) + [key for key in new if key not in old]
+    for key in keys:
+        if key not in old or key not in new:
+            out.write(f"{key}: only in {'old' if key in old else 'new'}\n")
+            changed += 1
+        elif old[key] != new[key]:
+            out.write(f"{key}: {_deviation(old[key], new[key])}\n")
+            changed += 1
+    out.write(f"# {changed} of {len(keys)} keys differ\n")
+    return 1 if changed else 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["--compare"] and len(sys.argv) == 4:
+        raise SystemExit(compare(sys.argv[2], sys.argv[3]))
+    if len(sys.argv) > 1:
+        raise SystemExit(__doc__)
+    dump()

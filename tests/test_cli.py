@@ -269,6 +269,32 @@ def test_bad_cavity_radius_is_a_config_error(radius):
     assert "--cavity-radius" in err["message"]
 
 
+_FORCE = ("force-check", "--config", CONFIG, "--atom-a", "probe", "--atom-b", "partner",
+          "--material", "glass")
+_BORN = ("born-check", "--config", CONFIG, "--guest", "probe", "--host-atom", "partner")
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (_FORCE + ("--separation", "-2"), "--separation"),
+        (_FORCE + ("--separation", "inf"), "--separation"),
+        (_BORN + ("--density", "-1", "--outer-radius", "10"), "--density"),
+        (_BORN + ("--density", "0.05", "--outer-radius", "nan"), "--outer-radius"),
+        (_BORN + ("--density", "0.05", "--outer-radius", "0.01"), "--outer-radius"),
+    ],
+    ids=["separation-negative", "separation-inf", "density-negative", "outer-nan",
+         "outer-inside-cavity"],
+)
+def test_bad_numeric_flag_is_a_config_error(argv, flag):
+    proc = run_cli(*argv)
+    assert proc.returncode == 2
+    err = json.loads(proc.stdout)["error"]
+    assert err["type"] == "config"
+    assert flag in err["message"]
+    assert proc.stderr == ""
+
+
 def test_non_finite_position_is_a_config_error(tmp_path):
     positions = tmp_path / "nan.txt"
     positions.write_text("probe 0 0 0\nprobe nan 0 0\n")

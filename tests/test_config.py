@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import textwrap
+from pathlib import Path
 
 import pytest
+import yaml
 
+from lfvdw import config
 from lfvdw.config import C_SI, HBAR_SI, UnitSystem, load_config
 from lfvdw.errors import ConfigError
 from lfvdw.response import VACUUM
+
+GLASS = Path(__file__).parent / "data" / "glass.yaml"
 
 FULL = """\
 unit_system: reduced
@@ -93,41 +98,36 @@ def test_tol_override(tmp_path):
     assert cfg.quadrature.abs_tol == 1e-15  # untouched
 
 
+# YAML 1.1 reads "1.0e15" (no sign on the exponent) as a string
+STRING_FLOATS = """\
+unit_system: {SI: {omega_ref: 1.0e15}}
+atoms:
+  probe:
+    resonances: [[1.0e15, 4.5e-30]]
+"""
+
+SI = """\
+unit_system: {SI: {omega_ref: 1.0e+15}}
+materials:
+  slab:
+    eps_terms:
+      - {plasma_strength: 2.0e+30, resonance: 1.2e+15}
+atoms:
+  probe:
+    resonances: [[1.0e+15, 4.5e-30]]
+sweep:
+  l: [5.0e-9]
+"""
+
+
 def test_string_floats_accepted(tmp_path):
-    # YAML 1.1 reads "1.0e15" (no sign on the exponent) as a string
-    cfg = load_config(
-        write(
-            tmp_path,
-            """\
-            unit_system: {SI: {omega_ref: 1.0e15}}
-            atoms:
-              probe:
-                resonances: [[1.0e15, 4.5e-30]]
-            """,
-        )
-    )
+    cfg = load_config(write(tmp_path, STRING_FLOATS))
     assert cfg.unit.omega_ref == 1e15
 
 
 def test_si_conversions(tmp_path):
     omega_ref = 1e15
-    cfg = load_config(
-        write(
-            tmp_path,
-            """\
-            unit_system: {SI: {omega_ref: 1.0e+15}}
-            materials:
-              slab:
-                eps_terms:
-                  - {plasma_strength: 2.0e+30, resonance: 1.2e+15}
-            atoms:
-              probe:
-                resonances: [[1.0e+15, 4.5e-30]]
-            sweep:
-              l: [5.0e-9]
-            """,
-        )
-    )
+    cfg = load_config(write(tmp_path, SI))
     length_unit = C_SI / omega_ref
     assert cfg.material("slab").eps_terms[0].plasma_strength == pytest.approx(2.0, abs=0.0)
     assert cfg.material("slab").eps_terms[0].resonance == pytest.approx(1.2, abs=0.0)
@@ -141,38 +141,38 @@ def test_si_conversions(tmp_path):
     assert cfg.unit.freq_out(1.2) == pytest.approx(1.2e15, abs=0.0)
 
 
-@pytest.mark.parametrize(
-    "snippet, fragment",
-    [
-        ("bogus: 1\n", "unknown key"),
-        ("materials:\n  m:\n    eps_terms: []\n    color: red\n", "unknown key"),
-        (
-            "materials:\n  m:\n    eps_terms:\n      - {plasma_strength: 1, resonance: 1, q: 2}\n",
-            "unknown key",
-        ),
-        ("quadrature:\n  speed: fast\n", "unknown key"),
-        ("sweep:\n  radius: [1]\n", "unknown key"),
-        ("atoms:\n  a:\n    beta_resonances: [[1, 0.1]]\n", "resonances"),
-        ("atoms:\n  a:\n    resonances: [[1, 0.1], [0.5]]\n", "pair"),
-        ("materials:\n  m:\n    eps_terms:\n      - {resonance: 1}\n", "plasma_strength"),
-        ("sweep:\n  u: [1.0, 0.5]\n", "increasing"),
-        ("sweep:\n  u: []\n", "non-empty"),
-        ("sweep:\n  u: [1.0, .inf]\n", "finite"),
-        ("sweep:\n  u: [0.0, 1.0]\n", "sweep.u must hold values > 0"),
-        ("sweep:\n  l: [-2.0, 3.0]\n", "sweep.l must hold values > 0"),
-        ("sweep:\n  R_c: -1\n", "sweep.R_c must hold values > 0"),
-        ("quadrature:\n  max_subdivisions: 10.5\n", "integer"),
-        ("quadrature:\n  rel_tol: true\n", "number"),
-        ("quadrature:\n  transform: exp_map\n", "unknown key"),
-        ("unit_system: imperial\n", "unit_system"),
-        ("unit_system: {SI: {}}\n", "omega_ref"),
-        (
-            "materials:\n  m:\n    eps_terms:\n      - {plasma_strength: 1, resonance: -1}\n",
-            "materials.m",
-        ),
-        ("atoms:\n  a:\n    resonances: [[-1, 0.1]]\n", "atoms.a"),
-    ],
-)
+INVALID = [
+    ("bogus: 1\n", "unknown key"),
+    ("materials:\n  m:\n    eps_terms: []\n    color: red\n", "unknown key"),
+    (
+        "materials:\n  m:\n    eps_terms:\n      - {plasma_strength: 1, resonance: 1, q: 2}\n",
+        "unknown key",
+    ),
+    ("quadrature:\n  speed: fast\n", "unknown key"),
+    ("sweep:\n  radius: [1]\n", "unknown key"),
+    ("atoms:\n  a:\n    beta_resonances: [[1, 0.1]]\n", "resonances"),
+    ("atoms:\n  a:\n    resonances: [[1, 0.1], [0.5]]\n", "pair"),
+    ("materials:\n  m:\n    eps_terms:\n      - {resonance: 1}\n", "plasma_strength"),
+    ("sweep:\n  u: [1.0, 0.5]\n", "increasing"),
+    ("sweep:\n  u: []\n", "non-empty"),
+    ("sweep:\n  u: [1.0, .inf]\n", "finite"),
+    ("sweep:\n  u: [0.0, 1.0]\n", "sweep.u must hold values > 0"),
+    ("sweep:\n  l: [-2.0, 3.0]\n", "sweep.l must hold values > 0"),
+    ("sweep:\n  R_c: -1\n", "sweep.R_c must hold values > 0"),
+    ("quadrature:\n  max_subdivisions: 10.5\n", "integer"),
+    ("quadrature:\n  rel_tol: true\n", "number"),
+    ("quadrature:\n  transform: exp_map\n", "unknown key"),
+    ("unit_system: imperial\n", "unit_system"),
+    ("unit_system: {SI: {}}\n", "omega_ref"),
+    (
+        "materials:\n  m:\n    eps_terms:\n      - {plasma_strength: 1, resonance: -1}\n",
+        "materials.m",
+    ),
+    ("atoms:\n  a:\n    resonances: [[-1, 0.1]]\n", "atoms.a"),
+]
+
+
+@pytest.mark.parametrize("snippet, fragment", INVALID)
 def test_invalid_configs(tmp_path, snippet, fragment):
     with pytest.raises(ConfigError, match=fragment):
         load_config(write(tmp_path, snippet))
@@ -183,18 +183,23 @@ def test_missing_file():
         load_config("/nonexistent/run.yaml")
 
 
+NOT_YAML = "unit_system: [unclosed\n"
+LIST_ROOT = "- just\n- a\n- list\n"
+EMPTY = "{}\n"
+
+
 def test_not_yaml(tmp_path):
     with pytest.raises(ConfigError, match="YAML"):
-        load_config(write(tmp_path, "unit_system: [unclosed\n"))
+        load_config(write(tmp_path, NOT_YAML))
 
 
 def test_non_mapping_root(tmp_path):
     with pytest.raises(ConfigError, match="mapping"):
-        load_config(write(tmp_path, "- just\n- a\n- list\n"))
+        load_config(write(tmp_path, LIST_ROOT))
 
 
 def test_empty_config_is_minimal_but_valid(tmp_path):
-    cfg = load_config(write(tmp_path, "{}\n"))
+    cfg = load_config(write(tmp_path, EMPTY))
     assert cfg.materials == {}
     assert cfg.sweep.u == ()
     assert cfg.quadrature.rel_tol == 1e-8  # defaults apply
@@ -208,3 +213,20 @@ def test_unit_system_direct_validation():
     assert UnitSystem("SI", omega_ref=2e15).length_unit_m == pytest.approx(
         C_SI / 2e15, abs=0.0
     )
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+def test_config_loads_through_libyaml():
+    assert config._LOADER is yaml.CSafeLoader
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+@pytest.mark.parametrize(
+    "text",
+    [GLASS.read_text(), FULL, STRING_FLOATS, SI, LIST_ROOT, EMPTY] + [s for s, _ in INVALID],
+    ids=["glass", "full", "string_floats", "si", "list_root", "empty"]
+    + [f"invalid{k}" for k in range(len(INVALID))],
+)
+def test_libyaml_and_python_loaders_parse_alike(text):
+    raw = text.encode()
+    assert yaml.load(raw, Loader=yaml.CSafeLoader) == yaml.load(raw, Loader=yaml.SafeLoader)

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from lfvdw import oracle
 from lfvdw.errors import DomainError, GeometryError
 from lfvdw.green import BodyShell
 from lfvdw.oracle import (
@@ -16,7 +18,8 @@ from lfvdw.oracle import (
     total_pairwise_sum,
     u1_pairwise_sum,
 )
-from lfvdw.potentials import u1_linearized
+from lfvdw.potentials import pair_free_space, u1_linearized
+from lfvdw.quadrature import integrate_semi_infinite
 from lfvdw.response import AtomModel
 
 HOST_ATOM = AtomModel(resonances=((1.0, 0.02),), beta_resonances=((1.5, 0.008),))
@@ -153,3 +156,23 @@ def test_step_policy_validation():
         StepPolicy(initial=-1e-3)
     with pytest.raises(ValueError):
         StepPolicy(levels=0)
+
+
+def test_radial_integrand_is_one_u_integral_per_panel(monkeypatch, atom_a, quad):
+    # the 15 radial nodes of a panel share one vector u-integral, and each
+    # node's value is that node's free-space pair potential times s^2
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return integrate_semi_infinite(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "integrate_semi_infinite", counting)
+    host = DiluteHost(density=0.01, host_atom=HOST_ATOM)
+    s = np.linspace(0.1, 3.0, 15)
+    values = oracle._radial_integrand(atom_a, host, quad)(s)
+    assert len(calls) == 1
+    tight = replace(quad, rel_tol=1e-12, abs_tol=1e-300)
+    for node, value in zip(s.tolist(), values.tolist()):
+        pair = pair_free_space(atom_a, HOST_ATOM, node, tight)
+        assert value == pytest.approx(node * node * pair, rel=1e-9, abs=0.0)

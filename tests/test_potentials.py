@@ -9,13 +9,14 @@ import numpy as np
 import pytest
 
 from conftest import ConstantMedium
-from lfvdw import _kernels
+from lfvdw import _kernels, potentials
 from lfvdw.cavity import CavitySpec, coeff_C_exact, coeff_D_leading
 from lfvdw.errors import ConfigError, DomainError, GeometryError, InvariantError, LfvdwError
 from lfvdw.green import bulk_dyad
 from lfvdw.oracle import StepPolicy, finite_difference_force
 from lfvdw.potentials import (
     SingleAtomResult,
+    _ring_integrand,
     _ring_setup,
     cavity_center_stiffness,
     coeff_nonretarded,
@@ -325,6 +326,44 @@ def test_ring_ordering_enumeration(atom_a, quad):
         assert total == pytest.approx(n_atom_bulk(atoms, VACUUM, quad), rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_ring_orderings_match_each_ordering_integrated_alone(atom_a, atom_b, glass, quad, n):
+    pts = [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0], [0, 0, 1], [1.5, 0.5, 1.2]]
+    atoms = [((atom_a, atom_b)[k % 2], pts[k]) for k in range(n)]
+    models, orderings, dist, vv, legs, pref = _ring_setup(atoms, None, "test")
+    tight = QuadSpec(rel_tol=1e-12, abs_tol=1e-300)
+    scale = scale_hint(glass, *models)
+    per = n_atom_orderings(atoms, glass, quad)
+    assert len(per) == len(orderings)
+    for k, (cycle, energy) in enumerate(per):
+        assert cycle == tuple(orderings[k])
+        f = _ring_integrand(models, glass, dist, vv, legs[k : k + 1], "test", summed=True)
+        alone = pref * integrate_semi_infinite(f, tight, scale=scale).value
+        assert energy == pytest.approx(alone, rel=1e-11, abs=0.0)
+
+
+def test_one_quadrature_call_per_quantity(monkeypatch, atom_a, atom_b, glass, quad):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return integrate_semi_infinite(*args, **kwargs)
+
+    monkeypatch.setattr(potentials, "integrate_semi_infinite", counting)
+    pts = [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0], [0, 0, 1], [1.5, 0.5, 1.2]]
+    spec = CavitySpec(radius=0.05, host=glass)
+    cases = {
+        "n_atom_orderings": (lambda: n_atom_orderings([(atom_a, p) for p in pts], glass, quad), 1),
+        "u1_expanded": (lambda: u1_expanded(atom_a, spec, quad), 1),
+        "pair_free_space": (lambda: pair_free_space(atom_a, atom_b, 2.5, quad), 1),
+        "cavity_center_stiffness": (lambda: cavity_center_stiffness(atom_a, spec, quad), 2),
+    }
+    for name, (call, expected) in cases.items():
+        calls.clear()
+        call()
+        assert len(calls) == expected, name
+
+
 def test_triple_ring_static_limit(atom_a, quad):
     # equilateral triangle, side small against the resonance wavelength:
     # the retardation-free closed form must emerge
@@ -450,6 +489,9 @@ _ARGUMENT_ERRORS = {
     "quad_order": (DomainError, lambda: integrate_finite(np.sin, 2.0, 1.0)),
     "cavity_kind": (DomainError, lambda: coeff_C_exact(_SPEC, 1, 1.0, "bogus")),
     "pair_parts": (DomainError, lambda: pair_free_space(_ATOM, _ATOM, 2.0, parts="x")),
+    "pair_free_space_inf": (GeometryError, lambda: pair_free_space(_ATOM, _ATOM, math.inf)),
+    "pair_bulk_inf": (GeometryError, lambda: pair_bulk(_ATOM, _ATOM, VACUUM, math.inf)),
+    "force_pair_inf": (GeometryError, lambda: force_pair(_ATOM, _ATOM, VACUUM, math.inf)),
     "u2_trace_shape": (DomainError, lambda: u2_single(_ATOM, _SPEC, lambda u: np.zeros(u.size + 1))),
     "u2_trace_scalar": (DomainError, lambda: u2_single(_ATOM, _SPEC, lambda u: 0.0)),
     "ring_one_atom": (GeometryError, lambda: n_atom_bulk([(_ATOM, [0.0, 0.0, 0.0])], VACUUM)),

@@ -151,3 +151,61 @@ def test_non_finite_integrand_fails_on_its_first_panel_finite():
     with pytest.raises(InvariantError, match=r"nan at node 3\.\d+ of panel \[3\.0, 4\.0\]"):
         integrate_finite(_nan_beyond(3.0, calls), 0.0, 4.0, QuadSpec())
     assert calls == [15] * 4
+
+
+# ----------------------------------------------------------------------
+# (M, K) integrands: K integrals over shared panels
+# ----------------------------------------------------------------------
+
+def _three_scales(u):
+    # components 1e6 apart in size; exact integrals 1e6, pi/2 and 0.75e-6
+    return np.column_stack(
+        [1e6 * np.exp(-u), 1.0 / (1.0 + u * u), 1e-6 * u**4 * np.exp(-2.0 * u)]
+    )
+
+
+def test_vector_integrand_meets_rel_tol_on_every_component():
+    rel = 1e-10
+    res = integrate_semi_infinite(_three_scales, QuadSpec(rel_tol=rel, abs_tol=1e-300))
+    exact = np.array([1e6, math.pi / 2.0, 0.75e-6])
+    assert res.value.shape == res.err_est.shape == (3,)
+    assert np.all(res.err_est <= rel * np.abs(res.value))
+    assert np.all(np.abs(res.value - exact) <= rel * exact)
+
+
+def test_vector_components_match_their_scalar_integrals():
+    spec = QuadSpec(rel_tol=1e-12, abs_tol=1e-300)
+    vec = integrate_semi_infinite(_three_scales, spec).value
+    for k in range(3):
+        alone = integrate_semi_infinite(lambda u: _three_scales(u)[:, k], spec).value
+        assert vec[k] == pytest.approx(alone, rel=1e-12, abs=0.0)
+
+
+def test_non_finite_component_fails_on_its_first_panel():
+    calls = []
+    nan_part = _nan_beyond(3.0, calls)
+
+    def f(u):
+        return np.column_stack([np.exp(-u), nan_part(u)])
+
+    with pytest.raises(
+        InvariantError,
+        match=r"component 1 value nan at node 0\.80\d+ \(u = 4\.04\d+\) of panel \[0\.5, 1\.0\]",
+    ):
+        integrate_semi_infinite(f, QuadSpec())
+    assert calls == [15] * 7
+
+
+def test_vector_budget_exhaustion_reports_every_component():
+    spec = QuadSpec(max_subdivisions=8)
+
+    def f(x):
+        return np.column_stack([np.cos(x), 1.0 / np.sqrt(np.abs(x) + 1e-300)])
+
+    with pytest.raises(ConvergenceError, match="component 1") as exc_info:
+        integrate_finite(f, 0.0, 1.0, spec)
+    err = exc_info.value
+    assert err.value.shape == err.err_est.shape == (2,)
+    assert err.value[0] == pytest.approx(math.sin(1.0), rel=1e-12, abs=0.0)
+    assert err.err_est[1] > err.err_est[0] >= 0.0
+    assert abs(err.value[1] - 2.0) < 0.5
