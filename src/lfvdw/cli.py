@@ -4,8 +4,9 @@ Subcommands: coeffs, single, pair, nbody, limits, born-check, force-check.
 Every command reads one YAML config (--config), writes CSV or JSON
 (--out, --format), and stamps its output with the package version and a
 hash of the config file so identical inputs give byte-identical files.
-Grid sweeps evaluate their points in order in the calling thread; --threads
-is still accepted for old scripts and changes nothing.
+A pair sweep over sweep.l is one vector integral per corrected flag, one
+component per separation. Every command runs in the calling thread;
+--threads is still accepted for old scripts and changes nothing.
 
 Exit codes: 0 success, 1 a requested consistency check failed its
 tolerance, 2 configuration/usage error, 3 a physics invariant tripped.
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -23,6 +25,7 @@ import sys
 import numpy as np
 
 from . import __version__
+from ._kernels import _libm
 from .cavity import CavitySpec, coeff_C_exact, coeff_C_expansion, coeff_D_exact, coeff_D_leading
 from .config import RunConfig, load_config
 from .errors import ConfigError, LfvdwError
@@ -111,7 +114,9 @@ def _pair_models(cfg: RunConfig, args):
 def _local_slopes(l_grid: np.ndarray, u_vals: np.ndarray) -> np.ndarray:
     if l_grid.size < 2:
         return np.full_like(l_grid, math.nan)
-    return np.gradient(np.log(np.abs(u_vals)), np.log(l_grid))
+    # libm logs for host-independent bits; an underflowed U = 0 gives -inf, as in numpy
+    log = functools.partial(_libm, lambda x: math.log(x) if x else -math.inf)
+    return np.gradient(log(np.abs(u_vals)), log(l_grid))
 
 
 def cmd_coeffs(cfg: RunConfig, args) -> int:
@@ -180,14 +185,8 @@ def cmd_pair(cfg: RunConfig, args) -> int:
     r_c = cfg.sweep.cavity_radius[0] if cfg.sweep.cavity_radius else None
     corrected = not args.uncorrected
 
-    u_corr, u_unc = np.array([
-        [
-            pair_bulk(atom_a, atom_b, material, l, cfg.quadrature,
-                      corrected=flag, cavity_radius=r_c).U
-            for flag in (True, False)
-        ]
-        for l in l_grid
-    ]).T
+    u_corr, u_unc = (pair_bulk(atom_a, atom_b, material, l_grid, cfg.quadrature,
+                               corrected=flag, cavity_radius=r_c).U for flag in (True, False))
     u_main = u_corr if corrected else u_unc
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(u_unc != 0.0, u_main / u_unc, math.nan)

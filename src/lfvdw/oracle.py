@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, GeometryError
 from .green import BodyShell
-from .potentials import _free_pair_integrand, _free_pair_sum
-from .quadrature import QuadSpec, integrate_finite, integrate_semi_infinite
+from .potentials import pair_free_space
+from .quadrature import QuadSpec, integrate_finite
 from .response import AtomModel, LorentzTerm, MediumResponse, scale_hint
 
 __all__ = [
@@ -101,14 +101,9 @@ def _radial_integrand(guest: AtomModel, host: DiluteHost, q: QuadSpec) -> Callab
     """s^2 [U_el(s) + U_mag(s)] on the radial nodes, all from one vector u-integral."""
     # tighter inner tolerances keep u-quadrature noise below the radial error estimate
     inner = replace(q, rel_tol=q.rel_tol * 1e-2, abs_tol=q.abs_tol * 1e-2)
-    scale = scale_hint(guest, host.host_atom)
-    mag = bool(host.host_atom.beta_resonances)
 
-    def f(s_nodes):
-        s = np.atleast_1d(np.asarray(s_nodes, dtype=np.float64))
-        g = _free_pair_integrand(guest, host.host_atom, s, True, mag)
-        raw = integrate_semi_infinite(g, inner, scale=scale).value.reshape(1 + mag, -1)
-        return s * s * _free_pair_sum(raw, s, True, mag)
+    def f(s):
+        return s * s * pair_free_space(guest, host.host_atom, s, inner)
 
     return f
 

@@ -89,12 +89,13 @@ class SingleAtomResult:
 
 @dataclass(frozen=True)
 class PairResult:
-    """Two-atom potential sample with its quadrature error estimate."""
+    """Two-atom potential with its quadrature error estimate; separation, U
+    and err_est are arrays, one entry per separation, for a grid."""
 
-    separation: float
-    U: float
+    separation: float | np.ndarray
+    U: float | np.ndarray
     corrected: bool
-    err_est: float
+    err_est: float | np.ndarray
     evals: int
 
 
@@ -130,6 +131,21 @@ def _pair_weight(atom_a, atom_b, m, u: np.ndarray, corrected: bool, context: str
         _check_ratio(w, _PAIR_BOUND, context)
         phi = phi * w
     return phi, n
+
+
+def _columns(w: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The node weight w (M,) times y, (M,) or one column per separation (M, S)."""
+    return w * y if y.ndim == 1 else w[:, None] * y
+
+
+def _pair_integrand(atom_a, atom_b, m, l, corrected: bool, kernel, context: str):
+    """Bulk pair u-integrand at the separation(s) l: pair weight times kernel(n u l)."""
+
+    def f(u):
+        phi, n = _pair_weight(atom_a, atom_b, m, u, corrected, context)
+        return _columns(phi, kernel(np.multiply.outer(n * u, l)))
+
+    return f
 
 
 def u1_exact(atom: AtomModel, spec: CavitySpec, q: QuadSpec = QuadSpec()) -> float:
@@ -241,107 +257,97 @@ def single_atom_total(
                             term_r3=expansion.term_r3, term_r1=expansion.term_r1)
 
 
-def _free_pair_integrand(atom_a: AtomModel, atom_b: AtomModel, l, el: bool, mag: bool):
-    """u-integrand of the free-space pair parts at the separations l, without
-    their prefactors: one column per separation of alpha_A alpha_B g(ul) if
-    el, then of u^2 alpha_A beta_B h(ul) if mag."""
-
-    def f(u):
-        x = np.multiply.outer(u, l)
-        alpha = atom_a.alpha_iu(u)
-        cols = [(alpha * atom_b.alpha_iu(u))[:, None] * _kernels.kernel_g(x)] if el else []
-        if mag:
-            cols.append((u**2 * alpha * atom_b.beta_iu(u))[:, None] * _kernels.kernel_h(x))
-        return np.hstack(cols)
-
-    return f
-
-
-def _free_pair_sum(raw, l, el: bool, mag: bool):
-    """-I_el/(2 pi l^6) + I_mag/(2 pi l^4) from the raw integrals, one row per part."""
-    total = 0.0
-    if el:
-        total = total - raw[0] / (2.0 * math.pi * l**6)
-    if mag:
-        total = total + raw[-1] / (2.0 * math.pi * l**4)
-    return total
-
-
 def pair_free_space(
     atom_a: AtomModel,
     atom_b: AtomModel,
-    l: float,
+    l: float | np.ndarray,
     q: QuadSpec = QuadSpec(),
     parts: str = "both",
-) -> float:
-    """Two-atom potential in free space at separation l.
+) -> float | np.ndarray:
+    """Two-atom potential in free space at separation l (a float), or at
+    each separation of a 1-D grid l (an array).
 
     electric: -(1/(2 pi l^6)) int alpha_A alpha_B g(ul) du
     magnetic: +(1/(2 pi l^4)) int u^2 alpha_A beta_B h(ul) du
 
     The magnetic part couples atom A's polarizability to atom B's
     magnetizability; it vanishes when atom B has no beta resonances.
-    Both parts together are one two-component integral.
+    Both parts at every separation are one vector integral.
     """
-    _guard_separation(l, None, "pair_free_space")
+    l = _guard_separation(l, None, "pair_free_space")
     if parts not in _PARTS:
         raise DomainError(f"parts must be one of {_PARTS}, got {parts!r}")
     el, mag = parts != "magnetic", parts != "electric" and bool(atom_b.beta_resonances)
     if not (el or mag):
-        return 0.0
-    f = _free_pair_integrand(atom_a, atom_b, np.array([l]), el, mag)
-    res = integrate_semi_infinite(
-        f if el and mag else (lambda u: f(u)[:, 0]), q, scale=scale_hint(atom_a, atom_b)
-    )
-    return _free_pair_sum(np.atleast_1d(res.value).tolist(), l, el, mag)
+        return 0.0 * l
+
+    def f(u):
+        x = np.multiply.outer(u, l)
+        alpha = atom_a.alpha_iu(u)
+        cols = [_columns(alpha * atom_b.alpha_iu(u), _kernels.kernel_g(x))] if el else []
+        if mag:
+            cols.append(_columns(u**2 * alpha * atom_b.beta_iu(u), _kernels.kernel_h(x)))
+        return cols[0] if len(cols) == 1 else np.column_stack(cols)
+
+    res = integrate_semi_infinite(f, q, scale=scale_hint(atom_a, atom_b))
+    raw = np.reshape(res.value, (el + mag,) + np.shape(l))  # one row per part
+    total = 0.0
+    if el:
+        total = total - raw[0] / (2.0 * math.pi * l**6)
+    if mag:
+        total = total + raw[-1] / (2.0 * math.pi * l**4)
+    return total if np.ndim(l) else float(total)
 
 
-def _guard_separation(l: float, cavity_radius: float | None, context: str):
-    if not 0.0 < l < math.inf:
-        raise GeometryError("separation must be finite and > 0")
-    if cavity_radius is None:
-        return
-    if l < 2.0 * cavity_radius:
-        raise GeometryError(
-            f"{context}: separation {l:.6g} is below twice the cavity radius "
-            f"{cavity_radius:.6g}; the real-cavity picture does not apply"
-        )
-    if l <= 5.0 * cavity_radius:
-        warnings.warn(
-            f"{context}: separation {l:.6g} is within 5 cavity radii; "
-            "local-field factors are only marginally local",
-            stacklevel=3,
-        )
+def _guard_separation(l, cavity_radius: float | None, context: str):
+    """Check a separation, or a 1-D grid of them, and return it as a float or
+    a float64 array. Below twice the cavity radius raises; within 5 cavity
+    radii warns, once per call."""
+    arr = np.asarray(l, dtype=np.float64)
+    if arr.ndim > 1 or arr.size == 0 or not np.all((arr > 0.0) & (arr < math.inf)):
+        raise GeometryError(f"{context}: separation must be finite and > 0, as a number "
+                            f"or a non-empty 1-D grid; got {l!r}")
+    if cavity_radius is not None:
+        smallest = float(arr.min())
+        if smallest < 2.0 * cavity_radius:
+            raise GeometryError(
+                f"{context}: separation {smallest:.6g} is below twice the cavity radius "
+                f"{cavity_radius:.6g}; the real-cavity picture does not apply"
+            )
+        near = int(np.count_nonzero(arr <= 5.0 * cavity_radius))
+        if near:
+            warnings.warn(
+                f"{context}: {near} of {arr.size} separation(s) within 5 cavity radii, "
+                f"the smallest {smallest:.6g}; local-field factors are only marginally local",
+                stacklevel=3,
+            )
+    return float(arr) if arr.ndim == 0 else arr
 
 
 def pair_bulk(
     atom_a: AtomModel,
     atom_b: AtomModel,
     m: MediumResponse,
-    l: float,
+    l: float | np.ndarray,
     q: QuadSpec = QuadSpec(),
     corrected: bool = True,
     cavity_radius: float | None = None,
 ) -> PairResult:
-    """Two ground-state atoms embedded in a magnetoelectric bulk medium.
+    """Two ground-state atoms embedded in a magnetoelectric bulk medium at
+    separation l, or at each separation of a 1-D grid l as one vector integral.
 
     U = -(1/(2 pi l^6)) int (alpha_A alpha_B / eps^2) W g(n u l) du with
     W = [3 eps/(2 eps+1)]^4 when corrected, else W = 1. The pointwise
     ratio of corrected to uncorrected integrand is asserted to stay in
     [1, 81/16].
     """
-    _guard_separation(l, cavity_radius, "pair_bulk")
-    scale = scale_hint(atom_a, atom_b, m)
-
-    def f(u):
-        phi, n = _pair_weight(atom_a, atom_b, m, u, corrected, "pair_bulk")
-        return phi * _kernels.kernel_g(n * u * l)
-
-    res = integrate_semi_infinite(f, q, scale=scale)
+    l = _guard_separation(l, cavity_radius, "pair_bulk")
+    f = _pair_integrand(atom_a, atom_b, m, l, corrected, _kernels.kernel_g, "pair_bulk")
+    res = integrate_semi_infinite(f, q, scale=scale_hint(atom_a, atom_b, m))
     u_val = -res.value / (2.0 * math.pi * l**6)
-    if u_val > 0.0:
+    if np.any(u_val > 0.0):
         raise InvariantError(
-            f"pair potential came out positive ({u_val:.6g}); ground-state "
+            f"pair potential came out positive ({np.max(u_val):.6g}); ground-state "
             "atoms in an eps, mu >= 1 medium must attract"
         )
     return PairResult(
@@ -408,10 +414,10 @@ def _ring_setup(atoms, cavity_radius: float | None, context: str):
     first, second = np.triu_indices(n_atoms, 1)
     sep = pos[second] - pos[first]
     dist = np.linalg.norm(sep, axis=1)
-    for i, j, d in zip(first.tolist(), second.tolist(), dist.tolist()):
-        if d == 0.0:
-            raise GeometryError(f"atoms {i} and {j} coincide")
-        _guard_separation(d, cavity_radius, context)
+    if (dist == 0.0).any():
+        k = int(np.argmax(dist == 0.0))
+        raise GeometryError(f"atoms {first[k]} and {second[k]} coincide")
+    _guard_separation(dist, cavity_radius, context)
     v = sep / dist[:, None]
     vv = v[:, :, None] * v[:, None, :]
 
@@ -484,24 +490,21 @@ def force_pair(
     atom_a: AtomModel,
     atom_b: AtomModel,
     m: MediumResponse,
-    l: float,
+    l: float | np.ndarray,
     q: QuadSpec = QuadSpec(),
     cavity_radius: float | None = None,
-) -> float:
-    """Radial force -dU/dl on the corrected bulk pair potential.
+) -> float | np.ndarray:
+    """Radial force -dU/dl on the corrected bulk pair potential, a float for
+    one separation l, an array for a 1-D grid.
 
     Differentiates the integrand analytically; negative values pull the
     atoms together. The cavity radius never enters the value, only the
     separation guard.
     """
-    _guard_separation(l, cavity_radius, "force_pair")
-    scale = scale_hint(atom_a, atom_b, m)
-
-    def f(u):
-        phi, n = _pair_weight(atom_a, atom_b, m, u, True, "force_pair")
-        return phi * _kernels.kernel_force(n * u * l)
-
-    return -integrate_semi_infinite(f, q, scale=scale).value / (2.0 * math.pi * l**7)
+    l = _guard_separation(l, cavity_radius, "force_pair")
+    f = _pair_integrand(atom_a, atom_b, m, l, True, _kernels.kernel_force, "force_pair")
+    res = integrate_semi_infinite(f, q, scale=scale_hint(atom_a, atom_b, m))
+    return -res.value / (2.0 * math.pi * l**7)
 
 
 def cavity_center_stiffness(

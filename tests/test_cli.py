@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from lfvdw import cli
 
 DATA = Path(__file__).parent / "data"
 CONFIG = str(DATA / "glass.yaml")
@@ -137,6 +141,46 @@ def test_pair_uncorrected_flag():
     first = lines[1].split(",")
     ref_first = ref[1].split(",")
     assert first[1] == ref_first[2]
+
+
+def test_pair_sweep_is_one_pair_bulk_call_per_flag(monkeypatch, capsys):
+    calls = []
+    original = cli.pair_bulk
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["corrected"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "pair_bulk", counting)
+    code = cli.main(["pair", "--config", CONFIG, "--atom-a", "probe", "--atom-b", "partner",
+                     "--material", "glass"])
+    assert code == 0
+    assert calls == [True, False]
+    assert len(capsys.readouterr().out.splitlines()) == 2 + 3  # header lines + sweep.l
+
+
+def test_pair_sweep_warns_once_for_near_separations(tmp_path):
+    config = tmp_path / "near.yaml"
+    config.write_text(Path(CONFIG).read_text().replace(
+        "l: [2.0, 3.0, 5.0]", "l: [0.12, 0.15, 0.2, 0.24, 0.3, 1.0]"))
+    proc = run_cli("pair", "--config", str(config), "--atom-a", "probe", "--atom-b", "partner",
+                   "--material", "glass")
+    assert proc.returncode == 0
+    near = [line for line in proc.stderr.splitlines() if "within 5 cavity radii" in line]
+    assert len(near) == 1
+    assert "4 of 6" in near[0] and "smallest 0.12" in near[0]
+
+
+def test_local_slopes_take_libm_logs():
+    # numpy's SIMD log differs from libm in the last bit on some hosts
+    l_grid = np.geomspace(1e-3, 1e3, 10_001)
+    u_vals = -np.geomspace(1e3, 1e-3, 10_001) ** 3
+    expected = np.gradient(np.array([math.log(-u) for u in u_vals.tolist()]),
+                           np.array([math.log(l) for l in l_grid.tolist()]))
+    assert np.array_equal(cli._local_slopes(l_grid, u_vals), expected)
+    # an underflowed U = -0 gives a -inf log, as numpy's log does, without a warning
+    assert cli._local_slopes(np.array([1.0, 2.0]), np.array([-1.0, -0.0])).tolist() == [
+        -math.inf, -math.inf]
 
 
 def test_nbody_two_atoms_match_pair(tmp_path):

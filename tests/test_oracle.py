@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from lfvdw import oracle
+from lfvdw import oracle, potentials
 from lfvdw.errors import DomainError, GeometryError
 from lfvdw.green import BodyShell
 from lfvdw.oracle import (
@@ -167,7 +167,7 @@ def test_radial_integrand_is_one_u_integral_per_panel(monkeypatch, atom_a, quad)
         calls.append(args[0])
         return integrate_semi_infinite(*args, **kwargs)
 
-    monkeypatch.setattr(oracle, "integrate_semi_infinite", counting)
+    monkeypatch.setattr(potentials, "integrate_semi_infinite", counting)
     host = DiluteHost(density=0.01, host_atom=HOST_ATOM)
     s = np.linspace(0.1, 3.0, 15)
     values = oracle._radial_integrand(atom_a, host, quad)(s)

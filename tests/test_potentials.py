@@ -234,6 +234,65 @@ def test_pair_separation_guards(atom_a, atom_b, glass, quad):
         pair_free_space(atom_a, atom_b, -1.0, quad)
 
 
+# ----------------------------------------------------------------------
+# separation grids: one vector integral, one component per separation
+# ----------------------------------------------------------------------
+
+_GRID = [0.3, 1.0, 2.5, 10.0, 40.0]
+
+
+def _pair_calls(atom_a, atom_b, glass, q):
+    calls = {
+        f"pair_bulk(corrected={flag})": lambda l, flag=flag: pair_bulk(
+            atom_a, atom_b, glass, l, q, corrected=flag).U
+        for flag in (True, False)
+    }
+    calls["force_pair"] = lambda l: force_pair(atom_a, atom_b, glass, l, q)
+    for parts in ("electric", "magnetic", "both"):
+        calls[f"pair_free_space({parts})"] = lambda l, parts=parts: pair_free_space(
+            atom_a, atom_b, l, q, parts)
+    return calls
+
+
+def test_pair_grid_matches_scalar_calls(atom_a, atom_b, glass, quad):
+    for name, call in _pair_calls(atom_a, atom_b, glass, quad).items():
+        grid = call(np.array(_GRID))
+        assert isinstance(grid, np.ndarray) and grid.shape == (len(_GRID),), name
+        for l, value in zip(_GRID, grid.tolist()):
+            assert value == pytest.approx(call(l), rel=quad.rel_tol, abs=0.0), (name, l)
+
+
+def test_pair_result_types(atom_a, atom_b, glass, quad):
+    # a scalar separation gives floats, a grid gives arrays of its shape
+    for name, call in _pair_calls(atom_a, atom_b, glass, quad).items():
+        assert type(call(2.5)) is float, name
+    res = pair_bulk(atom_a, atom_b, glass, 2.5, quad)
+    assert type(res.separation) is type(res.err_est) is float
+    res = pair_bulk(atom_a, atom_b, glass, np.array(_GRID), quad)
+    assert res.separation.tolist() == _GRID
+    assert res.U.shape == res.err_est.shape == (len(_GRID),)
+
+
+@pytest.mark.parametrize("l", [[[1.0, 2.0]], [], [1.0, math.nan], [1.0, -1.0],
+                               [1.0, 0.0], [1.0, math.inf]])
+def test_pair_grid_rejects_bad_shape_or_entry(atom_a, atom_b, glass, quad, l):
+    for call in _pair_calls(atom_a, atom_b, glass, quad).values():
+        with pytest.raises(GeometryError):
+            call(np.array(l))
+
+
+def test_pair_grid_warns_once_and_guards_every_entry(atom_a, atom_b, glass, quad):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        pair_bulk(atom_a, atom_b, glass, np.array([0.12, 0.2, 0.24, 1.0]), quad,
+                  cavity_radius=0.05)
+    assert [str(w.message).split(";")[0] for w in caught] == [
+        "pair_bulk: 3 of 4 separation(s) within 5 cavity radii, the smallest 0.12"
+    ]
+    with pytest.raises(GeometryError, match="0.09"):
+        force_pair(atom_a, atom_b, glass, np.array([1.0, 0.09]), quad, cavity_radius=0.05)
+
+
 @pytest.mark.parametrize(
     "limit",
     [
