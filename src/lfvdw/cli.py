@@ -5,8 +5,9 @@ Every command reads one YAML config (--config), writes CSV or JSON
 (--out, --format), and stamps its output with the package version and a
 hash of the config file so identical inputs give byte-identical files.
 A pair sweep over sweep.l is one vector integral per corrected flag, one
-component per separation. Every command runs in the calling thread;
---threads is still accepted for old scripts and changes nothing.
+component per separation, and force-check's finite-difference stencil is
+one more. Every command runs in the calling thread; --threads is still
+accepted for old scripts and changes nothing.
 
 Exit codes: 0 success, 1 a requested consistency check failed its
 tolerance, 2 configuration/usage error, 3 a physics invariant tripped.
@@ -28,7 +29,7 @@ from . import __version__
 from ._kernels import _libm
 from .cavity import CavitySpec, coeff_C_exact, coeff_C_expansion, coeff_D_exact, coeff_D_leading
 from .config import RunConfig, load_config
-from .errors import ConfigError, LfvdwError
+from .errors import ConfigError, ConvergenceError, LfvdwError
 from .green import born_scatter_trace
 from .oracle import DiluteHost, StepPolicy, finite_difference_force, total_pairwise_sum
 from .potentials import (
@@ -322,16 +323,13 @@ def cmd_force_check(cfg: RunConfig, args) -> int:
     atom_a, atom_b, material = _pair_models(cfg, args)
     l = cfg.unit.length_in(_positive("--separation", args.separation))
     q = cfg.quadrature
-    analytic = force_pair(atom_a, atom_b, material, l, q)
+    r_c = cfg.sweep.cavity_radius[0] if cfg.sweep.cavity_radius else None
+    analytic = force_pair(atom_a, atom_b, material, l, q, cavity_radius=r_c)
 
     fd_spec = dataclasses.replace(q, rel_tol=min(q.rel_tol, _FD_REL_TOL))
-
-    def energy(x: float) -> float:
-        return pair_bulk(atom_a, atom_b, material, x, fd_spec).U
-
     numerical = finite_difference_force(
-        energy, l, StepPolicy(initial=5e-3 * l, levels=2)
-    )
+        lambda x: pair_bulk(atom_a, atom_b, material, x, fd_spec, cavity_radius=r_c).U,
+        l, StepPolicy(initial=5e-3 * l, levels=2))
     denom = max(abs(analytic), 1e-300)
     deviation = abs(analytic - numerical.value) / denom
     ok = deviation < _FORCE_TOL
@@ -426,10 +424,11 @@ def main(argv=None) -> int:
         _emit(json.dumps({"error": {"type": "config", "message": str(exc)}}) + "\n", out)
         return 2
     except LfvdwError as exc:
-        _emit(
-            json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}) + "\n",
-            out,
-        )
+        error = {"type": type(exc).__name__, "message": str(exc)}
+        if isinstance(exc, ConvergenceError):  # the partial result, per component
+            error.update(value=np.asarray(exc.value).tolist(),
+                         err_est=np.asarray(exc.err_est).tolist(), evals=exc.evals)
+        _emit(json.dumps({"error": error}) + "\n", out)
         return 3
 
 

@@ -186,14 +186,18 @@ class ForceEstimate(NamedTuple):
 
 
 def finite_difference_force(
-    U: Callable[[float], float], point: float, step_policy: StepPolicy = StepPolicy()
+    U: Callable[[np.ndarray], np.ndarray], point: float, step_policy: StepPolicy = StepPolicy()
 ) -> ForceEstimate:
-    """Numerical force -dU/dx at ``point`` with a Richardson error bar."""
-    h = step_policy.initial
-    diffs = []
-    for _ in range(step_policy.levels + 1):
-        diffs.append((U(point + h) - U(point - h)) / (2.0 * h))
-        h *= 0.5
+    """Numerical force -dU/dx at ``point`` with a Richardson error bar. U is
+    called once, on the stencil point + h then point - h for the steps
+    h = initial * 0.5**k, k = 0..levels, and returns one value per point."""
+    steps = [step_policy.initial * 0.5**k for k in range(step_policy.levels + 1)]
+    stencil = np.array([point + h for h in steps] + [point - h for h in steps])
+    values = np.asarray(U(stencil), dtype=np.float64)
+    if values.shape != stencil.shape:
+        raise DomainError(f"U must return one value per stencil point, got shape {values.shape}")
+    plus, minus = values.reshape(2, -1).tolist()
+    diffs = [(p - m) / (2.0 * h) for p, m, h in zip(plus, minus, steps)]
     table = [diffs]
     for j in range(1, len(diffs)):
         fac = 4.0**j

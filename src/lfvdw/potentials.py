@@ -125,9 +125,9 @@ def _pair_weight(atom_a, atom_b, m, u: np.ndarray, corrected: bool, context: str
     """(alpha_A alpha_B W / eps^2, n) on the nodes, with W = D^4 asserted
     to stay in [1, 81/16] when corrected, else W = 1."""
     eps, _, n = _host_arrays(m, u)
-    phi = atom_a.alpha_iu(u) * atom_b.alpha_iu(u) / eps**2
+    phi = atom_a.alpha_iu(u) * atom_b.alpha_iu(u) / (eps * eps)
     if corrected:
-        w = _d_leading(eps) ** 4
+        w = np.square(np.square(_d_leading(eps)))
         _check_ratio(w, _PAIR_BOUND, context)
         phi = phi * w
     return phi, n
@@ -153,7 +153,7 @@ def u1_exact(atom: AtomModel, spec: CavitySpec, q: QuadSpec = QuadSpec()) -> flo
     scale = scale_hint(atom, spec.host)
 
     def f(u):
-        return -(1.0 / math.pi) * u**3 * coeff_C_exact(spec, 1, u) * atom.alpha_iu(u)
+        return -(1.0 / math.pi) * u * u * u * coeff_C_exact(spec, 1, u) * atom.alpha_iu(u)
 
     return integrate_semi_infinite(f, q, scale=scale).value
 
@@ -166,7 +166,7 @@ def _small_radius_integrals(atom: AtomModel, spec: CavitySpec, q: QuadSpec, c: f
         eps, mu, _ = _host_arrays(spec.host, u)
         alpha = atom.alpha_iu(u)
         d = c * eps + (c - 1.0)
-        return np.column_stack([(eps - 1.0) / d * alpha, u**2 * bracket(eps, mu) / d**2 * alpha])
+        return np.column_stack([(eps - 1.0) / d * alpha, u * u * bracket(eps, mu) / (d * d) * alpha])
 
     return integrate_semi_infinite(f, q, scale=scale_hint(atom, spec.host))
 
@@ -237,12 +237,12 @@ def u2_single(atom: AtomModel, spec: CavitySpec, scatter_trace, q: QuadSpec = Qu
     scale = scale_hint(atom, spec.host)
 
     def f(u):
-        d2 = coeff_D_leading(spec.host, u) ** 2
+        d2 = np.square(coeff_D_leading(spec.host, u))
         _check_ratio(d2, _SINGLE_BOUND, "u2_single")
         tr = np.asarray(scatter_trace(u), dtype=np.float64)
         if tr.shape != np.shape(u):
             raise DomainError("scatter_trace must return one value per node")
-        return 2.0 * u**2 * d2 * atom.alpha_iu(u) * tr
+        return 2.0 * u * u * d2 * atom.alpha_iu(u) * tr
 
     return integrate_semi_infinite(f, q, scale=scale).value
 
@@ -286,16 +286,16 @@ def pair_free_space(
         alpha = atom_a.alpha_iu(u)
         cols = [_columns(alpha * atom_b.alpha_iu(u), _kernels.kernel_g(x))] if el else []
         if mag:
-            cols.append(_columns(u**2 * alpha * atom_b.beta_iu(u), _kernels.kernel_h(x)))
+            cols.append(_columns(u * u * alpha * atom_b.beta_iu(u), _kernels.kernel_h(x)))
         return cols[0] if len(cols) == 1 else np.column_stack(cols)
 
     res = integrate_semi_infinite(f, q, scale=scale_hint(atom_a, atom_b))
     raw = np.reshape(res.value, (el + mag,) + np.shape(l))  # one row per part
-    total = 0.0
+    l2, total = l * l, 0.0
     if el:
-        total = total - raw[0] / (2.0 * math.pi * l**6)
+        total = total - raw[0] / (2.0 * math.pi * l2 * l2 * l2)
     if mag:
-        total = total + raw[-1] / (2.0 * math.pi * l**4)
+        total = total + raw[-1] / (2.0 * math.pi * l2 * l2)
     return total if np.ndim(l) else float(total)
 
 
@@ -344,7 +344,8 @@ def pair_bulk(
     l = _guard_separation(l, cavity_radius, "pair_bulk")
     f = _pair_integrand(atom_a, atom_b, m, l, corrected, _kernels.kernel_g, "pair_bulk")
     res = integrate_semi_infinite(f, q, scale=scale_hint(atom_a, atom_b, m))
-    u_val = -res.value / (2.0 * math.pi * l**6)
+    norm = 2.0 * math.pi * (l * l * l) * (l * l * l)
+    u_val = -res.value / norm
     if np.any(u_val > 0.0):
         raise InvariantError(
             f"pair potential came out positive ({np.max(u_val):.6g}); ground-state "
@@ -354,7 +355,7 @@ def pair_bulk(
         separation=l,
         U=u_val,
         corrected=corrected,
-        err_est=res.err_est / (2.0 * math.pi * l**6),
+        err_est=res.err_est / norm,
         evals=res.evals,
     )
 
@@ -436,15 +437,14 @@ def _ring_setup(atoms, cavity_radius: float | None, context: str):
 def _ring_integrand(models, m: MediumResponse, dist, vv, legs, context: str, summed: bool):
     """Integrand of the orderings whose legs are the rows of legs: their
     sum when summed, else one column per ordering."""
-    n_atoms = len(models)
 
     def f(u):
         eps, mu, n = _host_arrays(m, u)
-        d2 = _d_leading(eps) ** 2
+        d2 = np.square(_d_leading(eps))
         _check_ratio(d2, _SINGLE_BOUND, context)
-        weight = (u**2 * d2) ** n_atoms
-        for model in models:
-            weight = weight * model.alpha_iu(u)
+        weight = 1.0
+        for model in models:  # (u^2 D^2)^N prod alpha_k; ** is a per-CPU SIMD pow
+            weight = weight * u * u * d2 * model.alpha_iu(u)
         trace = _kernels.ring_trace(n * u, mu, dist, vv, legs)
         return weight * trace.sum(axis=1) if summed else weight[:, None] * trace
 
@@ -504,7 +504,7 @@ def force_pair(
     l = _guard_separation(l, cavity_radius, "force_pair")
     f = _pair_integrand(atom_a, atom_b, m, l, True, _kernels.kernel_force, "force_pair")
     res = integrate_semi_infinite(f, q, scale=scale_hint(atom_a, atom_b, m))
-    return -res.value / (2.0 * math.pi * l**7)
+    return -res.value / (2.0 * math.pi * (l * l * l) * (l * l * l) * l)
 
 
 def cavity_center_stiffness(
@@ -522,7 +522,7 @@ def cavity_center_stiffness(
     r = spec.radius
 
     def f(u):
-        return u**5 * coeff_C_exact(spec, 2, u) * atom.alpha_iu(u)
+        return u * u * u * u * u * coeff_C_exact(spec, 2, u) * atom.alpha_iu(u)
 
     res = integrate_semi_infinite(f, q, scale=scale)
     k_exact = -res.value / (3.0 * math.pi)

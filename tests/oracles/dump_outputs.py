@@ -10,7 +10,7 @@ which bits a change moved:
 Every line reads ``key: value``. The library values are the reprs of the
 integrated quantities on a dielectric-magnetic (glass), a dielectric-only
 and a magnetic-only host at rel_tol 1e-8 and 1e-10; the CLI lines are the
-stdout of 16 invocations on tests/data/glass.yaml, one key per output
+stdout of 18 invocations on tests/data/glass.yaml, one key per output
 line. ``--compare`` prints, for every key whose value differs, the
 largest relative deviation over the numbers on that line (or "text" when
 the lines differ in anything but numbers), and the keys present in only
@@ -141,6 +141,7 @@ def cli_lines():
             "single": ["single", "--atom", "probe", "--material", "glass"],
             "nbody": ["nbody", "--positions", str(positions), "--material", "glass"],
             "force-check": ["force-check", *pair, "--separation", "3"],
+            "force-check-0.5": ["force-check", *pair, "--separation", "0.5"],
             "born-check": ["born-check", "--guest", "probe", "--host-atom", "partner",
                            "--density", "0.05", "--outer-radius", "10"],
         }

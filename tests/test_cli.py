@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lfvdw import cli
+from lfvdw import cli, quadrature
 
 DATA = Path(__file__).parent / "data"
 CONFIG = str(DATA / "glass.yaml")
@@ -279,6 +279,56 @@ def test_force_check_passes():
     assert doc["pass"] is True
     assert doc["relative_deviation"] < 1e-6
     assert doc["analytic"] == pytest.approx(-1.8119254953065484e-7, rel=1e-9, abs=0.0)
+
+
+def test_force_check_is_two_integrals(monkeypatch, capsys):
+    # the analytic force, and the whole finite-difference stencil as one grid
+    calls = []
+    original = quadrature._adaptive
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "_adaptive", counting)
+    assert cli.main([*_FORCE, "--separation", "0.5"]) == 0
+    assert len(calls) == 2
+    assert json.loads(capsys.readouterr().out)["pass"] is True
+
+
+def test_force_check_honours_the_cavity_radius():
+    # glass.yaml sets R_c = 0.05, so 0.01 is below twice the cavity radius
+    proc = run_cli(*_FORCE, "--separation", "0.01")
+    assert proc.returncode == 3
+    err = json.loads(proc.stdout)["error"]
+    assert err["type"] == "GeometryError"
+    assert "below twice the cavity radius" in err["message"]
+
+
+@pytest.mark.parametrize("argv, components", [
+    (("limits",), None),
+    (("pair",), 3),
+], ids=["scalar", "sweep"])
+def test_convergence_error_document_keeps_partial_result(tmp_path, capsys, argv, components):
+    config = tmp_path / "starved.yaml"
+    config.write_text(Path(CONFIG).read_text().replace(
+        "rel_tol: 1.0e-8", "rel_tol: 1.0e-300\n  abs_tol: 1.0e-300\n  max_subdivisions: 8"))
+    docs = []
+    for _ in range(2):
+        code = cli.main([*argv, "--config", str(config), "--atom-a", "probe",
+                         "--atom-b", "partner", "--material", "glass"])
+        assert code == 3
+        docs.append(capsys.readouterr().out)
+    assert docs[0] == docs[1]
+    err = json.loads(docs[0])["error"]
+    assert err["type"] == "ConvergenceError"
+    assert "no convergence after 8 subdivisions" in err["message"]
+    assert err["evals"] == 15 * (7 + 2 * 8)
+    for key in ("value", "err_est"):
+        if components is None:
+            assert isinstance(err[key], float)
+        else:
+            assert len(err[key]) == components and all(isinstance(v, float) for v in err[key])
 
 
 def test_config_error_exit_code(tmp_path):

@@ -137,9 +137,33 @@ def test_finite_difference_exact_on_polynomials():
 
 
 def test_finite_difference_constant_is_zero():
-    est = finite_difference_force(lambda x: 42.0, 1.0)
+    est = finite_difference_force(lambda x: np.full_like(x, 42.0), 1.0)
     assert est.value == 0.0
     assert est.err_est == 0.0
+
+
+def test_finite_difference_calls_u_once_with_the_stencil():
+    calls = []
+
+    def U(x):
+        calls.append(x.copy())
+        return x * x
+
+    finite_difference_force(U, 2.0, StepPolicy(0.1, 3))
+    assert len(calls) == 1
+    steps = [0.1, 0.05, 0.025, 0.0125]
+    assert calls[0].tolist() == [2.0 + h for h in steps] + [2.0 - h for h in steps]
+
+
+@pytest.mark.parametrize("bad", [
+    lambda x: 42.0,
+    lambda x: x[:-1],
+    lambda x: x[:, None],
+    lambda x: np.stack([x, x]),
+])
+def test_finite_difference_rejects_wrong_shape(bad):
+    with pytest.raises(DomainError, match="one value per stencil point"):
+        finite_difference_force(bad, 1.0, StepPolicy(1e-2, 2))
 
 
 def test_finite_difference_power_law():

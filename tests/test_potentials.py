@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -534,6 +538,45 @@ def test_stiffness_small_radius_expansion(atom_a, quad):
         )
         assert math.copysign(1.0, res.K) == math.copysign(1.0, res.K_small_radius)
         assert res.K_small_radius == pytest.approx(res.K, rel=0.1, abs=0.0)
+
+
+# ----------------------------------------------------------------------
+# host-independent bits
+# ----------------------------------------------------------------------
+
+# integrand values whose powers numpy's SIMD pow would round per host
+_HOST_BITS = """
+import lfvdw
+from lfvdw.cavity import CavitySpec
+from lfvdw.response import AtomModel, LorentzTerm, MediumResponse
+
+glass = MediumResponse(
+    eps_terms=(LorentzTerm(plasma_strength=1.5, resonance=1.2, damping=0.02),),
+    mu_terms=(LorentzTerm(plasma_strength=0.2, resonance=2.0),),
+)
+probe = AtomModel(resonances=((1.0, 0.02),))
+partner = AtomModel(resonances=((1.3, 0.015),), beta_resonances=((2.1, 0.004),))
+spec = CavitySpec(radius=0.05, host=glass)
+ring = [(probe, (0.0, 0.0, 0.0)), (partner, (3.0, 0.0, 0.0)), (probe, (0.0, 3.5, 0.0)),
+        (partner, (1.0, 1.0, 4.0)), (probe, (2.5, 3.0, 1.5)), (partner, (-2.0, 1.0, 2.5))]
+bits = [repr(lfvdw.u1_exact(a, spec)) for a in (probe, partner)]
+bits += [repr(lfvdw.cavity_center_stiffness(a, spec).K) for a in (probe, partner)]
+bits += [repr(e) for n in (4, 6) for _, e in lfvdw.n_atom_orderings(ring[:n], glass)]
+"""
+_NO_AVX512 = "AVX512_SPR AVX512_ICL X86_V4"
+
+
+@pytest.mark.skipif(not np._core._multiarray_umath.__cpu_features__.get("X86_V4"),
+                    reason="numpy has no X86_V4 dispatch to turn off on this CPU")
+def test_integrand_bits_do_not_depend_on_numpy_simd_dispatch():
+    here = {}
+    exec(_HOST_BITS, here)
+    src = str(Path(potentials.__file__).resolve().parents[1])
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": _NO_AVX512,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run([sys.executable, "-c", _HOST_BITS + "print('\\n'.join(bits))"],
+                           capture_output=True, text=True, env=env, check=True)
+    assert child.stdout.splitlines() == here["bits"]
 
 
 # ----------------------------------------------------------------------
