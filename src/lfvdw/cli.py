@@ -69,7 +69,7 @@ def _meta(cfg: RunConfig) -> dict:
     return {"version": __version__, "config_hash": cfg.config_hash}
 
 
-def _render_table(cfg: RunConfig, columns: list[str], rows: list[list], fmt: str) -> str:
+def _render_table(cfg: RunConfig, columns: list[str], rows: list[list[float]], fmt: str) -> str:
     if fmt == "json":
         payload = {
             "meta": _meta(cfg),
@@ -77,7 +77,8 @@ def _render_table(cfg: RunConfig, columns: list[str], rows: list[list], fmt: str
         }
         return json.dumps(payload, indent=2) + "\n"
     lines = [f"# lfvdw {__version__} config={cfg.config_hash}", ",".join(columns)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    row_fmt = ",".join(["%.17g"] * len(columns))  # the bytes of _fmt, one % per row
+    lines.extend(row_fmt % tuple(row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -140,7 +141,7 @@ def cmd_coeffs(cfg: RunConfig, args) -> int:
             coeff_C_exact(spec, 2, u),
         ]
     )
-    rows = [list(map(float, row)) for row in table]
+    rows = table.tolist()
     if cfg.unit.is_si:
         columns.append("u_SI")
         for row in rows:

@@ -7,15 +7,20 @@ are mapped to t in (0, 1) by the one substitution
     u = u0 t/(1-t),    du = u0/(1-t)^2 dt.
 
 The open panel rule never evaluates the endpoints, so integrands only need
-to be finite on the open interval. Integrands are called with a 1-D float64
-node array of M nodes and return (M,) values for one integral or (M, K) for
-K integrals over shared panels. Each component k stops once its error
-estimate meets max(rel_tol |I_k|, abs_tol); the panel refined next has the
-largest max_k err_k w_k, with w_k = 1/max(rel_tol |I_k|, abs_tol) fixed on
-the initial panels (w = 1 for (M,) values). A panel whose Kronrod or Gauss
+to be finite on the open interval. Integrands are called once per
+refinement step with a 1-D float64 array of the step's M nodes, 15 per
+panel: M = 105 for the 7 initial semi-infinite panels, 60 for the 4
+initial finite ones, then 30 for the two halves of each bisection. They
+return (M,) values for one integral or (M, K) for K integrals over shared
+panels; each panel's sums use only its own 15 rows, so sharing a call
+moves no bit. Each component k stops once its error estimate meets
+max(rel_tol |I_k|, abs_tol); the panel refined next has the largest
+max_k err_k w_k, with w_k = 1/max(rel_tol |I_k|, abs_tol) fixed on the
+initial panels (w = 1 for (M,) values). A panel whose Kronrod or Gauss
 sum is not finite raises InvariantError at once, naming the first
 non-finite node (and component) and its panel in the integration variable
-(t for semi-infinite integrals, with the node's u alongside).
+(t for semi-infinite integrals, with the node's u alongside); a step's
+panels are checked in order.
 
 Determinism: panels are refined in a fixed worst-error-first order with
 insertion-order tie breaking, and every total is a correctly rounded fsum
@@ -95,28 +100,38 @@ class QuadResult(NamedTuple):
     evals: int
 
 
-def _panel(g: Callable[[np.ndarray], np.ndarray], a: float, b: float, to_u=None):
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    x = mid + half * _XGK
+def _panels(g: Callable[[np.ndarray], np.ndarray], edges, to_u=None):
+    """(a, b, K15, |K15 - G7|) of each panel [a, b] between consecutive edges.
+
+    All panels' nodes go to g in one call, 15 per panel in panel order;
+    each panel's sums are taken on its own 15-row slice, so its bits do
+    not depend on how many panels share the call.
+    """
+    e = np.asarray(edges, dtype=np.float64)
+    mid, half = 0.5 * (e[:-1] + e[1:]), 0.5 * (e[1:] - e[:-1])
+    x = (mid[:, None] + half[:, None] * _XGK).ravel()
     y = np.asarray(g(x), dtype=np.float64)
-    k15 = half * (_WGK @ y)
-    g7 = half * (_WG @ y[1::2])
-    if y.ndim == 1:
-        k15, g7 = float(k15), float(g7)
-        finite = math.isfinite(k15) and math.isfinite(g7)
-    else:
-        finite = np.isfinite(k15).all() and np.isfinite(g7).all()
-    if not finite:
-        k, *comp = np.unravel_index(np.argmin(np.isfinite(y)), y.shape)
-        node = float(x[k])
-        where = f"node {node}" if to_u is None else f"node {node} (u = {to_u(node)})"
-        what = "integrand value" if y.ndim == 1 else f"integrand component {comp[0]} value"
-        raise InvariantError(
-            f"{what} {float(y[k][tuple(comp)])} at {where} of panel "
-            f"[{float(a)}, {float(b)}] makes the panel sum non-finite"
-        )
-    return k15, abs(k15 - g7)
+    out = []
+    for p, h in enumerate(half.tolist()):
+        y_p = y[15 * p : 15 * p + 15]
+        k15 = h * (_WGK @ y_p)
+        g7 = h * (_WG @ y_p[1::2])
+        if y.ndim == 1:
+            k15, g7 = float(k15), float(g7)
+            finite = math.isfinite(k15) and math.isfinite(g7)
+        else:
+            finite = np.isfinite(k15).all() and np.isfinite(g7).all()
+        if not finite:
+            k, *comp = np.unravel_index(np.argmin(np.isfinite(y_p)), y_p.shape)
+            node = float(x[15 * p + k])
+            where = f"node {node}" if to_u is None else f"node {node} (u = {to_u(node)})"
+            what = "integrand value" if y.ndim == 1 else f"integrand component {comp[0]} value"
+            raise InvariantError(
+                f"{what} {float(y_p[k][tuple(comp)])} at {where} of panel "
+                f"[{float(edges[p])}, {float(edges[p + 1])}] makes the panel sum non-finite"
+            )
+        out.append((edges[p], edges[p + 1], k15, abs(k15 - g7)))
+    return out
 
 
 def _fsum(items):
@@ -132,7 +147,7 @@ def _adaptive(
     spec: QuadSpec,
     to_u=None,
 ) -> QuadResult:
-    first = [(a, b, *_panel(g, a, b, to_u)) for a, b in zip(breaks[:-1], breaks[1:])]
+    first = _panels(g, breaks, to_u)
     vector = not isinstance(first[0][2], float)
 
     def tol(value):
@@ -165,8 +180,8 @@ def _adaptive(
                 evals=15 * seq,
             )
         _, _, a, b, _, _ = heapq.heappop(heap)
-        for lo, hi in ((a, 0.5 * (a + b)), (0.5 * (a + b), b)):
-            heapq.heappush(heap, entry(seq, lo, hi, *_panel(g, lo, hi, to_u)))
+        for panel in _panels(g, (a, 0.5 * (a + b), b), to_u):
+            heapq.heappush(heap, entry(seq, *panel))
             seq += 1
         subdivisions += 1
 
@@ -182,7 +197,9 @@ def integrate_semi_infinite(
     ----------
     f : callable
         Vectorized integrand of the frequency-like variable u, returning
-        (M,) or (M, K) values for M nodes; must be finite on the open half
+        (M,) or (M, K) values for M nodes, called once per refinement
+        step; M is 15 times the number of panels in the step (105 for the
+        initial panels, 30 per bisection). Must be finite on the open half
         line and decay at least like a rational function times an
         exponential.
     spec : QuadSpec

@@ -7,6 +7,11 @@ which bits a change moved:
     PYTHONPATH=src python3 tests/oracles/dump_outputs.py > new.txt
     python3 tests/oracles/dump_outputs.py --compare old.txt new.txt
 
+``--counts`` prints instead, for each library key, how many integrand
+calls and evaluations its quadrature took (``key: calls=<n> evals=<n>``),
+summed over every integral the key starts, nested ones included; two such
+files compare the same way.
+
 Every line reads ``key: value``. The library values are the reprs of the
 integrated quantities on a dielectric-magnetic (glass), a dielectric-only
 and a magnetic-only host at rel_tol 1e-8 and 1e-10; the CLI lines are the
@@ -28,7 +33,7 @@ import tempfile
 from pathlib import Path
 
 import lfvdw
-from lfvdw import cli
+from lfvdw import cli, oracle, potentials
 from lfvdw.cavity import CavitySpec
 from lfvdw.green import born_scatter_trace
 from lfvdw.oracle import DiluteHost, total_pairwise_sum, u1_pairwise_sum
@@ -166,6 +171,44 @@ def dump(out=sys.stdout):
         out.write(f"{key}: {line}\n")
 
 
+def _counting(integrate, tally):
+    """integrate, adding its integrand calls and evaluations to tally."""
+
+    def wrapped(f, *args, **kwargs):
+        def g(x):
+            tally["calls"] += 1
+            return f(x)
+
+        res = integrate(g, *args, **kwargs)
+        tally["evals"] += res.evals
+        return res
+
+    return wrapped
+
+
+def counts(out=sys.stdout):
+    # wrap the integrators where the library modules look them up; green
+    # and cavity start no integral of their own
+    tally = {}
+    patched = [
+        (module, name, getattr(module, name))
+        for module, name in ((potentials, "integrate_semi_infinite"), (oracle, "integrate_finite"))
+    ]
+    for module, name, integrate in patched:
+        setattr(module, name, _counting(integrate, tally))
+    try:
+        for key, fn in library_lines():
+            tally.update(calls=0, evals=0)
+            try:
+                fn()
+            except lfvdw.LfvdwError as exc:
+                key = f"{key} ({type(exc).__name__})"
+            out.write(f"{key}: calls={tally['calls']} evals={tally['evals']}\n")
+    finally:
+        for module, name, integrate in patched:
+            setattr(module, name, integrate)
+
+
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf")
 
 
@@ -206,6 +249,9 @@ def compare(old_path, new_path, out=sys.stdout) -> int:
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--compare"] and len(sys.argv) == 4:
         raise SystemExit(compare(sys.argv[2], sys.argv[3]))
-    if len(sys.argv) > 1:
+    if sys.argv[1:] == ["--counts"]:
+        counts()
+    elif len(sys.argv) > 1:
         raise SystemExit(__doc__)
-    dump()
+    else:
+        dump()

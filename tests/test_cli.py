@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from lfvdw import cli, quadrature
+from lfvdw.config import load_config
 
 DATA = Path(__file__).parent / "data"
 CONFIG = str(DATA / "glass.yaml")
@@ -41,6 +42,17 @@ def test_coeffs_matches_golden_file():
     proc = run_cli("coeffs", "--config", CONFIG, "--material", "glass")
     assert proc.returncode == 0
     assert data_section(proc.stdout) == data_section(GOLDEN.read_text())
+
+
+def test_csv_rows_format_every_float_as_17g():
+    # one %-format per row must give the bytes of f"{x:.17g}" per value
+    values = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 2.2250738585072014e-308,
+              -1.5e-310, 1e300, -1e-300, 1.0 / 3.0, 123456789.0, 1e16, 0.1]
+    rows = [values, values[::-1]]
+    cfg = load_config(CONFIG)
+    columns = [f"c{k}" for k in range(len(values))]
+    text = cli._render_table(cfg, columns, rows, "csv")
+    assert text.splitlines()[2:] == [",".join(f"{x:.17g}" for x in row) for row in rows]
 
 
 def test_coeffs_reruns_are_byte_identical(tmp_path):

@@ -19,7 +19,7 @@ from lfvdw.oracle import (
     u1_pairwise_sum,
 )
 from lfvdw.potentials import pair_free_space, u1_linearized
-from lfvdw.quadrature import integrate_semi_infinite
+from lfvdw.quadrature import integrate_finite, integrate_semi_infinite
 from lfvdw.response import AtomModel
 
 HOST_ATOM = AtomModel(resonances=((1.0, 0.02),), beta_resonances=((1.5, 0.008),))
@@ -183,7 +183,7 @@ def test_step_policy_validation():
 
 
 def test_radial_integrand_is_one_u_integral_per_panel(monkeypatch, atom_a, quad):
-    # the 15 radial nodes of a panel share one vector u-integral, and each
+    # the radial nodes of one call share one vector u-integral, and each
     # node's value is that node's free-space pair potential times s^2
     calls = []
 
@@ -200,3 +200,34 @@ def test_radial_integrand_is_one_u_integral_per_panel(monkeypatch, atom_a, quad)
     for node, value in zip(s.tolist(), values.tolist()):
         pair = pair_free_space(atom_a, HOST_ATOM, node, tight)
         assert value == pytest.approx(node * node * pair, rel=1e-9, abs=0.0)
+
+
+def test_pairwise_sum_makes_one_u_integral_per_radial_step(monkeypatch, atom_a, quad):
+    # every radial integrand call (the 4 initial panels, then each
+    # bisection) hands all of its nodes to one pair_free_space grid
+    radial, grids, u_integrals = [], [], []
+
+    def finite(f, *args):
+        def recorded(s):
+            radial.append(s.copy())
+            return f(s)
+
+        return integrate_finite(recorded, *args)
+
+    def pair(*args):
+        grids.append(np.array(args[2], copy=True))
+        return pair_free_space(*args)
+
+    def semi_infinite(*args, **kwargs):
+        u_integrals.append(args[0])
+        return integrate_semi_infinite(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "integrate_finite", finite)
+    monkeypatch.setattr(oracle, "pair_free_space", pair)
+    monkeypatch.setattr(potentials, "integrate_semi_infinite", semi_infinite)
+    host = DiluteHost(density=0.01, host_atom=HOST_ATOM)
+    total_pairwise_sum(atom_a, host, host.to_shell(0.05, 5.0), 0.05, quad)
+    assert [s.size for s in radial] == [60] + [30] * (len(radial) - 1)
+    assert len(radial) > 1
+    assert len(grids) == len(u_integrals) == len(radial)
+    assert all(np.array_equal(g, s) for g, s in zip(grids, radial))

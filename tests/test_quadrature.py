@@ -128,6 +128,7 @@ def test_scalar_integrand_results_are_floats():
 
 def _nan_beyond(cut, calls):
     # exp(-u) up to u = cut, nan after it; records the size of every call
+    # (the initial panels are one call, so a nan there ends the first one)
     def f(u):
         calls.append(u.size)
         return np.where(u > cut, math.nan, np.exp(-u))
@@ -143,14 +144,14 @@ def test_non_finite_integrand_fails_on_its_first_panel_semi_infinite():
         InvariantError, match=r"nan at node 0\.80\d+ \(u = 4\.04\d+\) of panel \[0\.5, 1\.0\]"
     ):
         integrate_semi_infinite(_nan_beyond(3.0, calls), QuadSpec())
-    assert calls == [15] * 7
+    assert calls == [105]
 
 
 def test_non_finite_integrand_fails_on_its_first_panel_finite():
     calls = []
     with pytest.raises(InvariantError, match=r"nan at node 3\.\d+ of panel \[3\.0, 4\.0\]"):
         integrate_finite(_nan_beyond(3.0, calls), 0.0, 4.0, QuadSpec())
-    assert calls == [15] * 4
+    assert calls == [60]
 
 
 # ----------------------------------------------------------------------
@@ -193,7 +194,7 @@ def test_non_finite_component_fails_on_its_first_panel():
         match=r"component 1 value nan at node 0\.80\d+ \(u = 4\.04\d+\) of panel \[0\.5, 1\.0\]",
     ):
         integrate_semi_infinite(f, QuadSpec())
-    assert calls == [15] * 7
+    assert calls == [105]
 
 
 def test_vector_budget_exhaustion_reports_every_component():
@@ -209,3 +210,56 @@ def test_vector_budget_exhaustion_reports_every_component():
     assert err.value[0] == pytest.approx(math.sin(1.0), rel=1e-12, abs=0.0)
     assert err.err_est[1] > err.err_est[0] >= 0.0
     assert abs(err.value[1] - 2.0) < 0.5
+
+
+# ----------------------------------------------------------------------
+# one integrand call per refinement step
+# ----------------------------------------------------------------------
+
+def _one_panel_at_a_time(f, calls=None):
+    # the same integrand, evaluated on each panel's 15 nodes on its own
+    def g(u):
+        if calls is not None:
+            calls.append(u.size)
+        return np.concatenate([f(u[k : k + 15]) for k in range(0, u.size, 15)])
+
+    return g
+
+
+def _peaked(x):
+    # two components, each subdividing near its own peak
+    return np.column_stack([1.0 / (1e-3 + (x - 0.3) ** 2), np.exp(-x) / np.sqrt(x + 1e-4)])
+
+
+SPEC = QuadSpec(rel_tol=1e-11, abs_tol=1e-300)
+STEP_CASES = {
+    "semi-infinite (M,)": (lambda f: integrate_semi_infinite(f, SPEC), 105,
+                           lambda u: 1.0 / (1.0 + u * u) ** 2),
+    "semi-infinite (M, K)": (lambda f: integrate_semi_infinite(f, SPEC), 105, _three_scales),
+    "finite (M,)": (lambda f: integrate_finite(f, 0.0, 2.0, SPEC), 60,
+                    lambda x: 1.0 / (1e-3 + (x - 0.3) ** 2)),
+    "finite (M, K)": (lambda f: integrate_finite(f, 0.0, 2.0, SPEC), 60, _peaked),
+}
+
+
+@pytest.mark.parametrize("case", STEP_CASES)
+def test_batching_panels_does_not_move_a_bit(case):
+    integrate, _, f = STEP_CASES[case]
+    whole, alone = integrate(f), integrate(_one_panel_at_a_time(f))
+    assert np.array_equal(whole.value, alone.value)
+    assert np.array_equal(whole.err_est, alone.err_est)
+    assert whole.evals == alone.evals
+    assert type(whole.value) is type(alone.value)
+
+
+@pytest.mark.parametrize("case", STEP_CASES)
+def test_one_integrand_call_per_refinement_step(case):
+    # the initial panels are one call, then each bisection is one call
+    # with both halves
+    integrate, first, f = STEP_CASES[case]
+    calls = []
+    res = integrate(_one_panel_at_a_time(f, calls))
+    subdivisions = (res.evals // 15 - first // 15) // 2
+    assert subdivisions > 0
+    assert calls == [first] + [30] * subdivisions
+    assert sum(calls) == res.evals
