@@ -101,12 +101,17 @@ def _positive(flag: str, value: float, allow_zero: bool = False) -> float:
     return value
 
 
+def _sweep_cavity_radius(cfg: RunConfig) -> float | None:
+    """The first sweep.R_c, or None when the config sets none."""
+    return cfg.sweep.cavity_radius[0] if cfg.sweep.cavity_radius else None
+
+
 def _cavity_radius(cfg: RunConfig, args) -> float:
     if getattr(args, "cavity_radius", None) is not None:
         return cfg.unit.length_in(_positive("--cavity-radius", args.cavity_radius))
-    if cfg.sweep.cavity_radius:
-        return cfg.sweep.cavity_radius[0]
-    raise ConfigError("no cavity radius: pass --cavity-radius or set sweep.R_c")
+    if (r_c := _sweep_cavity_radius(cfg)) is None:
+        raise ConfigError("no cavity radius: pass --cavity-radius or set sweep.R_c")
+    return r_c
 
 
 def _pair_models(cfg: RunConfig, args):
@@ -184,7 +189,7 @@ def cmd_pair(cfg: RunConfig, args) -> int:
     if not cfg.sweep.l:
         raise ConfigError("pair needs a sweep.l grid in the config")
     l_grid = np.array(cfg.sweep.l)
-    r_c = cfg.sweep.cavity_radius[0] if cfg.sweep.cavity_radius else None
+    r_c = _sweep_cavity_radius(cfg)
     corrected = not args.uncorrected
 
     u_corr, u_unc = (pair_bulk(atom_a, atom_b, material, l_grid, cfg.quadrature,
@@ -242,7 +247,7 @@ def cmd_nbody(cfg: RunConfig, args) -> int:
         raise ConfigError(
             f"positions file {args.positions} has {len(atoms)} atoms; need 2 to 6"
         )
-    r_c = cfg.sweep.cavity_radius[0] if cfg.sweep.cavity_radius else None
+    r_c = _sweep_cavity_radius(cfg)
     per_ordering = n_atom_orderings(atoms, material, cfg.quadrature, cavity_radius=r_c)
     energy = math.fsum(e for _, e in per_ordering)
     payload = {
@@ -324,7 +329,7 @@ def cmd_force_check(cfg: RunConfig, args) -> int:
     atom_a, atom_b, material = _pair_models(cfg, args)
     l = cfg.unit.length_in(_positive("--separation", args.separation))
     q = cfg.quadrature
-    r_c = cfg.sweep.cavity_radius[0] if cfg.sweep.cavity_radius else None
+    r_c = _sweep_cavity_radius(cfg)
     analytic = force_pair(atom_a, atom_b, material, l, q, cavity_radius=r_c)
 
     fd_spec = dataclasses.replace(q, rel_tol=min(q.rel_tol, _FD_REL_TOL))

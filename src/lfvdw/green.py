@@ -76,6 +76,8 @@ def bulk_dyad(m: MediumResponse, r, rp, u: float) -> GreenDyad:
     rp = np.asarray(rp, dtype=np.float64)
     if r.shape != (3,) or rp.shape != (3,):
         raise GeometryError("r and rp must be 3-vectors")
+    if not (np.isfinite(r).all() and np.isfinite(rp).all()):
+        raise GeometryError(f"r and rp must have finite coordinates; got {r} and {rp}")
     if u == 0.0:
         raise PoleError("bulk dyad is singular at u = 0")
     if not u > 0.0:

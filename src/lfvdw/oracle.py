@@ -174,8 +174,8 @@ class StepPolicy:
     levels: int = 3
 
     def __post_init__(self):
-        if not self.initial > 0.0:
-            raise ConfigError("initial step must be > 0")
+        if not 0.0 < self.initial < math.inf:
+            raise ConfigError(f"initial step must be finite and > 0, got {self.initial}")
         if self.levels < 1:
             raise ConfigError("need at least one halving level")
 

@@ -29,7 +29,7 @@ from . import _kernels
 from .cavity import CavitySpec, _d_leading, coeff_C_exact, coeff_D_leading
 from .errors import DomainError, GeometryError, InvariantError
 from .quadrature import QuadSpec, integrate_semi_infinite
-from .response import AtomModel, MediumResponse, _host_arrays, scale_hint
+from .response import AtomModel, MediumResponse, _host_arrays, _ret, scale_hint
 
 __all__ = [
     "U1Expansion",
@@ -133,17 +133,13 @@ def _pair_weight(atom_a, atom_b, m, u: np.ndarray, corrected: bool, context: str
     return phi, n
 
 
-def _columns(w: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The node weight w (M,) times y, (M,) or one column per separation (M, S)."""
-    return w * y if y.ndim == 1 else w[:, None] * y
-
-
-def _pair_integrand(atom_a, atom_b, m, l, corrected: bool, kernel, context: str):
-    """Bulk pair u-integrand at the separation(s) l: pair weight times kernel(n u l)."""
+def _pair_integrand(atom_a, atom_b, m, l: np.ndarray, corrected: bool, kernel, context: str):
+    """Bulk pair u-integrand, one column per separation in l: pair weight
+    times kernel(n u l)."""
 
     def f(u):
         phi, n = _pair_weight(atom_a, atom_b, m, u, corrected, context)
-        return _columns(phi, kernel(np.multiply.outer(n * u, l)))
+        return phi[:, None] * kernel(np.multiply.outer(n * u, l))
 
     return f
 
@@ -274,35 +270,36 @@ def pair_free_space(
     magnetizability; it vanishes when atom B has no beta resonances.
     Both parts at every separation are one vector integral.
     """
-    l = _guard_separation(l, None, "pair_free_space")
+    l, scalar = _guard_separation(l, None, "pair_free_space")
     if parts not in _PARTS:
         raise DomainError(f"parts must be one of {_PARTS}, got {parts!r}")
     el, mag = parts != "magnetic", parts != "electric" and bool(atom_b.beta_resonances)
     if not (el or mag):
-        return 0.0 * l
+        return _ret(0.0 * l, scalar)
 
     def f(u):
         x = np.multiply.outer(u, l)
         alpha = atom_a.alpha_iu(u)
-        cols = [_columns(alpha * atom_b.alpha_iu(u), _kernels.kernel_g(x))] if el else []
+        cols = [(alpha * atom_b.alpha_iu(u))[:, None] * _kernels.kernel_g(x)] if el else []
         if mag:
-            cols.append(_columns(u * u * alpha * atom_b.beta_iu(u), _kernels.kernel_h(x)))
-        return cols[0] if len(cols) == 1 else np.column_stack(cols)
+            cols.append((u * u * alpha * atom_b.beta_iu(u))[:, None] * _kernels.kernel_h(x))
+        return np.hstack(cols)
 
     res = integrate_semi_infinite(f, q, scale=scale_hint(atom_a, atom_b))
-    raw = np.reshape(res.value, (el + mag,) + np.shape(l))  # one row per part
+    raw = res.value.reshape(el + mag, -1)  # one row per part
     l2, total = l * l, 0.0
     if el:
         total = total - raw[0] / (2.0 * math.pi * l2 * l2 * l2)
     if mag:
         total = total + raw[-1] / (2.0 * math.pi * l2 * l2)
-    return total if np.ndim(l) else float(total)
+    return _ret(total, scalar)
 
 
 def _guard_separation(l, cavity_radius: float | None, context: str):
-    """Check a separation, or a 1-D grid of them, and return it as a float or
-    a float64 array. Below twice the cavity radius raises; within 5 cavity
-    radii warns, once per call."""
+    """Check a separation, or a 1-D grid of them, and return it as a 1-D
+    float64 array with a flag for a scalar l, as response._as_nodes does.
+    Below twice the cavity radius raises; within 5 cavity radii warns, once
+    per call."""
     arr = np.asarray(l, dtype=np.float64)
     if arr.ndim > 1 or arr.size == 0 or not np.all((arr > 0.0) & (arr < math.inf)):
         raise GeometryError(f"{context}: separation must be finite and > 0, as a number "
@@ -321,7 +318,7 @@ def _guard_separation(l, cavity_radius: float | None, context: str):
                 f"the smallest {smallest:.6g}; local-field factors are only marginally local",
                 stacklevel=3,
             )
-    return float(arr) if arr.ndim == 0 else arr
+    return np.atleast_1d(arr), arr.ndim == 0
 
 
 def pair_bulk(
@@ -341,7 +338,7 @@ def pair_bulk(
     ratio of corrected to uncorrected integrand is asserted to stay in
     [1, 81/16].
     """
-    l = _guard_separation(l, cavity_radius, "pair_bulk")
+    l, scalar = _guard_separation(l, cavity_radius, "pair_bulk")
     f = _pair_integrand(atom_a, atom_b, m, l, corrected, _kernels.kernel_g, "pair_bulk")
     res = integrate_semi_infinite(f, q, scale=scale_hint(atom_a, atom_b, m))
     norm = 2.0 * math.pi * (l * l * l) * (l * l * l)
@@ -352,10 +349,10 @@ def pair_bulk(
             "atoms in an eps, mu >= 1 medium must attract"
         )
     return PairResult(
-        separation=l,
-        U=u_val,
+        separation=_ret(l, scalar),
+        U=_ret(u_val, scalar),
         corrected=corrected,
-        err_est=res.err_est / norm,
+        err_est=_ret(res.err_est / norm, scalar),
         evals=res.evals,
     )
 
@@ -434,9 +431,9 @@ def _ring_setup(atoms, cavity_radius: float | None, context: str):
     return models, orderings, dist, vv, legs, pref
 
 
-def _ring_integrand(models, m: MediumResponse, dist, vv, legs, context: str, summed: bool):
-    """Integrand of the orderings whose legs are the rows of legs: their
-    sum when summed, else one column per ordering."""
+def _ring_integrand(models, m: MediumResponse, dist, vv, legs, context: str):
+    """Integrand of the orderings whose legs are the rows of legs, one
+    column per ordering."""
 
     def f(u):
         eps, mu, n = _host_arrays(m, u)
@@ -445,10 +442,19 @@ def _ring_integrand(models, m: MediumResponse, dist, vv, legs, context: str, sum
         weight = 1.0
         for model in models:  # (u^2 D^2)^N prod alpha_k; ** is a per-CPU SIMD pow
             weight = weight * u * u * d2 * model.alpha_iu(u)
-        trace = _kernels.ring_trace(n * u, mu, dist, vv, legs)
-        return weight * trace.sum(axis=1) if summed else weight[:, None] * trace
+        return weight[:, None] * _kernels.ring_trace(n * u, mu, dist, vv, legs)
 
     return f
+
+
+def _ring_energies(atoms, m: MediumResponse, q: QuadSpec, cavity_radius, context: str):
+    """(ordering, energy) of each distinct ring ordering, one component of a
+    single vector integral with its own tolerance; context names the public
+    function in errors and warnings."""
+    models, orderings, dist, vv, legs, pref = _ring_setup(atoms, cavity_radius, context)
+    f = _ring_integrand(models, m, dist, vv, legs, context)
+    values = integrate_semi_infinite(f, q, scale=scale_hint(m, *models)).value
+    return [(tuple(o), pref * v) for o, v in zip(orderings.tolist(), values.tolist())]
 
 
 def n_atom_bulk(
@@ -459,14 +465,12 @@ def n_atom_bulk(
 ) -> float:
     """N-atom ring potential in bulk medium, N in [2, 6].
 
-    atoms is a sequence of (AtomModel, position). Sums the dyadic ring
-    traces over all (N-1)!/2 distinct orderings (one for N = 2) with the
-    (-1)^(N-1) alternation and the double-counting factor 2 at N = 2.
+    atoms is a sequence of (AtomModel, position). The fsum of the
+    n_atom_orderings energies: the dyadic ring traces of all (N-1)!/2
+    distinct orderings (one for N = 2) with the (-1)^(N-1) alternation and
+    the double-counting factor 2 at N = 2.
     """
-    models, _, dist, vv, legs, pref = _ring_setup(atoms, cavity_radius, "n_atom_bulk")
-    f = _ring_integrand(models, m, dist, vv, legs, "n_atom_bulk", summed=True)
-    scale = scale_hint(m, *models)
-    return pref * integrate_semi_infinite(f, q, scale=scale).value
+    return math.fsum(e for _, e in _ring_energies(atoms, m, q, cavity_radius, "n_atom_bulk"))
 
 
 def n_atom_orderings(
@@ -476,14 +480,9 @@ def n_atom_orderings(
     cavity_radius: float | None = None,
 ) -> list[tuple[tuple[int, ...], float]]:
     """Energy contribution of each distinct ring ordering, one component
-    of a single vector integral with its own tolerance; their sum is the
+    of a single vector integral with its own tolerance; their fsum is the
     N-atom potential."""
-    models, orderings, dist, vv, legs, pref = _ring_setup(
-        atoms, cavity_radius, "n_atom_orderings"
-    )
-    f = _ring_integrand(models, m, dist, vv, legs, "n_atom_orderings", summed=False)
-    values = integrate_semi_infinite(f, q, scale=scale_hint(m, *models)).value
-    return [(tuple(o), pref * v) for o, v in zip(orderings.tolist(), values.tolist())]
+    return _ring_energies(atoms, m, q, cavity_radius, "n_atom_orderings")
 
 
 def force_pair(
@@ -501,10 +500,10 @@ def force_pair(
     atoms together. The cavity radius never enters the value, only the
     separation guard.
     """
-    l = _guard_separation(l, cavity_radius, "force_pair")
+    l, scalar = _guard_separation(l, cavity_radius, "force_pair")
     f = _pair_integrand(atom_a, atom_b, m, l, True, _kernels.kernel_force, "force_pair")
     res = integrate_semi_infinite(f, q, scale=scale_hint(atom_a, atom_b, m))
-    return -res.value / (2.0 * math.pi * (l * l * l) * (l * l * l) * l)
+    return _ret(-res.value / (2.0 * math.pi * (l * l * l) * (l * l * l) * l), scalar)
 
 
 def cavity_center_stiffness(

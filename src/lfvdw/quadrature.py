@@ -11,16 +11,16 @@ to be finite on the open interval. Integrands are called once per
 refinement step with a 1-D float64 array of the step's M nodes, 15 per
 panel: M = 105 for the 7 initial semi-infinite panels, 60 for the 4
 initial finite ones, then 30 for the two halves of each bisection. They
-return (M,) values for one integral or (M, K) for K integrals over shared
-panels; each panel's sums use only its own 15 rows, so sharing a call
-moves no bit. Each component k stops once its error estimate meets
-max(rel_tol |I_k|, abs_tol); the panel refined next has the largest
-max_k err_k w_k, with w_k = 1/max(rel_tol |I_k|, abs_tol) fixed on the
-initial panels (w = 1 for (M,) values). A panel whose Kronrod or Gauss
-sum is not finite raises InvariantError at once, naming the first
-non-finite node (and component) and its panel in the integration variable
-(t for semi-infinite integrals, with the node's u alongside); a step's
-panels are checked in order.
+return (M, K) values for K integrals over shared panels; (M,) values are
+the one column (M, 1), with float results. Each panel's sums use only its
+own 15 rows, so sharing a call moves no bit. Each component k stops once
+its error estimate meets max(rel_tol |I_k|, abs_tol); the panel refined
+next has the largest max_k err_k w_k, with w_k = 1/max(rel_tol |I_k|,
+abs_tol) fixed on the initial panels. A panel whose Kronrod or Gauss sum
+is not finite raises InvariantError at once, naming the first non-finite
+node (and its component, for K > 1) and its panel in the integration
+variable (t for semi-infinite integrals, with the node's u alongside); a
+step's panels are checked in order.
 
 Determinism: panels are refined in a fixed worst-error-first order with
 insertion-order tie breaking, and every total is a correctly rounded fsum
@@ -101,7 +101,8 @@ class QuadResult(NamedTuple):
 
 
 def _panels(g: Callable[[np.ndarray], np.ndarray], edges, to_u=None):
-    """(a, b, K15, |K15 - G7|) of each panel [a, b] between consecutive edges.
+    """(a, b, K15, |K15 - G7|) of the panels between consecutive edges: the
+    panel ends as two tuples, the sums as two (P, K) arrays.
 
     All panels' nodes go to g in one call, 15 per panel in panel order;
     each panel's sums are taken on its own 15-row slice, so its bits do
@@ -110,80 +111,79 @@ def _panels(g: Callable[[np.ndarray], np.ndarray], edges, to_u=None):
     e = np.asarray(edges, dtype=np.float64)
     mid, half = 0.5 * (e[:-1] + e[1:]), 0.5 * (e[1:] - e[:-1])
     x = (mid[:, None] + half[:, None] * _XGK).ravel()
-    y = np.asarray(g(x), dtype=np.float64)
-    out = []
-    for p, h in enumerate(half.tolist()):
-        y_p = y[15 * p : 15 * p + 15]
-        k15 = h * (_WGK @ y_p)
-        g7 = h * (_WG @ y_p[1::2])
-        if y.ndim == 1:
-            k15, g7 = float(k15), float(g7)
-            finite = math.isfinite(k15) and math.isfinite(g7)
-        else:
-            finite = np.isfinite(k15).all() and np.isfinite(g7).all()
-        if not finite:
-            k, *comp = np.unravel_index(np.argmin(np.isfinite(y_p)), y_p.shape)
+    y = g(x).reshape(half.size, 15, -1)
+    k15 = half[:, None] * (_WGK @ y)
+    g7 = half[:, None] * (_WG @ y[:, 1::2])
+    err = np.abs(k15 - g7)
+    if not np.isfinite(err).all():  # finite sums leave it finite unless it overflows
+        finite = np.isfinite(k15).all(axis=1) & np.isfinite(g7).all(axis=1)
+        p = int(np.argmin(finite))
+        if not finite[p]:
+            k, c = np.unravel_index(np.argmin(np.isfinite(y[p])), y[p].shape)
             node = float(x[15 * p + k])
             where = f"node {node}" if to_u is None else f"node {node} (u = {to_u(node)})"
-            what = "integrand value" if y.ndim == 1 else f"integrand component {comp[0]} value"
+            what = f"component {c} value" if y.shape[2] > 1 else "value"
             raise InvariantError(
-                f"{what} {float(y_p[k][tuple(comp)])} at {where} of panel "
+                f"integrand {what} {float(y[p, k, c])} at {where} of panel "
                 f"[{float(edges[p])}, {float(edges[p + 1])}] makes the panel sum non-finite"
             )
-        out.append((edges[p], edges[p + 1], k15, abs(k15 - g7)))
-    return out
-
-
-def _fsum(items):
-    """Correctly rounded sum of panel floats, or of (K,) arrays per component."""
-    if isinstance(items[0], float):
-        return math.fsum(items)
-    return np.array([math.fsum(c) for c in np.array(items).T.tolist()])
+    return edges[:-1], edges[1:], k15, err
 
 
 def _adaptive(
-    g: Callable[[np.ndarray], np.ndarray],
+    f: Callable[[np.ndarray], np.ndarray],
     breaks: tuple[float, ...],
     spec: QuadSpec,
-    to_u=None,
+    scale: float | None = None,
 ) -> QuadResult:
-    first = _panels(g, breaks, to_u)
-    vector = not isinstance(first[0][2], float)
+    """Integrate f over the panels between breaks: in x itself, or, given a
+    scale, in t with u = scale t/(1-t). An (M,) f is the one column (M, 1)."""
+    to_u = None if scale is None else lambda t: scale * t / (1.0 - t)
+    shape = []  # of one node's value: [] for an (M,) f, [K] for (M, K)
+
+    def g(x):
+        y = np.asarray(f(x if to_u is None else to_u(x)), dtype=np.float64)
+        if y.ndim not in (1, 2) or len(y) != x.size:
+            raise DomainError(f"integrand must return (M,) or (M, K) values on its "
+                              f"M = {x.size} nodes, got shape {y.shape}")
+        shape[:] = y.shape[1:]
+        y = y.reshape(x.size, -1)
+        return y if to_u is None else y * (scale / (1.0 - x) ** 2)[:, None]
+
+    def fsums(rows):  # correctly rounded sum over the panels, per component
+        return [math.fsum(c) for c in zip(*rows)]
 
     def tol(value):
-        if vector:
-            return np.maximum(spec.rel_tol * np.abs(value), spec.abs_tol)
-        return max(spec.rel_tol * abs(value), spec.abs_tol)
+        return [max(spec.rel_tol * abs(v), spec.abs_tol) for v in value]
 
-    weight = 1.0 / tol(_fsum([p[2] for p in first])) if vector else None
+    def public(v):  # floats for an (M,) f
+        return np.array(v) if shape else v[0]
 
-    def entry(seq, a, b, val, perr):
-        return (-(float((perr * weight).max()) if vector else perr), seq, a, b, val, perr)
-
-    heap = [entry(seq, *p) for seq, p in enumerate(first)]
-    heapq.heapify(heap)
-    seq = len(heap)
-    subdivisions = 0
+    heap, seq, weight, edges, subdivisions = [], 0, None, breaks, 0
     while True:
-        value, err = _fsum([h[4] for h in heap]), _fsum([h[5] for h in heap])
-        ok = err <= tol(value)
-        if ok.all() if vector else ok:
-            return QuadResult(value, err, 15 * seq)
+        a, b, k15, err = _panels(g, edges, to_u)
+        if weight is None:  # fixed on the initial panels
+            weight = 1.0 / np.array(tol(fsums(k15.tolist())))
+        keys = (err * weight).max(axis=1).tolist()
+        for panel in zip(keys, a, b, k15.tolist(), err.tolist()):
+            heapq.heappush(heap, (-panel[0], seq, *panel[1:]))
+            seq += 1
+        value, errs = fsums([h[4] for h in heap]), fsums([h[5] for h in heap])
+        limits, evals = tol(value), 15 * seq
+        if all(e <= t for e, t in zip(errs, limits)):
+            return QuadResult(public(value), public(errs), evals)
         if subdivisions >= spec.max_subdivisions:
-            k = int(np.argmax(err / tol(value))) if vector else 0
+            k = max(range(len(errs)), key=lambda i: errs[i] / limits[i])
             raise ConvergenceError(
                 f"no convergence after {subdivisions} subdivisions "
-                f"({f'component {k}: ' if vector else ''}"
-                f"err_est={np.atleast_1d(err)[k]:.3e}, value={np.atleast_1d(value)[k]:.6e})",
-                value=value,
-                err_est=err,
-                evals=15 * seq,
+                f"({f'component {k}: ' if len(errs) > 1 else ''}"
+                f"err_est={errs[k]:.3e}, value={value[k]:.6e})",
+                value=public(value),
+                err_est=public(errs),
+                evals=evals,
             )
-        _, _, a, b, _, _ = heapq.heappop(heap)
-        for panel in _panels(g, (a, 0.5 * (a + b), b), to_u):
-            heapq.heappush(heap, entry(seq, *panel))
-            seq += 1
-        subdivisions += 1
+        _, _, lo, hi, _, _ = heapq.heappop(heap)
+        edges, subdivisions = (lo, 0.5 * (lo + hi), hi), subdivisions + 1
 
 
 def integrate_semi_infinite(
@@ -197,11 +197,11 @@ def integrate_semi_infinite(
     ----------
     f : callable
         Vectorized integrand of the frequency-like variable u, returning
-        (M,) or (M, K) values for M nodes, called once per refinement
-        step; M is 15 times the number of panels in the step (105 for the
-        initial panels, 30 per bisection). Must be finite on the open half
-        line and decay at least like a rational function times an
-        exponential.
+        (M, K) values for M nodes, or (M,) for K = 1, called once per
+        refinement step; M is 15 times the number of panels in the step
+        (105 for the initial panels, 30 per bisection). Must be finite on
+        the open half line and decay at least like a rational function
+        times an exponential.
     spec : QuadSpec
         Tolerances and node budget.
     scale : float
@@ -211,16 +211,7 @@ def integrate_semi_infinite(
     """
     if not (scale > 0.0) or not math.isfinite(scale):
         raise DomainError("scale must be positive and finite")
-
-    def to_u(t):
-        return scale * t / (1.0 - t)
-
-    def g(t: np.ndarray) -> np.ndarray:
-        jac = scale / (1.0 - t) ** 2
-        y = np.asarray(f(to_u(t)), dtype=np.float64)
-        return y * (jac if y.ndim == 1 else jac[:, None])
-
-    return _adaptive(g, _INIT_BREAKS, spec, to_u)
+    return _adaptive(f, _INIT_BREAKS, spec, scale)
 
 
 def integrate_finite(

@@ -259,11 +259,13 @@ def _pair_calls(atom_a, atom_b, glass, q):
 
 
 def test_pair_grid_matches_scalar_calls(atom_a, atom_b, glass, quad):
+    # within rel_tol of a longer grid, and bit for bit the one-point grid [l]
     for name, call in _pair_calls(atom_a, atom_b, glass, quad).items():
         grid = call(np.array(_GRID))
         assert isinstance(grid, np.ndarray) and grid.shape == (len(_GRID),), name
         for l, value in zip(_GRID, grid.tolist()):
             assert value == pytest.approx(call(l), rel=quad.rel_tol, abs=0.0), (name, l)
+            assert [call(l)] == call(np.array([l])).tolist(), (name, l)
 
 
 def test_pair_result_types(atom_a, atom_b, glass, quad):
@@ -400,8 +402,7 @@ def test_ring_ordering_enumeration(atom_a, quad):
             assert cycle[0] == 0
             if n > 2:
                 assert cycle[1] < cycle[-1]  # reversal representative
-        total = math.fsum(e for _, e in orderings)
-        assert total == pytest.approx(n_atom_bulk(atoms, VACUUM, quad), rel=1e-12, abs=0.0)
+        assert math.fsum(e for _, e in orderings) == n_atom_bulk(atoms, VACUUM, quad)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
@@ -415,8 +416,8 @@ def test_ring_orderings_match_each_ordering_integrated_alone(atom_a, atom_b, gla
     assert len(per) == len(orderings)
     for k, (cycle, energy) in enumerate(per):
         assert cycle == tuple(orderings[k])
-        f = _ring_integrand(models, glass, dist, vv, legs[k : k + 1], "test", summed=True)
-        alone = pref * integrate_semi_infinite(f, tight, scale=scale).value
+        f = _ring_integrand(models, glass, dist, vv, legs[k : k + 1], "test")
+        (alone,) = pref * integrate_semi_infinite(f, tight, scale=scale).value
         assert energy == pytest.approx(alone, rel=1e-11, abs=0.0)
 
 
@@ -432,6 +433,7 @@ def test_one_quadrature_call_per_quantity(monkeypatch, atom_a, atom_b, glass, qu
     spec = CavitySpec(radius=0.05, host=glass)
     cases = {
         "n_atom_orderings": (lambda: n_atom_orderings([(atom_a, p) for p in pts], glass, quad), 1),
+        "n_atom_bulk": (lambda: n_atom_bulk([(atom_a, p) for p in pts], glass, quad), 1),
         "u1_expanded": (lambda: u1_expanded(atom_a, spec, quad), 1),
         "pair_free_space": (lambda: pair_free_space(atom_a, atom_b, 2.5, quad), 1),
         "cavity_center_stiffness": (lambda: cavity_center_stiffness(atom_a, spec, quad), 2),
@@ -615,7 +617,11 @@ _ARGUMENT_ERRORS = {
     "ring_seven_atoms": (GeometryError, lambda: n_atom_bulk(
         [(_ATOM, [float(k), 0.0, 0.0]) for k in range(7)], VACUUM)),
     "dyad_vectors": (GeometryError, lambda: bulk_dyad(VACUUM, np.ones(4), np.zeros(3), 1.0)),
+    # a NaN coordinate used to give a NaN matrix silently, an infinite one with a RuntimeWarning
+    "dyad_nan": (GeometryError, lambda: bulk_dyad(VACUUM, [1.0, math.nan, 0.0], np.zeros(3), 1.0)),
+    "dyad_inf": (GeometryError, lambda: bulk_dyad(VACUUM, np.zeros(3), [math.inf, 0.0, 0.0], 1.0)),
     "step_initial": (ConfigError, lambda: StepPolicy(initial=0.0)),
+    "step_initial_inf": (ConfigError, lambda: StepPolicy(initial=math.inf)),
     "step_levels": (ConfigError, lambda: StepPolicy(levels=0)),
 }
 

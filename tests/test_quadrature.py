@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from lfvdw.errors import ConfigError, ConvergenceError, InvariantError, LfvdwError
+from lfvdw.errors import ConfigError, ConvergenceError, DomainError, InvariantError, LfvdwError
 from lfvdw.quadrature import QuadSpec, integrate_finite, integrate_semi_infinite
 
 
@@ -263,3 +263,56 @@ def test_one_integrand_call_per_refinement_step(case):
     assert subdivisions > 0
     assert calls == [first] + [30] * subdivisions
     assert sum(calls) == res.evals
+
+
+# ----------------------------------------------------------------------
+# one integrand shape: an (M,) integrand is the (M, 1) column
+# ----------------------------------------------------------------------
+
+SCALAR_CASES = {case: STEP_CASES[case] for case in STEP_CASES if case.endswith("(M,)")}
+
+
+@pytest.mark.parametrize("case", SCALAR_CASES)
+def test_scalar_integrand_is_its_one_column(case):
+    integrate, _, f = SCALAR_CASES[case]
+    flat, column = integrate(f), integrate(lambda x: f(x)[:, None])
+    assert type(flat.value) is type(flat.err_est) is float
+    assert column.value.shape == column.err_est.shape == (1,)
+    assert (flat.value, flat.err_est, flat.evals) == (
+        column.value[0], column.err_est[0], column.evals)
+
+
+def _singular(x):
+    # an integrable endpoint singularity that 8 subdivisions cannot resolve
+    return 1.0 / np.sqrt(np.abs(x) + 1e-300)
+
+
+@pytest.mark.parametrize("error, integrate", [
+    (InvariantError, lambda f: integrate_semi_infinite(lambda u: f(_nan_beyond(3.0, [])(u)))),
+    (InvariantError, lambda f: integrate_finite(lambda x: f(_nan_beyond(3.0, [])(x)), 0.0, 4.0)),
+    (ConvergenceError, lambda f: integrate_finite(lambda x: f(_singular(x)), 0.0, 1.0,
+                                                  QuadSpec(max_subdivisions=8))),
+], ids=["non-finite semi-infinite", "non-finite finite", "budget"])
+def test_one_column_errors_read_as_the_scalar_ones(error, integrate):
+    raised = []
+    for shape in (lambda y: y, lambda y: y[:, None]):
+        with pytest.raises(error) as exc_info:
+            integrate(shape)
+        raised.append(exc_info.value)
+    flat, column = raised
+    assert str(flat) == str(column) and "component" not in str(flat)
+    if error is ConvergenceError:  # the partial result: floats, and the column's entries
+        assert type(flat.value) is type(flat.err_est) is float
+        assert (flat.value, flat.err_est, flat.evals) == (
+            column.value[0], column.err_est[0], column.evals)
+
+
+@pytest.mark.parametrize("f", [
+    lambda x: 1.0,
+    lambda x: np.ones(x.size + 1),
+    lambda x: np.ones((x.size, 2, 2)),
+], ids=["scalar", "wrong-length", "3-D"])
+def test_integrand_of_another_shape_is_a_domain_error(f):
+    for integrate in (lambda: integrate_semi_infinite(f), lambda: integrate_finite(f, 0.0, 1.0)):
+        with pytest.raises(DomainError, match="must return \\(M,\\) or \\(M, K\\) values"):
+            integrate()
