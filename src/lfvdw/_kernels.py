@@ -10,13 +10,24 @@ depend on which SIMD features numpy detects on the host (numpy's vectorised
 ``exp``, ``expm1`` and ``power`` differ from libm in the last bit on a few
 percent of inputs where AVX-512 is available). Therefore:
 
-- exponentials go through :func:`_exp` and :func:`_expm1`, which map
-  ``math.exp`` / ``math.expm1`` over the nodes;
+- exponentials go through :func:`_exp`, which takes numpy's complex
+  ``exp`` of x + 0i in one C loop. numpy hands that to the C library's
+  ``cexp``, and at zero imaginary part ``cexp`` returns exp(x) * cos(0),
+  so the real part is libm's ``exp(x)`` bit for bit (numpy's own fallback
+  and musl compute it the same way). glibc's ``cexp`` rescales once
+  x > 709, just below (DBL_MAX_EXP - 1) ln 2, so the complex call is
+  clipped at 709 and the rare nodes above it are mapped through
+  ``math.exp``, which still raises ``OverflowError`` past 709.78;
+- ``expm1`` has no complex counterpart, so :func:`_expm1` maps
+  ``math.expm1`` over the nodes (as ``cli`` maps ``math.log``: ``clog``
+  is not ``log``);
 - integer powers are written as products (``t * t * t``, not ``t**3``);
 - no bare ``np.exp``, ``np.expm1`` or ``**`` appears in a kernel body.
 
 Only the last-bit agreement with libm is promised; a C library other than
-glibc may round differently.
+glibc may round differently. ``tests/test_cavity.py`` checks :func:`_exp`
+against ``math.exp`` node by node, so a host whose complex ``exp`` is not
+libm's fails there.
 
 Scaled spherical functions on the imaginary axis
 ------------------------------------------------
@@ -67,6 +78,7 @@ __all__ = [
 
 _SERIES_CUT = 3.0
 _SERIES_TERMS = 16
+_EXP_CLIP = 709.0  # glibc's cexp rescales above about 709.09
 
 
 def _libm(fn, x):
@@ -74,8 +86,13 @@ def _libm(fn, x):
 
 
 def _exp(x):
-    """e^x per node through libm."""
-    return _libm(math.exp, x)
+    """e^x per node with libm's bits: the real part of the complex exp below
+    the clip, math.exp above it."""
+    y = np.exp(np.minimum(x, _EXP_CLIP).astype(np.complex128)).real.copy()
+    big = x > _EXP_CLIP
+    if big.any():
+        y[big] = _libm(math.exp, x[big])
+    return y
 
 
 def _expm1(x):

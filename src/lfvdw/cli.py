@@ -7,7 +7,10 @@ hash of the config file so identical inputs give byte-identical files.
 A pair sweep over sweep.l is one vector integral per corrected flag, one
 component per separation, and force-check's finite-difference stencil is
 one more. Every command runs in the calling thread; --threads is still
-accepted for old scripts and changes nothing.
+accepted for old scripts and changes nothing. The argument parser is built
+once per process and shared by every main() call: it depends on no input,
+and parsing keeps no state between calls. Nothing else is kept; each call
+reads its config and computes its results afresh.
 
 Exit codes: 0 success, 1 a requested consistency check failed its
 tolerance, 2 configuration/usage error, 3 a physics invariant tripped.
@@ -356,6 +359,7 @@ def cmd_force_check(cfg: RunConfig, args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="YAML config file")

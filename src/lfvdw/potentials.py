@@ -295,11 +295,12 @@ def pair_free_space(
     return _ret(total, scalar)
 
 
-def _guard_separation(l, cavity_radius: float | None, context: str):
+def _guard_separation(l, cavity_radius: float | None, context: str, stacklevel: int = 3):
     """Check a separation, or a 1-D grid of them, and return it as a 1-D
     float64 array with a flag for a scalar l, as response._as_nodes does.
     Below twice the cavity radius raises; within 5 cavity radii warns, once
-    per call."""
+    per call; stacklevel counts frames from this guard as warnings.warn does,
+    so the default 3 names the caller of a public function that calls it."""
     arr = np.asarray(l, dtype=np.float64)
     if arr.ndim > 1 or arr.size == 0 or not np.all((arr > 0.0) & (arr < math.inf)):
         raise GeometryError(f"{context}: separation must be finite and > 0, as a number "
@@ -316,7 +317,7 @@ def _guard_separation(l, cavity_radius: float | None, context: str):
             warnings.warn(
                 f"{context}: {near} of {arr.size} separation(s) within 5 cavity radii, "
                 f"the smallest {smallest:.6g}; local-field factors are only marginally local",
-                stacklevel=3,
+                stacklevel=stacklevel,
             )
     return np.atleast_1d(arr), arr.ndim == 0
 
@@ -387,8 +388,10 @@ def coeff_nonretarded(
     return (3.0 / math.pi) * integrate_semi_infinite(f, q, scale=scale).value
 
 
-def _ring_setup(atoms, cavity_radius: float | None, context: str):
-    """Validate an N-atom arrangement and precompute its pair geometry.
+def _ring_setup(atoms, cavity_radius: float | None, context: str, stacklevel: int = 3):
+    """Validate an N-atom arrangement and precompute its pair geometry;
+    stacklevel counts frames from here to the caller the separation
+    warning should name.
 
     Returns (models, orderings, dist, vv, legs, prefactor): the distinct
     atom cycles up to rotation and reflection, anchored at 0, as an
@@ -415,7 +418,7 @@ def _ring_setup(atoms, cavity_radius: float | None, context: str):
     if (dist == 0.0).any():
         k = int(np.argmax(dist == 0.0))
         raise GeometryError(f"atoms {first[k]} and {second[k]} coincide")
-    _guard_separation(dist, cavity_radius, context)
+    _guard_separation(dist, cavity_radius, context, stacklevel + 1)
     v = sep / dist[:, None]
     vv = v[:, :, None] * v[:, None, :]
 
@@ -450,8 +453,8 @@ def _ring_integrand(models, m: MediumResponse, dist, vv, legs, context: str):
 def _ring_energies(atoms, m: MediumResponse, q: QuadSpec, cavity_radius, context: str):
     """(ordering, energy) of each distinct ring ordering, one component of a
     single vector integral with its own tolerance; context names the public
-    function in errors and warnings."""
-    models, orderings, dist, vv, legs, pref = _ring_setup(atoms, cavity_radius, context)
+    function in errors and warnings, whose caller the separation warning names."""
+    models, orderings, dist, vv, legs, pref = _ring_setup(atoms, cavity_radius, context, 4)
     f = _ring_integrand(models, m, dist, vv, legs, context)
     values = integrate_semi_infinite(f, q, scale=scale_hint(m, *models)).value
     return [(tuple(o), pref * v) for o, v in zip(orderings.tolist(), values.tolist())]

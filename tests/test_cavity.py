@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -113,6 +114,31 @@ def test_exponential_kernels_give_libm_bits():
         got = kernel(x).tolist()
         mismatches = [v for v, g in zip(x.tolist(), got) if g != ref(v)]
         assert not mismatches, (kernel.__name__, len(mismatches), mismatches[:3])
+
+
+def test_exp_gives_libm_bits_node_by_node():
+    # _exp takes the complex exp below 709 and math.exp above; both must be
+    # libm's exp to the bit, including zeros, subnormal results and nan
+    rng = np.random.default_rng(20061)
+    x = np.concatenate([
+        rng.uniform(-746.0, 709.78, 200_000),
+        rng.uniform(-745.2, -708.3, 2_000),  # subnormal and smallest normal results
+        rng.uniform(709.0, 709.78, 2_000),  # above the clip
+        [-0.0, 0.0, -math.inf, math.nan, -746.0, -745.13, 5e-324, 709.0, 709.78],
+    ])
+    got = _kernels._exp(x)
+    ref = np.array([math.exp(v) for v in x.tolist()])
+    same = (got.view(np.int64) == ref.view(np.int64)) | (np.isnan(got) & np.isnan(ref))
+    assert same.all(), (np.count_nonzero(~same), x[~same][:3])
+    grid = x[:6].reshape(2, 3)
+    assert _kernels._exp(grid).tolist() == [[math.exp(v) for v in row] for row in grid.tolist()]
+
+
+def test_exp_overflow_raises_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError):
+            _kernels._exp(np.array([0.0, 710.0]))
 
 
 # ----------------------------------------------------------------------

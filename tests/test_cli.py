@@ -171,6 +171,31 @@ def test_pair_sweep_is_one_pair_bulk_call_per_flag(monkeypatch, capsys):
     assert len(capsys.readouterr().out.splitlines()) == 2 + 3  # header lines + sweep.l
 
 
+def test_one_parser_serves_every_call_in_a_process(capsys):
+    # the shared parser keeps nothing from one main() call to the next: each
+    # call prints what a fresh process prints for the same argv
+    pair = ["pair", "--config", CONFIG, "--atom-a", "probe", "--atom-b", "partner",
+            "--material", "glass"]
+    sequence = [
+        (pair + ["--uncorrected"], 0),
+        (pair, 0),
+        (["limits", *pair[1:]], 0),
+        (pair[:-2], 2),  # no --material: a usage error
+        (pair, 0),
+    ]
+    for argv, code in sequence:
+        if code == 2:
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            got = exc.value.code
+        else:
+            got = cli.main(argv)
+        proc = run_cli(*argv)
+        assert got == proc.returncode == code, argv
+        assert capsys.readouterr().out == proc.stdout, argv
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_pair_sweep_warns_once_for_near_separations(tmp_path):
     config = tmp_path / "near.yaml"
     config.write_text(Path(CONFIG).read_text().replace(

@@ -299,6 +299,23 @@ def test_pair_grid_warns_once_and_guards_every_entry(atom_a, atom_b, glass, quad
         force_pair(atom_a, atom_b, glass, np.array([1.0, 0.09]), quad, cavity_radius=0.05)
 
 
+def test_separation_warning_names_the_callers_line(atom_a, atom_b, glass, quad):
+    # the warning points at the call in this file, not inside potentials.py
+    ring = [(atom_a, [0.0, 0.0, 0.0]), (atom_b, [0.2, 0.0, 0.0])]
+    calls = {
+        "pair_bulk": lambda: pair_bulk(atom_a, atom_b, glass, 0.2, quad, cavity_radius=0.05),
+        "force_pair": lambda: force_pair(atom_a, atom_b, glass, 0.2, quad, cavity_radius=0.05),
+        "n_atom_bulk": lambda: n_atom_bulk(ring, glass, quad, cavity_radius=0.05),
+        "n_atom_orderings": lambda: n_atom_orderings(ring, glass, quad, cavity_radius=0.05),
+    }
+    for name, call in calls.items():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call()
+        assert [str(w.message).split(":")[0] for w in caught] == [name]
+        assert caught[0].filename == __file__, name
+
+
 @pytest.mark.parametrize(
     "limit",
     [
