@@ -35,11 +35,10 @@ from .errors import (
     SingularityError,
     UnsupportedOrderError,
 )
-from .green import BodyShell, GreenDyad, born_scatter_trace, bulk_dyad, pair_kernel_g, pair_kernel_h
+from .green import BodyShell, born_scatter_trace, bulk_dyad
 from .oracle import (
     DiluteHost,
     ForceEstimate,
-    StepPolicy,
     finite_difference_force,
     total_pairwise_sum,
     u1_pairwise_sum,
@@ -77,7 +76,6 @@ __all__ = [
     "DomainError",
     "ForceEstimate",
     "GeometryError",
-    "GreenDyad",
     "InvariantError",
     "LfvdwError",
     "LorentzTerm",
@@ -89,7 +87,6 @@ __all__ = [
     "RunConfig",
     "SingleAtomResult",
     "SingularityError",
-    "StepPolicy",
     "StiffnessResult",
     "U1Expansion",
     "UnitSystem",
@@ -113,8 +110,6 @@ __all__ = [
     "n_atom_orderings",
     "pair_bulk",
     "pair_free_space",
-    "pair_kernel_g",
-    "pair_kernel_h",
     "single_atom_total",
     "total_pairwise_sum",
     "u1_exact",

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import DomainError, GeometryError, InvariantError, PoleError, UnsupportedOrderError
+from .errors import GeometryError, InvariantError, PoleError, UnsupportedOrderError
 from .response import MediumResponse, _as_nodes, _host_arrays, _ret
 
 __all__ = [
@@ -29,8 +29,6 @@ __all__ = [
     "coeff_D_exact",
     "coeff_D_leading",
 ]
-
-_KINDS = ("electric", "magnetic")
 
 
 @dataclass(frozen=True)
@@ -54,7 +52,7 @@ class CavitySpec:
 def _pos_nodes(u):
     """_as_nodes, plus the pole of the cavity coefficients at u = 0."""
     nodes, scalar = _as_nodes(u)
-    if nodes.size and nodes.min() == 0.0:
+    if nodes.min() == 0.0:
         raise PoleError("cavity coefficients are singular at u = 0; "
                         "supply the analytic limit instead")
     return nodes, scalar
@@ -65,21 +63,18 @@ def _d_leading(eps):
     return 3.0 * eps / (2.0 * eps + 1.0)
 
 
-def coeff_C_exact(spec: CavitySpec, l: int, u, kind: str = "electric"):
-    """Exact cavity reflection coefficient C_l(iu), l in {1, 2}.
+def coeff_C_exact(spec: CavitySpec, l: int, u):
+    """Exact electric cavity reflection coefficient C_l(iu), l in {1, 2}.
 
-    The magnetic kind is the electric one with eps and mu interchanged.
+    The magnetic coefficient is this one on the host with eps and mu
+    interchanged; n = sqrt(eps mu) is the same, so it comes out bit for bit.
     Returns the real number C_l(iu); u may be a scalar or an array.
     """
     if l not in (1, 2):
         raise UnsupportedOrderError(f"cavity coefficient order l={l} not in {{1, 2}}")
-    if kind not in _KINDS:
-        raise DomainError(f"kind must be one of {_KINDS}, got {kind!r}")
     nodes, scalar = _pos_nodes(u)
-    eps, mu, n = _host_arrays(spec.host, nodes)
-    e_like = eps if kind == "electric" else mu
-    t0 = spec.radius * nodes
-    return _ret(_kernels.cavity_c(t0, n, e_like, l), scalar)
+    eps, _, n = _host_arrays(spec.host, nodes)
+    return _ret(_kernels.cavity_c(spec.radius * nodes, n, eps, l), scalar)
 
 
 def coeff_C_expansion(spec: CavitySpec, u):
@@ -105,7 +100,7 @@ def coeff_D_exact(spec: CavitySpec, u):
     eps, mu, n = _host_arrays(spec.host, nodes)
     t0 = spec.radius * nodes
     d = _kernels.cavity_d(t0, n, eps, mu)
-    if d.size and d.min() <= 0.0:
+    if d.min() <= 0.0:
         k = int(np.argmin(d))
         raise InvariantError(
             f"transmission factor D(iu) = {d[k]:.6g} <= 0 at u = {nodes[k]:.6g}, "

@@ -34,7 +34,7 @@ from .cavity import CavitySpec, coeff_C_exact, coeff_C_expansion, coeff_D_exact,
 from .config import RunConfig, load_config
 from .errors import ConfigError, ConvergenceError, LfvdwError
 from .green import born_scatter_trace
-from .oracle import DiluteHost, StepPolicy, finite_difference_force, total_pairwise_sum
+from .oracle import DiluteHost, finite_difference_force, total_pairwise_sum
 from .potentials import (
     coeff_nonretarded,
     coeff_retarded,
@@ -105,7 +105,7 @@ def _positive(flag: str, value: float, allow_zero: bool = False) -> float:
 
 
 def _sweep_cavity_radius(cfg: RunConfig) -> float | None:
-    """The first sweep.R_c, or None when the config sets none."""
+    """sweep.R_c, or None when the config sets none."""
     return cfg.sweep.cavity_radius[0] if cfg.sweep.cavity_radius else None
 
 
@@ -338,7 +338,7 @@ def cmd_force_check(cfg: RunConfig, args) -> int:
     fd_spec = dataclasses.replace(q, rel_tol=min(q.rel_tol, _FD_REL_TOL))
     numerical = finite_difference_force(
         lambda x: pair_bulk(atom_a, atom_b, material, x, fd_spec, cavity_radius=r_c).U,
-        l, StepPolicy(initial=5e-3 * l, levels=2))
+        l, initial=5e-3 * l, levels=2)
     denom = max(abs(analytic), 1e-300)
     deviation = abs(analytic - numerical.value) / denom
     ok = deviation < _FORCE_TOL

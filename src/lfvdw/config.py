@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import yaml
 
@@ -95,7 +95,8 @@ class UnitSystem:
 
 @dataclass(frozen=True)
 class Sweep:
-    """Parameter grids; all in reduced units after loading."""
+    """Parameter grids; all in reduced units after loading. sweep.R_c is
+    one number, so cavity_radius holds it as (R_c,), or () when unset."""
 
     u: tuple[float, ...] = ()
     l: tuple[float, ...] = ()
@@ -289,7 +290,9 @@ def load_config(path: str, tol_override: float | None = None) -> RunConfig:
     sweep_node = _as_mapping(data.get("sweep"), "sweep")
     _check_keys(sweep_node, ("u", "l", "R_c"), "sweep")
     r_c_node = sweep_node.get("R_c")
-    if r_c_node is not None and not isinstance(r_c_node, (list, tuple)):
+    if isinstance(r_c_node, (list, tuple)):
+        raise ConfigError(f"sweep.R_c must be one number, got the list {r_c_node!r}")
+    if r_c_node is not None:  # checked and converted as a one-value grid
         r_c_node = [r_c_node]
     sweep = Sweep(
         u=_grid(sweep_node.get("u"), "sweep.u", unit.freq_in),

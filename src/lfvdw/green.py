@@ -8,11 +8,11 @@ reduced units, is
 
 with v the unit separation vector. This is the complex form
 (mu k / 4 pi) e^{ikL} [(1/x + i/x^2 - 1/x^3) I - ...] with k = i n u and
-x = kL, which is real on the imaginary axis, so bulk_dyad returns a real
-float64 matrix. It calls _kernels.pair_dyads, the kernel that also builds
-the legs of the N-atom ring.
+x = kL, which is real on the imaginary axis, so bulk_dyad returns it as
+a real 3x3 float64 matrix. It calls _kernels.pair_dyads, the kernel that
+also builds the legs of the N-atom ring.
 
-The traced two-point kernels are
+The traced two-point kernels (_kernels.kernel_g and kernel_h) are
 
     g(x) = 2 e^{-2x} (3 + 6x + 5x^2 + 2x^3 + x^4)      (electric)
     h(x) = 2 e^{-2x} (1 + 2x + x^2)                    (magnetic)
@@ -47,31 +47,12 @@ from .errors import DomainError, GeometryError, PoleError, SingularityError
 from .quadrature import QuadSpec
 from .response import MediumResponse, _as_nodes, _host_arrays, _ret
 
-__all__ = [
-    "GreenDyad",
-    "BodyShell",
-    "bulk_dyad",
-    "pair_kernel_g",
-    "pair_kernel_h",
-    "born_scatter_trace",
-]
+__all__ = ["BodyShell", "bulk_dyad", "born_scatter_trace"]
 
 
-@dataclass(frozen=True)
-class GreenDyad:
-    """3x3 bulk Green tensor sample at imaginary frequency u (real float64)."""
-
-    matrix: np.ndarray
-    separation: np.ndarray
-    frequency: float
-
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self.matrix))
-
-
-def bulk_dyad(m: MediumResponse, r, rp, u: float) -> GreenDyad:
-    """Bulk Green tensor G(r, rp, iu) of the infinite homogeneous medium."""
+def bulk_dyad(m: MediumResponse, r, rp, u: float) -> np.ndarray:
+    """Bulk Green tensor G(r, rp, iu) of the infinite homogeneous medium,
+    as a 3x3 float64 matrix."""
     r = np.asarray(r, dtype=np.float64)
     rp = np.asarray(rp, dtype=np.float64)
     if r.shape != (3,) or rp.shape != (3,):
@@ -90,20 +71,7 @@ def bulk_dyad(m: MediumResponse, r, rp, u: float) -> GreenDyad:
 
     nodes = np.array([u], dtype=np.float64)
     _, mu, n = _host_arrays(m, nodes)
-    mat = _kernels.pair_dyads(n * nodes, mu, np.array([dist]), np.outer(v, v)[None])[0, 0]
-    return GreenDyad(matrix=mat, separation=sep, frequency=float(u))
-
-
-def pair_kernel_g(x):
-    """Traced electric pair kernel g(x); g(0) = 6."""
-    nodes, scalar = _as_nodes(x, "kernel argument x")
-    return _ret(_kernels.kernel_g(nodes), scalar)
-
-
-def pair_kernel_h(x):
-    """Traced magnetic pair kernel h(x); h(0) = 2."""
-    nodes, scalar = _as_nodes(x, "kernel argument x")
-    return _ret(_kernels.kernel_h(nodes), scalar)
+    return _kernels.pair_dyads(n * nodes, mu, np.array([dist]), np.outer(v, v)[None])[0, 0]
 
 
 @dataclass(frozen=True)
@@ -142,7 +110,7 @@ def born_scatter_trace(shell: BodyShell, u, q: QuadSpec = QuadSpec()):
     callers pass it positionally.
     """
     nodes, scalar = _as_nodes(u)
-    if nodes.size and nodes.min() == 0.0:
+    if nodes.min() == 0.0:
         raise DomainError("born_scatter_trace requires u > 0")
 
     if math.isinf(shell.outer_radius):

@@ -30,7 +30,6 @@ from .response import AtomModel, LorentzTerm, MediumResponse, scale_hint
 
 __all__ = [
     "DiluteHost",
-    "StepPolicy",
     "ForceEstimate",
     "u1_pairwise_sum",
     "total_pairwise_sum",
@@ -165,33 +164,23 @@ def total_pairwise_sum(
     return pref * integrate_finite(f, lo, body.outer_radius, q).value
 
 
-@dataclass(frozen=True)
-class StepPolicy:
-    """Central-difference step plan: start at ``initial``, halve ``levels``
-    times, Richardson-extrapolate the table."""
-
-    initial: float = 1e-3
-    levels: int = 3
-
-    def __post_init__(self):
-        if not 0.0 < self.initial < math.inf:
-            raise ConfigError(f"initial step must be finite and > 0, got {self.initial}")
-        if self.levels < 1:
-            raise ConfigError("need at least one halving level")
-
-
 class ForceEstimate(NamedTuple):
     value: float
     err_est: float
 
 
 def finite_difference_force(
-    U: Callable[[np.ndarray], np.ndarray], point: float, step_policy: StepPolicy = StepPolicy()
+    U: Callable[[np.ndarray], np.ndarray], point: float, initial: float = 1e-3, levels: int = 3
 ) -> ForceEstimate:
     """Numerical force -dU/dx at ``point`` with a Richardson error bar. U is
     called once, on the stencil point + h then point - h for the steps
-    h = initial * 0.5**k, k = 0..levels, and returns one value per point."""
-    steps = [step_policy.initial * 0.5**k for k in range(step_policy.levels + 1)]
+    h = initial * 0.5**k, k = 0..levels, and returns one value per point;
+    the table of central differences is Richardson-extrapolated."""
+    if not 0.0 < initial < math.inf:
+        raise ConfigError(f"initial step must be finite and > 0, got {initial}")
+    if levels < 1:
+        raise ConfigError("need at least one halving level")
+    steps = [initial * 0.5**k for k in range(levels + 1)]
     stencil = np.array([point + h for h in steps] + [point - h for h in steps])
     values = np.asarray(U(stencil), dtype=np.float64)
     if values.shape != stencil.shape:
@@ -203,6 +192,5 @@ def finite_difference_force(
         fac = 4.0**j
         prev = table[-1]
         table.append([(fac * prev[k + 1] - prev[k]) / (fac - 1.0) for k in range(len(prev) - 1)])
-    best = table[-1][0]
-    prior = table[-2][-1] if len(table) > 1 else best
+    best, prior = table[-1][0], table[-2][-1]
     return ForceEstimate(value=-best, err_est=abs(best - prior))

@@ -111,8 +111,6 @@ class StiffnessResult:
 
 
 def _check_ratio(w: np.ndarray, bound: float, context: str):
-    if w.size == 0:
-        return
     if w.min() < 1.0 - _BOUND_SLACK or w.max() > bound + _BOUND_SLACK:
         raise InvariantError(
             f"local-field enhancement {w.min():.6g}..{w.max():.6g} leaves "

@@ -220,12 +220,11 @@ def integrate_finite(
     b: float,
     spec: QuadSpec = QuadSpec(),
 ) -> QuadResult:
-    """Integrate the vectorized integrand f over the finite interval [a, b]."""
+    """Integrate the vectorized integrand f over the finite interval [a, b],
+    a < b; an empty interval is an error, as reversed bounds are."""
     if not (math.isfinite(a) and math.isfinite(b)):
         raise DomainError("bounds must be finite")
-    if a == b:
-        return QuadResult(0.0, 0.0, 0)
-    if a > b:
+    if not a < b:
         raise DomainError("require a < b")
     breaks = tuple(a + (b - a) * k / 4.0 for k in range(5))
     return _adaptive(f, breaks, spec)

@@ -13,11 +13,13 @@ atomic polarizability is a sum of undamped resonance terms
     alpha(iu) = sum_k a_k w_k^2 / (w_k^2 + u^2).
 
 The model objects are frozen and hashable; every method accepts a scalar or
-a 1-D array of u >= 0 and returns a matching float or float64 array.
+a non-empty 1-D array of finite u >= 0 and returns a matching float or
+float64 array.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,17 +30,16 @@ from .errors import DomainError
 __all__ = ["LorentzTerm", "MediumResponse", "AtomModel", "VACUUM", "scale_hint"]
 
 
-def _as_nodes(u, name: str = "imaginary-axis frequency u"):
-    """Validate finite nodes >= 0 and return (float64 array, was_scalar).
-
-    The one node check of the package; ``name`` says what the nodes are in
-    the error message.
-    """
+def _as_nodes(u):
+    """Validate a non-empty set of finite nodes >= 0 and return (float64
+    array, was_scalar); the one node check of the package."""
     arr = np.asarray(u, dtype=np.float64)
     scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    if arr.size and (not np.all(np.isfinite(arr)) or arr.min() < 0.0):
-        raise DomainError(f"{name} must be finite and >= 0")
+    if scalar:
+        arr = arr.reshape(1)
+    # NaN fails both comparisons, so this also rejects it
+    if not (arr.size and arr.min() >= 0.0 and arr.max() < math.inf):
+        raise DomainError("imaginary-axis frequency u must be finite and >= 0")
     return arr, scalar
 
 

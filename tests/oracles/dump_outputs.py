@@ -32,42 +32,19 @@ import sys
 import tempfile
 from pathlib import Path
 
-import lfvdw
-from lfvdw import cli, oracle, potentials
-from lfvdw.cavity import CavitySpec
-from lfvdw.green import born_scatter_trace
-from lfvdw.oracle import DiluteHost, total_pairwise_sum, u1_pairwise_sum
-from lfvdw.quadrature import QuadSpec
-from lfvdw.response import AtomModel, LorentzTerm, MediumResponse
-
 CONFIG = str(Path(__file__).resolve().parents[1] / "data" / "glass.yaml")
 
-PROBE = AtomModel(resonances=((1.0, 0.02),))
-PARTNER = AtomModel(resonances=((1.3, 0.015),), beta_resonances=((2.1, 0.004),))
-HOSTS = {
-    "glass": MediumResponse(
-        eps_terms=(LorentzTerm(plasma_strength=1.5, resonance=1.2, damping=0.02),),
-        mu_terms=(LorentzTerm(plasma_strength=0.2, resonance=2.0),),
-    ),
-    "dielectric": MediumResponse(
-        eps_terms=(LorentzTerm(plasma_strength=1.5, resonance=1.2, damping=0.02),),
-    ),
-    "magnetic": MediumResponse(
-        mu_terms=(LorentzTerm(plasma_strength=0.3, resonance=1.5),),
-    ),
-}
-# the dilute host atoms standing in for each host in the pairwise sums
-DILUTE = {"glass": PARTNER, "dielectric": PROBE, "magnetic": PARTNER}
 TOLS = (1e-8, 1e-10)
 SEPARATIONS = (0.01, 0.3, 2.5, 10.0)
-RING = [
-    (PROBE, (0.0, 0.0, 0.0)),
-    (PARTNER, (3.0, 0.0, 0.0)),
-    (PROBE, (0.0, 3.5, 0.0)),
-    (PARTNER, (1.0, 1.0, 4.0)),
-    (PROBE, (2.5, 3.0, 1.5)),
-    (PARTNER, (-2.0, 1.0, 2.5)),
-]
+# probe and partner alternate around the ring
+RING_POSITIONS = (
+    (0.0, 0.0, 0.0),
+    (3.0, 0.0, 0.0),
+    (0.0, 3.5, 0.0),
+    (1.0, 1.0, 4.0),
+    (2.5, 3.0, 1.5),
+    (-2.0, 1.0, 2.5),
+)
 R_C = 0.05
 OUTER = 10.0
 DENSITY = 0.03
@@ -75,9 +52,11 @@ DENSITY = 0.03
 
 def _entries(key, fn):
     """(key, repr) lines of fn(), one per element when it returns a list."""
+    from lfvdw import LfvdwError
+
     try:
         value = fn()
-    except lfvdw.LfvdwError as exc:
+    except LfvdwError as exc:
         yield key, f"{type(exc).__name__}({exc})"
         return
     if isinstance(value, list):
@@ -88,12 +67,38 @@ def _entries(key, fn):
 
 
 def library_lines():
-    for host_name, host in HOSTS.items():
+    # lfvdw is imported here and in cli_lines and counts, so that --compare
+    # runs without the package on the path
+    import lfvdw
+    from lfvdw.cavity import CavitySpec
+    from lfvdw.green import born_scatter_trace
+    from lfvdw.oracle import DiluteHost, total_pairwise_sum, u1_pairwise_sum
+    from lfvdw.quadrature import QuadSpec
+    from lfvdw.response import AtomModel, LorentzTerm, MediumResponse
+
+    probe = AtomModel(resonances=((1.0, 0.02),))
+    partner = AtomModel(resonances=((1.3, 0.015),), beta_resonances=((2.1, 0.004),))
+    hosts = {
+        "glass": MediumResponse(
+            eps_terms=(LorentzTerm(plasma_strength=1.5, resonance=1.2, damping=0.02),),
+            mu_terms=(LorentzTerm(plasma_strength=0.2, resonance=2.0),),
+        ),
+        "dielectric": MediumResponse(
+            eps_terms=(LorentzTerm(plasma_strength=1.5, resonance=1.2, damping=0.02),),
+        ),
+        "magnetic": MediumResponse(
+            mu_terms=(LorentzTerm(plasma_strength=0.3, resonance=1.5),),
+        ),
+    }
+    # the dilute host atoms standing in for each host in the pairwise sums
+    dilute_atoms = {"glass": partner, "dielectric": probe, "magnetic": partner}
+    ring = [((probe, partner)[k % 2], pos) for k, pos in enumerate(RING_POSITIONS)]
+    for host_name, host in hosts.items():
         for rel in TOLS:
             q = QuadSpec(rel_tol=rel)
             tag = f"[{host_name},{rel:g}]"
             spec = CavitySpec(radius=R_C, host=host)
-            dilute = DiluteHost(density=DENSITY, host_atom=DILUTE[host_name])
+            dilute = DiluteHost(density=DENSITY, host_atom=dilute_atoms[host_name])
             shell = dilute.to_shell(R_C, OUTER)
             born_spec = CavitySpec(radius=R_C, host=dilute.to_medium())
 
@@ -103,14 +108,14 @@ def library_lines():
             for l in SEPARATIONS:
                 for flag in (True, False):
                     yield (f"pair_bulk{tag}(l={l},corrected={flag})",
-                           lambda: lfvdw.pair_bulk(PROBE, PARTNER, host, l, q, corrected=flag).U)
+                           lambda: lfvdw.pair_bulk(probe, partner, host, l, q, corrected=flag).U)
                 yield (f"force_pair{tag}(l={l})",
-                       lambda: lfvdw.force_pair(PROBE, PARTNER, host, l, q))
+                       lambda: lfvdw.force_pair(probe, partner, host, l, q))
                 for parts in ("both", "electric", "magnetic"):
                     yield (f"pair_free_space{tag}(l={l},{parts})",
-                           lambda: lfvdw.pair_free_space(PROBE, PARTNER, l, q, parts))
-            yield f"coeff_nonretarded{tag}", lambda: lfvdw.coeff_nonretarded(PROBE, PARTNER, host, q)
-            for atom_name, atom in (("probe", PROBE), ("partner", PARTNER)):
+                           lambda: lfvdw.pair_free_space(probe, partner, l, q, parts))
+            yield f"coeff_nonretarded{tag}", lambda: lfvdw.coeff_nonretarded(probe, partner, host, q)
+            for atom_name, atom in (("probe", probe), ("partner", partner)):
                 at = f"{tag}({atom_name})"
                 yield f"u1_exact{at}", lambda: lfvdw.u1_exact(atom, spec, q)
                 yield f"u1_expanded.term_r3{at}", lambda: lfvdw.u1_expanded(atom, spec, q).term_r3
@@ -125,17 +130,19 @@ def library_lines():
                 yield (f"total_pairwise_sum{at}",
                        lambda: total_pairwise_sum(atom, dilute, shell, R_C, q))
             for n in range(2, 7):
-                yield f"n_atom_bulk{tag}(N={n})", lambda: lfvdw.n_atom_bulk(RING[:n], host, q)
+                yield f"n_atom_bulk{tag}(N={n})", lambda: lfvdw.n_atom_bulk(ring[:n], host, q)
                 yield (f"n_atom_orderings{tag}(N={n})",
-                       lambda: [e for _, e in lfvdw.n_atom_orderings(RING[:n], host, q)])
+                       lambda: [e for _, e in lfvdw.n_atom_orderings(ring[:n], host, q)])
 
 
 def cli_lines():
+    from lfvdw import cli
+
     with tempfile.TemporaryDirectory() as tmp:
         positions = Path(tmp) / "ring4.txt"
         positions.write_text("".join(
             f"{'probe' if k % 2 == 0 else 'partner'} {x} {y} {z}\n"
-            for k, (_, (x, y, z)) in enumerate(RING[:4])
+            for k, (x, y, z) in enumerate(RING_POSITIONS[:4])
         ))
         pair = ["--atom-a", "probe", "--atom-b", "partner", "--material", "glass"]
         commands = {
@@ -187,6 +194,8 @@ def _counting(integrate, tally):
 
 
 def counts(out=sys.stdout):
+    from lfvdw import LfvdwError, oracle, potentials
+
     # wrap the integrators where the library modules look them up; green
     # and cavity start no integral of their own
     tally = {}
@@ -201,7 +210,7 @@ def counts(out=sys.stdout):
             tally.update(calls=0, evals=0)
             try:
                 fn()
-            except lfvdw.LfvdwError as exc:
+            except LfvdwError as exc:
                 key = f"{key} ({type(exc).__name__})"
             out.write(f"{key}: calls={tally['calls']} evals={tally['evals']}\n")
     finally:

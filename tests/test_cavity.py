@@ -170,9 +170,11 @@ def test_coefficients_match_complex_mie_oracle(tag):
     spec = CavitySpec(radius=radius, host=ConstantMedium(eps, mu))
     assert coeff_C_exact(spec, 1, u) == pytest.approx(c1, rel=1e-12, abs=0.0)
     assert coeff_C_exact(spec, 2, u) == pytest.approx(c2, rel=1e-12, abs=0.0)
-    # the magnetic coefficient of a barely magnetic medium survives a
-    # few extra digits of cancellation, hence the looser tolerance
-    assert coeff_C_exact(spec, 1, u, kind="magnetic") == pytest.approx(c1m, rel=1e-11, abs=0.0)
+    # the magnetic coefficient is the electric one on the host with eps and
+    # mu exchanged; for a barely magnetic medium it survives a few extra
+    # digits of cancellation, hence the looser tolerance
+    swapped = CavitySpec(radius=radius, host=ConstantMedium(mu, eps))
+    assert coeff_C_exact(swapped, 1, u) == pytest.approx(c1m, rel=1e-11, abs=0.0)
     assert coeff_D_exact(spec, u) == pytest.approx(d, rel=1e-12, abs=0.0)
 
 
@@ -181,19 +183,24 @@ def test_vacuum_coefficients_are_trivial():
     u = np.array([0.2, 1.0, 6.0])
     assert np.all(coeff_C_exact(spec, 1, u) == 0.0)
     assert np.all(coeff_C_exact(spec, 2, u) == 0.0)
-    assert np.all(coeff_C_exact(spec, 1, u, kind="magnetic") == 0.0)
     # transmission through no wall: exactly 1 in floating point, not just close
     assert np.all(coeff_D_exact(spec, u) == 1.0)
     assert np.all(coeff_D_leading(VACUUM, u) == 1.0)
 
 
 def test_magnetic_kind_is_electric_with_swapped_roles():
-    u = 2.0
-    spec = CavitySpec(radius=0.03, host=ConstantMedium(2.0, 3.0))
-    swapped = CavitySpec(radius=0.03, host=ConstantMedium(3.0, 2.0))
-    # same refractive index, exchanged eps and mu: bitwise identical
-    assert coeff_C_exact(spec, 1, u, kind="magnetic") == coeff_C_exact(swapped, 1, u)
-    assert coeff_C_exact(spec, 2, u, kind="magnetic") == coeff_C_exact(swapped, 2, u)
+    # the magnetic C_l is the electric formula with mu in the place of eps;
+    # exchanging eps and mu keeps n = sqrt(eps mu), so coeff_C_exact on the
+    # swapped host gives it bitwise
+    u = np.array([0.3, 2.0, 7.5])
+    eps_terms = (LorentzTerm(plasma_strength=1.5, resonance=1.2, damping=0.02),)
+    mu_terms = (LorentzTerm(plasma_strength=0.4, resonance=2.0),)
+    host = MediumResponse(eps_terms=eps_terms, mu_terms=mu_terms)
+    swapped = CavitySpec(radius=0.03, host=MediumResponse(eps_terms=mu_terms, mu_terms=eps_terms))
+    eps, mu = host.eps_iu(u), host.mu_iu(u)
+    for l in (1, 2):
+        magnetic = _kernels.cavity_c(0.03 * u, np.sqrt(eps * mu), mu, l)
+        assert np.array_equal(coeff_C_exact(swapped, l, u), magnetic)
 
 
 def test_expansion_error_shrinks_linearly_with_radius():
@@ -257,14 +264,12 @@ def test_unsupported_order():
             coeff_C_exact(spec, l, 1.0)
 
 
-def test_domain_and_kind_validation():
+def test_domain_validation():
     spec = CavitySpec(radius=0.05, host=ConstantMedium(2.0))
     with pytest.raises(DomainError):
         coeff_C_exact(spec, 1, -1.0)
     with pytest.raises(DomainError):
         coeff_D_exact(spec, np.inf)
-    with pytest.raises(ValueError):
-        coeff_C_exact(spec, 1, 1.0, kind="chiral")
     with pytest.raises(ValueError):
         CavitySpec(radius=0.0, host=VACUUM)
     with pytest.raises(ValueError):

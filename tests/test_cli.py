@@ -388,6 +388,18 @@ def test_non_positive_sweep_grid_is_a_config_error(tmp_path):
     assert "sweep.R_c" in err["message"]
 
 
+@pytest.mark.parametrize("value", ["[0.05, 0.5, 3.0]", "[0.05]"])
+def test_sweep_cavity_radius_list_is_a_config_error(tmp_path, value):
+    # sweep.R_c is one number; a list used to run on its first value, silently
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(Path(CONFIG).read_text().replace("R_c: 0.05", f"R_c: {value}"))
+    proc = run_cli("single", "--config", str(bad), "--atom", "probe", "--material", "glass")
+    assert proc.returncode == 2
+    err = json.loads(proc.stdout)["error"]
+    assert err["type"] == "config"
+    assert "sweep.R_c must be one number" in err["message"]
+
+
 @pytest.mark.parametrize("radius", ["-1", "nan"])
 def test_bad_cavity_radius_is_a_config_error(radius):
     proc = run_cli(

@@ -169,6 +169,7 @@ INVALID = [
         "materials.m",
     ),
     ("atoms:\n  a:\n    resonances: [[-1, 0.1]]\n", "atoms.a"),
+    ("sweep:\n  R_c: [0.05, 0.5]\n", "sweep.R_c must be one number"),
 ]
 
 

@@ -9,11 +9,10 @@ import numpy as np
 import pytest
 
 from lfvdw import oracle, potentials
-from lfvdw.errors import DomainError, GeometryError
+from lfvdw.errors import ConfigError, DomainError, GeometryError
 from lfvdw.green import BodyShell
 from lfvdw.oracle import (
     DiluteHost,
-    StepPolicy,
     finite_difference_force,
     total_pairwise_sum,
     u1_pairwise_sum,
@@ -132,7 +131,7 @@ def test_pairwise_sum_converges_to_infinite_limit(atom_a, quad):
 def test_finite_difference_exact_on_polynomials():
     est = finite_difference_force(lambda x: 3.0 * x * x, 1.5)
     assert est.value == pytest.approx(-9.0, rel=1e-12, abs=0.0)
-    est = finite_difference_force(lambda x: x**4 - 2.0 * x, 2.0, StepPolicy(1e-2, 3))
+    est = finite_difference_force(lambda x: x**4 - 2.0 * x, 2.0, 1e-2, 3)
     assert est.value == pytest.approx(-30.0, rel=1e-10, abs=0.0)
 
 
@@ -149,7 +148,7 @@ def test_finite_difference_calls_u_once_with_the_stencil():
         calls.append(x.copy())
         return x * x
 
-    finite_difference_force(U, 2.0, StepPolicy(0.1, 3))
+    finite_difference_force(U, 2.0, 0.1, 3)
     assert len(calls) == 1
     steps = [0.1, 0.05, 0.025, 0.0125]
     assert calls[0].tolist() == [2.0 + h for h in steps] + [2.0 - h for h in steps]
@@ -163,23 +162,26 @@ def test_finite_difference_calls_u_once_with_the_stencil():
 ])
 def test_finite_difference_rejects_wrong_shape(bad):
     with pytest.raises(DomainError, match="one value per stencil point"):
-        finite_difference_force(bad, 1.0, StepPolicy(1e-2, 2))
+        finite_difference_force(bad, 1.0, 1e-2, 2)
 
 
 def test_finite_difference_power_law():
     # the shape of a retarded pair potential
-    est = finite_difference_force(lambda x: -1.0 / x**7, 2.0, StepPolicy(1e-2, 3))
+    est = finite_difference_force(lambda x: -1.0 / x**7, 2.0, 1e-2, 3)
     assert est.value == pytest.approx(-7.0 / 2.0**8, rel=1e-10, abs=0.0)
     assert est.err_est < 1e-8 * abs(est.value)
 
 
 def test_step_policy_validation():
-    with pytest.raises(ValueError):
-        StepPolicy(initial=0.0)
-    with pytest.raises(ValueError):
-        StepPolicy(initial=-1e-3)
-    with pytest.raises(ValueError):
-        StepPolicy(levels=0)
+    # the step plan is checked before U is called
+    def U(x):
+        raise AssertionError("U called with an invalid step plan")
+
+    for initial in (0.0, -1e-3, math.inf, math.nan):
+        with pytest.raises(ConfigError, match="initial step must be finite and > 0"):
+            finite_difference_force(U, 1.0, initial=initial)
+    with pytest.raises(ConfigError, match="at least one halving level"):
+        finite_difference_force(U, 1.0, levels=0)
 
 
 def test_radial_integrand_is_one_u_integral_per_panel(monkeypatch, atom_a, quad):

@@ -14,10 +14,10 @@ import pytest
 
 from conftest import ConstantMedium
 from lfvdw import _kernels, potentials
-from lfvdw.cavity import CavitySpec, coeff_C_exact, coeff_D_leading
+from lfvdw.cavity import CavitySpec, coeff_D_leading
 from lfvdw.errors import ConfigError, DomainError, GeometryError, InvariantError, LfvdwError
 from lfvdw.green import bulk_dyad
-from lfvdw.oracle import StepPolicy, finite_difference_force
+from lfvdw.oracle import finite_difference_force
 from lfvdw.potentials import (
     SingleAtomResult,
     _ring_integrand,
@@ -375,7 +375,8 @@ def test_force_matches_finite_difference(atom_a, atom_b, glass):
     fd = finite_difference_force(
         lambda x: pair_bulk(atom_a, atom_b, glass, x, tight).U,
         l,
-        StepPolicy(initial=5e-3 * l, levels=2),
+        initial=5e-3 * l,
+        levels=2,
     )
     assert analytic == pytest.approx(fd.value, rel=1e-8, abs=0.0)
     assert fd.err_est < 1e-8 * abs(analytic)
@@ -533,7 +534,7 @@ def test_stacked_ring_matches_explicit_dyad_products(atom_a, glass, n):
         for o, cycle in enumerate(orderings):
             prod = np.eye(3)
             for a, b in zip(cycle, np.roll(cycle, -1)):
-                prod = prod @ bulk_dyad(glass, pos[a], pos[b], uk).matrix
+                prod = prod @ bulk_dyad(glass, pos[a], pos[b], uk)
             assert got[k, o] == pytest.approx(np.trace(prod), rel=1e-13, abs=0.0)
 
 
@@ -623,7 +624,6 @@ _ARGUMENT_ERRORS = {
     "quad_scale": (DomainError, lambda: integrate_semi_infinite(np.exp, scale=0.0)),
     "quad_bounds": (DomainError, lambda: integrate_finite(np.sin, 0.0, math.inf)),
     "quad_order": (DomainError, lambda: integrate_finite(np.sin, 2.0, 1.0)),
-    "cavity_kind": (DomainError, lambda: coeff_C_exact(_SPEC, 1, 1.0, "bogus")),
     "pair_parts": (DomainError, lambda: pair_free_space(_ATOM, _ATOM, 2.0, parts="x")),
     "pair_free_space_inf": (GeometryError, lambda: pair_free_space(_ATOM, _ATOM, math.inf)),
     "pair_bulk_inf": (GeometryError, lambda: pair_bulk(_ATOM, _ATOM, VACUUM, math.inf)),
@@ -637,9 +637,9 @@ _ARGUMENT_ERRORS = {
     # a NaN coordinate used to give a NaN matrix silently, an infinite one with a RuntimeWarning
     "dyad_nan": (GeometryError, lambda: bulk_dyad(VACUUM, [1.0, math.nan, 0.0], np.zeros(3), 1.0)),
     "dyad_inf": (GeometryError, lambda: bulk_dyad(VACUUM, np.zeros(3), [math.inf, 0.0, 0.0], 1.0)),
-    "step_initial": (ConfigError, lambda: StepPolicy(initial=0.0)),
-    "step_initial_inf": (ConfigError, lambda: StepPolicy(initial=math.inf)),
-    "step_levels": (ConfigError, lambda: StepPolicy(levels=0)),
+    "step_initial": (ConfigError, lambda: finite_difference_force(np.sin, 1.0, initial=0.0)),
+    "step_initial_inf": (ConfigError, lambda: finite_difference_force(np.sin, 1.0, initial=math.inf)),
+    "step_levels": (ConfigError, lambda: finite_difference_force(np.sin, 1.0, levels=0)),
 }
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -85,6 +87,12 @@ def test_negative_frequency_rejected():
         VACUUM.eps_iu(np.array([0.1, -0.1]))
     with pytest.raises(DomainError):
         VACUUM.eps_iu(np.nan)
+    # non-finite nodes inside an array, and no nodes at all
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError, match="must be finite and >= 0"):
+            VACUUM.eps_iu(np.array([0.1, bad, 2.0]))
+    with pytest.raises(DomainError, match="must be finite and >= 0"):
+        VACUUM.eps_iu(np.array([]))
 
 
 def test_atom_polarizability():
