@@ -31,9 +31,6 @@ from .errors import (
     GeometryError,
     InvariantError,
     LfvdwError,
-    PoleError,
-    SingularityError,
-    UnsupportedOrderError,
 )
 from .green import BodyShell, born_scatter_trace, bulk_dyad
 from .oracle import (
@@ -81,16 +78,13 @@ __all__ = [
     "LorentzTerm",
     "MediumResponse",
     "PairResult",
-    "PoleError",
     "QuadResult",
     "QuadSpec",
     "RunConfig",
     "SingleAtomResult",
-    "SingularityError",
     "StiffnessResult",
     "U1Expansion",
     "UnitSystem",
-    "UnsupportedOrderError",
     "VACUUM",
     "born_scatter_trace",
     "bulk_dyad",

@@ -64,7 +64,6 @@ __all__ = [
     "p0",
     "p1",
     "p2",
-    "q1",
     "s1",
     "s2",
     "t1",
@@ -181,10 +180,6 @@ def p2(t):
     return np.where(t < _SERIES_CUT, _p_series(t, 2), closed)
 
 
-def q1(t):
-    return t * p0(t) - p1(t)
-
-
 def s1(t):
     return -(1.0 / t + 1.0 / (t * t))
 
@@ -253,7 +248,7 @@ def cavity_d(t0, nrel, eps, mu):
     """
     tn = nrel * t0
     p = p1(t0)
-    q = q1(t0)
+    q = t0 * p0(t0) - p
     num = p * t1(t0) - q * s1(t0)
     den = mu * (p * t1(tn) - eps * q * s1(tn))
     return _exp((nrel - 1.0) * t0) * num / den

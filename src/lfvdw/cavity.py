@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import GeometryError, InvariantError, PoleError, UnsupportedOrderError
-from .response import MediumResponse, _as_nodes, _host_arrays, _ret
+from .errors import DomainError, GeometryError, InvariantError
+from .response import MediumResponse, _as_nodes, _host_arrays, _pos_nodes, _ret
 
 __all__ = [
     "CavitySpec",
@@ -49,15 +49,6 @@ class CavitySpec:
             )
 
 
-def _pos_nodes(u):
-    """_as_nodes, plus the pole of the cavity coefficients at u = 0."""
-    nodes, scalar = _as_nodes(u)
-    if nodes.min() == 0.0:
-        raise PoleError("cavity coefficients are singular at u = 0; "
-                        "supply the analytic limit instead")
-    return nodes, scalar
-
-
 def _d_leading(eps):
     """Local-field factor D = 3 eps/(2 eps + 1) of the small real cavity."""
     return 3.0 * eps / (2.0 * eps + 1.0)
@@ -71,7 +62,7 @@ def coeff_C_exact(spec: CavitySpec, l: int, u):
     Returns the real number C_l(iu); u may be a scalar or an array.
     """
     if l not in (1, 2):
-        raise UnsupportedOrderError(f"cavity coefficient order l={l} not in {{1, 2}}")
+        raise DomainError(f"cavity coefficient order l={l} not in {{1, 2}}")
     nodes, scalar = _pos_nodes(u)
     eps, _, n = _host_arrays(spec.host, nodes)
     return _ret(_kernels.cavity_c(spec.radius * nodes, n, eps, l), scalar)

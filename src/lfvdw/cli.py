@@ -1,8 +1,9 @@
 """Command line interface.
 
 Subcommands: coeffs, single, pair, nbody, limits, born-check, force-check.
-Every command reads one YAML config (--config), writes CSV or JSON
-(--out, --format), and stamps its output with the package version and a
+Every command reads one YAML config (--config) and returns its payload;
+main() alone renders it as CSV or JSON (--format), writes it (--out) and
+picks the exit code. Output is stamped with the package version and a
 hash of the config file so identical inputs give byte-identical files.
 A pair sweep over sweep.l is one vector integral per corrected flag, one
 component per separation, and force-check's finite-difference stencil is
@@ -13,8 +14,9 @@ and parsing keeps no state between calls. Nothing else is kept; each call
 reads its config and computes its results afresh.
 
 Exit codes: 0 success, 1 a requested consistency check failed its
-tolerance, 2 configuration/usage error, 3 a physics invariant tripped.
-Failures are reported as a machine-readable JSON error document.
+tolerance (the payload's "pass" is false), 2 configuration/usage error
+(an --out path that cannot be written included), 3 a physics invariant
+tripped. Failures are reported as a machine-readable JSON error document.
 """
 
 from __future__ import annotations
@@ -42,8 +44,6 @@ from .potentials import (
     n_atom_orderings,
     pair_bulk,
     single_atom_total,
-    u2_single,
-    u1_expanded,
 )
 from .response import AtomModel
 
@@ -60,25 +60,11 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _emit(text: str, out_path: str | None):
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _meta(cfg: RunConfig) -> dict:
-    return {"version": __version__, "config_hash": cfg.config_hash}
-
-
-def _render_table(cfg: RunConfig, columns: list[str], rows: list[list[float]], fmt: str) -> str:
+def _render_table(cfg: RunConfig, table: dict, fmt: str) -> str:
+    """A {"columns": ..., "rows": ...} table as CSV, or as JSON rows keyed by column."""
+    columns, rows = table["columns"], table["rows"]
     if fmt == "json":
-        payload = {
-            "meta": _meta(cfg),
-            "rows": [dict(zip(columns, row)) for row in rows],
-        }
-        return json.dumps(payload, indent=2) + "\n"
+        return _render_doc(cfg, {"rows": [dict(zip(columns, row)) for row in rows]}, fmt)
     lines = [f"# lfvdw {__version__} config={cfg.config_hash}", ",".join(columns)]
     row_fmt = ",".join(["%.17g"] * len(columns))  # the bytes of _fmt, one % per row
     lines.extend(row_fmt % tuple(row) for row in rows)
@@ -86,7 +72,7 @@ def _render_table(cfg: RunConfig, columns: list[str], rows: list[list[float]], f
 
 
 def _render_doc(cfg: RunConfig, payload: dict, fmt: str) -> str:
-    doc = {"meta": _meta(cfg), **payload}
+    doc = {"meta": {"version": __version__, "config_hash": cfg.config_hash}, **payload}
     if fmt == "csv":
         flat = {k: v for k, v in payload.items() if isinstance(v, (int, float, str, bool))}
         lines = [
@@ -96,6 +82,12 @@ def _render_doc(cfg: RunConfig, payload: dict, fmt: str) -> str:
         ]
         return "\n".join(lines) + "\n"
     return json.dumps(doc, indent=2) + "\n"
+
+
+# How main() renders a command's payload, and in which format by default.
+# The default goes to its own dest: the subparsers share the --format action.
+_TABLE = {"render": _render_table, "default_format": "csv"}
+_DOC = {"render": _render_doc, "default_format": "json"}
 
 
 def _positive(flag: str, value: float, allow_zero: bool = False) -> float:
@@ -129,7 +121,7 @@ def _local_slopes(l_grid: np.ndarray, u_vals: np.ndarray) -> np.ndarray:
     return np.gradient(log(np.abs(u_vals)), log(l_grid))
 
 
-def cmd_coeffs(cfg: RunConfig, args) -> int:
+def cmd_coeffs(cfg: RunConfig, args) -> dict:
     material = cfg.material(args.material)
     if not cfg.sweep.u:
         raise ConfigError("coeffs needs a sweep.u grid in the config")
@@ -154,11 +146,10 @@ def cmd_coeffs(cfg: RunConfig, args) -> int:
         columns.append("u_SI")
         for row in rows:
             row.append(cfg.unit.freq_out(row[0]))
-    _emit(_render_table(cfg, columns, rows, args.format or "csv"), args.out)
-    return 0
+    return {"columns": columns, "rows": rows}
 
 
-def cmd_single(cfg: RunConfig, args) -> int:
+def cmd_single(cfg: RunConfig, args) -> dict:
     atom = cfg.atom(args.atom)
     material = cfg.material(args.material)
     r_c = _cavity_radius(cfg, args)
@@ -183,36 +174,30 @@ def cmd_single(cfg: RunConfig, args) -> int:
             "U2_J": cfg.unit.energy_out(res.U2),
             "total_J": cfg.unit.energy_out(res.total),
         }
-    _emit(_render_doc(cfg, payload, args.format or "json"), args.out)
-    return 0
+    return payload
 
 
-def cmd_pair(cfg: RunConfig, args) -> int:
+def cmd_pair(cfg: RunConfig, args) -> dict:
     atom_a, atom_b, material = _pair_models(cfg, args)
     if not cfg.sweep.l:
         raise ConfigError("pair needs a sweep.l grid in the config")
     l_grid = np.array(cfg.sweep.l)
     r_c = _sweep_cavity_radius(cfg)
-    corrected = not args.uncorrected
 
     u_corr, u_unc = (pair_bulk(atom_a, atom_b, material, l_grid, cfg.quadrature,
                                corrected=flag, cavity_radius=r_c).U for flag in (True, False))
-    u_main = u_corr if corrected else u_unc
+    u_main = u_unc if args.uncorrected else u_corr
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(u_unc != 0.0, u_main / u_unc, math.nan)
     slopes = _local_slopes(l_grid, u_main)
 
     columns = ["l", "U", "U_uncorrected", "ratio", "local_slope"]
-    rows = [
-        [float(l), float(u), float(uu), float(r), float(s)]
-        for l, u, uu, r, s in zip(l_grid, u_main, u_unc, ratio, slopes)
-    ]
+    rows = np.column_stack([l_grid, u_main, u_unc, ratio, slopes]).tolist()
     if cfg.unit.is_si:
         columns.extend(["l_m", "U_J"])
         for row in rows:
             row.extend([cfg.unit.length_out(row[0]), cfg.unit.energy_out(row[1])])
-    _emit(_render_table(cfg, columns, rows, args.format or "csv"), args.out)
-    return 0
+    return {"columns": columns, "rows": rows}
 
 
 def _read_positions(path: str, cfg: RunConfig) -> list[tuple[AtomModel, list[float]]]:
@@ -243,7 +228,7 @@ def _read_positions(path: str, cfg: RunConfig) -> list[tuple[AtomModel, list[flo
     return entries
 
 
-def cmd_nbody(cfg: RunConfig, args) -> int:
+def cmd_nbody(cfg: RunConfig, args) -> dict:
     material = cfg.material(args.material)
     atoms = _read_positions(args.positions, cfg)
     if not 2 <= len(atoms) <= 6:
@@ -263,11 +248,10 @@ def cmd_nbody(cfg: RunConfig, args) -> int:
     }
     if cfg.unit.is_si:
         payload["SI"] = {"energy_J": cfg.unit.energy_out(energy)}
-    _emit(_render_doc(cfg, payload, args.format or "json"), args.out)
-    return 0
+    return payload
 
 
-def cmd_limits(cfg: RunConfig, args) -> int:
+def cmd_limits(cfg: RunConfig, args) -> dict:
     atom_a, atom_b, material = _pair_models(cfg, args)
     c_r = coeff_retarded(atom_a, atom_b, material)
     c_nr = coeff_nonretarded(atom_a, atom_b, material, cfg.quadrature)
@@ -286,11 +270,10 @@ def cmd_limits(cfg: RunConfig, args) -> int:
             "C_nr_J_m6": cfg.unit.c_nr_out(c_nr),
             "crossover_length_m": cfg.unit.length_out(crossover),
         }
-    _emit(_render_doc(cfg, payload, args.format or "json"), args.out)
-    return 0
+    return payload
 
 
-def cmd_born_check(cfg: RunConfig, args) -> int:
+def cmd_born_check(cfg: RunConfig, args) -> dict:
     guest = cfg.atom(args.guest)
     host_atom = cfg.atom(args.host_atom)
     density = cfg.unit.density_in(_positive("--density", args.density, allow_zero=True))
@@ -306,14 +289,12 @@ def cmd_born_check(cfg: RunConfig, args) -> int:
     shell = host.to_shell(r_c, outer)
     q = cfg.quadrature
 
-    u1 = u1_expanded(guest, spec, q).total
-    u2 = u2_single(guest, spec, lambda u: born_scatter_trace(shell, u, q), q)
-    module_value = u1 + u2
+    module_value = single_atom_total(
+        guest, spec, lambda u: born_scatter_trace(shell, u, q), q).total
     oracle_value = total_pairwise_sum(guest, host, shell, r_c, q)
     denom = max(abs(oracle_value), 1e-300)
     deviation = abs(module_value - oracle_value) / denom
-    ok = deviation < _BORN_TOL
-    payload = {
+    return {
         "guest": args.guest,
         "host_atom": args.host_atom,
         "density": density,
@@ -322,13 +303,11 @@ def cmd_born_check(cfg: RunConfig, args) -> int:
         "module_value": module_value,
         "oracle_value": oracle_value,
         "relative_deviation": deviation,
-        "pass": ok,
+        "pass": deviation < _BORN_TOL,
     }
-    _emit(_render_doc(cfg, payload, args.format or "json"), args.out)
-    return 0 if ok else 1
 
 
-def cmd_force_check(cfg: RunConfig, args) -> int:
+def cmd_force_check(cfg: RunConfig, args) -> dict:
     atom_a, atom_b, material = _pair_models(cfg, args)
     l = cfg.unit.length_in(_positive("--separation", args.separation))
     q = cfg.quadrature
@@ -341,7 +320,6 @@ def cmd_force_check(cfg: RunConfig, args) -> int:
         l, initial=5e-3 * l, levels=2)
     denom = max(abs(analytic), 1e-300)
     deviation = abs(analytic - numerical.value) / denom
-    ok = deviation < _FORCE_TOL
     payload = {
         "atom_a": args.atom_a,
         "atom_b": args.atom_b,
@@ -351,12 +329,11 @@ def cmd_force_check(cfg: RunConfig, args) -> int:
         "numerical": numerical.value,
         "fd_err_est": numerical.err_est,
         "relative_deviation": deviation,
-        "pass": ok,
+        "pass": deviation < _FORCE_TOL,
     }
     if cfg.unit.is_si:
         payload["SI"] = {"analytic_N": cfg.unit.force_out(analytic)}
-    _emit(_render_doc(cfg, payload, args.format or "json"), args.out)
-    return 0 if ok else 1
+    return payload
 
 
 @functools.cache
@@ -379,11 +356,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coeffs", parents=[common], help="cavity coefficient table over sweep.u")
     p.add_argument("--material", required=True)
     p.add_argument("--cavity-radius", type=float)
+    p.set_defaults(run=cmd_coeffs, **_TABLE)
 
     p = sub.add_parser("single", parents=[common], help="single embedded atom in infinite bulk")
     p.add_argument("--atom", required=True)
     p.add_argument("--material", required=True)
     p.add_argument("--cavity-radius", type=float)
+    p.set_defaults(run=cmd_single, **_DOC)
 
     pair_args = argparse.ArgumentParser(add_help=False, parents=[common])
     for flag in ("--atom-a", "--atom-b", "--material"):
@@ -392,12 +371,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pair", parents=[pair_args], help="two-atom potential over sweep.l")
     p.add_argument("--uncorrected", action="store_true",
                    help="report the uncorrected potential in the U column")
+    p.set_defaults(run=cmd_pair, **_TABLE)
 
     p = sub.add_parser("nbody", parents=[common], help="N-atom ring potential from a positions file")
     p.add_argument("--positions", required=True, help="file with 'name x y z' lines")
     p.add_argument("--material", required=True)
+    p.set_defaults(run=cmd_nbody, **_DOC)
 
-    sub.add_parser("limits", parents=[pair_args], help="retarded/non-retarded coefficients")
+    p = sub.add_parser("limits", parents=[pair_args], help="retarded/non-retarded coefficients")
+    p.set_defaults(run=cmd_limits, **_DOC)
 
     p = sub.add_parser("born-check", parents=[common],
                        help="module path vs pairwise-summation oracle")
@@ -406,40 +388,45 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--density", type=float, required=True)
     p.add_argument("--outer-radius", type=float, required=True)
     p.add_argument("--cavity-radius", type=float)
+    p.set_defaults(run=cmd_born_check, **_DOC)
 
     p = sub.add_parser("force-check", parents=[pair_args],
                        help="analytic force vs finite differences")
     p.add_argument("--separation", type=float, required=True)
+    p.set_defaults(run=cmd_force_check, **_DOC)
     return parser
 
 
-_DISPATCH = {
-    "coeffs": cmd_coeffs,
-    "single": cmd_single,
-    "pair": cmd_pair,
-    "nbody": cmd_nbody,
-    "limits": cmd_limits,
-    "born-check": cmd_born_check,
-    "force-check": cmd_force_check,
-}
+def _error_doc(exc: LfvdwError) -> tuple[str, int]:
+    """The JSON error document of exc and its exit code."""
+    if isinstance(exc, ConfigError):
+        return json.dumps({"error": {"type": "config", "message": str(exc)}}) + "\n", 2
+    error = {"type": type(exc).__name__, "message": str(exc)}
+    if isinstance(exc, ConvergenceError):  # the partial result, per component
+        error.update(value=np.asarray(exc.value).tolist(),
+                     err_est=np.asarray(exc.err_est).tolist(), evals=exc.evals)
+    return json.dumps({"error": error}) + "\n", 3
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    out = getattr(args, "out", None)
     try:
         cfg = load_config(args.config, tol_override=args.tol)
-        return _DISPATCH[args.command](cfg, args)
-    except ConfigError as exc:
-        _emit(json.dumps({"error": {"type": "config", "message": str(exc)}}) + "\n", out)
-        return 2
+        payload = args.run(cfg, args)
+        text = args.render(cfg, payload, args.format or args.default_format)
+        code = 0 if payload.get("pass", True) else 1
     except LfvdwError as exc:
-        error = {"type": type(exc).__name__, "message": str(exc)}
-        if isinstance(exc, ConvergenceError):  # the partial result, per component
-            error.update(value=np.asarray(exc.value).tolist(),
-                         err_est=np.asarray(exc.err_est).tolist(), evals=exc.evals)
-        _emit(json.dumps({"error": error}) + "\n", out)
-        return 3
+        text, code = _error_doc(exc)
+    if not args.out:
+        sys.stdout.write(text)
+        return code
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        text, code = _error_doc(ConfigError(f"cannot write --out {args.out}: {exc}"))
+        sys.stdout.write(text)
+    return code
 
 
 if __name__ == "__main__":

@@ -4,9 +4,6 @@ from __future__ import annotations
 
 __all__ = [
     "LfvdwError",
-    "UnsupportedOrderError",
-    "PoleError",
-    "SingularityError",
     "DomainError",
     "ConvergenceError",
     "GeometryError",
@@ -19,20 +16,9 @@ class LfvdwError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class UnsupportedOrderError(LfvdwError, ValueError):
-    """Multipole order outside the implemented range."""
-
-
-class PoleError(LfvdwError, ZeroDivisionError):
-    """Evaluation requested at a pole of the function (e.g. Hankel at 0)."""
-
-
-class SingularityError(LfvdwError, ValueError):
-    """Green tensor requested at coincident points."""
-
-
 class DomainError(LfvdwError, ValueError):
-    """Argument outside the physical domain (e.g. negative imaginary frequency)."""
+    """Argument outside the physical domain: a frequency u < 0, or u = 0 at
+    a pole; a model parameter out of range; a multipole order other than 1 or 2."""
 
 
 class ConvergenceError(LfvdwError, RuntimeError):
@@ -50,7 +36,8 @@ class ConvergenceError(LfvdwError, RuntimeError):
 
 
 class GeometryError(LfvdwError, ValueError):
-    """Invalid geometric configuration (separations, shell radii)."""
+    """Invalid geometric configuration (separations, shell radii,
+    coincident points)."""
 
 
 class InvariantError(LfvdwError, AssertionError):

@@ -43,9 +43,9 @@ from typing import Callable
 import numpy as np
 
 from . import _kernels
-from .errors import DomainError, GeometryError, PoleError, SingularityError
+from .errors import DomainError, GeometryError
 from .quadrature import QuadSpec
-from .response import MediumResponse, _as_nodes, _host_arrays, _ret
+from .response import MediumResponse, _host_arrays, _pos_nodes, _ret
 
 __all__ = ["BodyShell", "bulk_dyad", "born_scatter_trace"]
 
@@ -59,17 +59,15 @@ def bulk_dyad(m: MediumResponse, r, rp, u: float) -> np.ndarray:
         raise GeometryError("r and rp must be 3-vectors")
     if not (np.isfinite(r).all() and np.isfinite(rp).all()):
         raise GeometryError(f"r and rp must have finite coordinates; got {r} and {rp}")
-    if u == 0.0:
-        raise PoleError("bulk dyad is singular at u = 0")
-    if not u > 0.0:
-        raise DomainError("bulk dyad requires u > 0")
+    nodes, scalar = _pos_nodes(u)
+    if not scalar:
+        raise DomainError("bulk dyad takes one frequency u")
     sep = r - rp
     dist = float(np.linalg.norm(sep))
     if dist == 0.0:
-        raise SingularityError("bulk dyad is singular at coincident points")
+        raise GeometryError("bulk dyad is singular at coincident points")
     v = sep / dist
 
-    nodes = np.array([u], dtype=np.float64)
     _, mu, n = _host_arrays(m, nodes)
     return _kernels.pair_dyads(n * nodes, mu, np.array([dist]), np.outer(v, v)[None])[0, 0]
 
@@ -109,9 +107,7 @@ def born_scatter_trace(shell: BodyShell, u, q: QuadSpec = QuadSpec()):
     nothing is integrated numerically; it stays in the signature because
     callers pass it positionally.
     """
-    nodes, scalar = _as_nodes(u)
-    if nodes.min() == 0.0:
-        raise DomainError("born_scatter_trace requires u > 0")
+    nodes, scalar = _pos_nodes(u)
 
     if math.isinf(shell.outer_radius):
         return _ret(np.zeros_like(nodes), scalar)

@@ -43,6 +43,16 @@ def _as_nodes(u):
     return arr, scalar
 
 
+def _pos_nodes(u):
+    """_as_nodes, plus u > 0: the cavity coefficients, the Born trace and
+    the bulk dyad have a pole at u = 0."""
+    nodes, scalar = _as_nodes(u)
+    if nodes.min() == 0.0:
+        raise DomainError("u must be > 0: the cavity coefficients, the Born trace "
+                          "and the bulk dyad are singular at u = 0")
+    return nodes, scalar
+
+
 def _ret(values: np.ndarray, scalar: bool):
     """Undo _as_nodes: a float for scalar input, else the array."""
     return float(values[0]) if scalar else values
@@ -141,7 +151,8 @@ class AtomModel:
     """Isotropic ground-state atom: polarizability resonances, optional
     magnetizability resonances of the same single-pole form.
 
-    resonances      : tuple of (transition_frequency, static_strength)
+    resonances      : non-empty tuple of (transition_frequency, static_strength),
+                      every strength > 0, so that alpha(iu) > 0
     beta_resonances : tuple of (transition_frequency, static_strength),
                       empty for a purely electric atom
     """
@@ -158,9 +169,13 @@ class AtomModel:
             "beta_resonances",
             tuple((float(w), float(b)) for w, b in self.beta_resonances),
         )
+        if not self.resonances:
+            raise DomainError("resonances must not be empty: an atom needs a polarizability")
         for w, _ in self.resonances + self.beta_resonances:
             if not w > 0.0:
                 raise DomainError("transition frequencies must be > 0")
+        if not all(a > 0.0 for _, a in self.resonances):
+            raise DomainError("resonance static strengths must be > 0")
         object.__setattr__(self, "_alpha_arrays", _pole_arrays(self.resonances))
         object.__setattr__(self, "_beta_arrays", _pole_arrays(self.beta_resonances))
 
@@ -184,8 +199,7 @@ class AtomModel:
 
     @property
     def max_resonance(self) -> float:
-        freqs = [w for w, _ in self.resonances + self.beta_resonances]
-        return max(freqs) if freqs else 0.0
+        return max(w for w, _ in self.resonances + self.beta_resonances)
 
 
 def scale_hint(*models) -> float:

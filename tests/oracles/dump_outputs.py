@@ -15,11 +15,12 @@ files compare the same way.
 Every line reads ``key: value``. The library values are the reprs of the
 integrated quantities on a dielectric-magnetic (glass), a dielectric-only
 and a magnetic-only host at rel_tol 1e-8 and 1e-10; the CLI lines are the
-stdout of 18 invocations on tests/data/glass.yaml, one key per output
-line. ``--compare`` prints, for every key whose value differs, the
-largest relative deviation over the numbers on that line (or "text" when
-the lines differ in anything but numbers), and the keys present in only
-one file. The script writes nothing into the repository.
+stdout of 18 invocations on tests/data/glass.yaml and of the same 18 on
+its SI twin tests/data/glass_si.yaml, with the flags in SI units; one key
+per output line. ``--compare`` prints, for every key whose value differs,
+the largest relative deviation over the numbers on that line (or "text"
+when the lines differ in anything but numbers), and the keys present in
+only one file. The script writes nothing into the repository.
 """
 
 from __future__ import annotations
@@ -32,7 +33,13 @@ import sys
 import tempfile
 from pathlib import Path
 
-CONFIG = str(Path(__file__).resolve().parents[1] / "data" / "glass.yaml")
+DATA = Path(__file__).resolve().parents[1] / "data"
+# (key prefix, config, length unit of its flags and positions in reduced
+# units); glass_si.yaml is glass.yaml at omega_ref = 1e15 rad/s
+CONFIGS = (
+    ("cli", DATA / "glass.yaml", 1.0),
+    ("cli-si", DATA / "glass_si.yaml", 2.99792458e-7),
+)
 
 TOLS = (1e-8, 1e-10)
 SEPARATIONS = (0.01, 0.3, 2.5, 10.0)
@@ -138,10 +145,15 @@ def library_lines():
 def cli_lines():
     from lfvdw import cli
 
+    for prefix, config, length in CONFIGS:
+        yield from _cli_lines(cli, prefix, str(config), length)
+
+
+def _cli_lines(cli, prefix, config, length):
     with tempfile.TemporaryDirectory() as tmp:
         positions = Path(tmp) / "ring4.txt"
         positions.write_text("".join(
-            f"{'probe' if k % 2 == 0 else 'partner'} {x} {y} {z}\n"
+            f"{'probe' if k % 2 == 0 else 'partner'} {x * length!r} {y * length!r} {z * length!r}\n"
             for k, (x, y, z) in enumerate(RING_POSITIONS[:4])
         ))
         pair = ["--atom-a", "probe", "--atom-b", "partner", "--material", "glass"]
@@ -152,20 +164,21 @@ def cli_lines():
             "limits": ["limits", *pair],
             "single": ["single", "--atom", "probe", "--material", "glass"],
             "nbody": ["nbody", "--positions", str(positions), "--material", "glass"],
-            "force-check": ["force-check", *pair, "--separation", "3"],
-            "force-check-0.5": ["force-check", *pair, "--separation", "0.5"],
+            "force-check": ["force-check", *pair, "--separation", repr(3 * length)],
+            "force-check-0.5": ["force-check", *pair, "--separation", repr(0.5 * length)],
             "born-check": ["born-check", "--guest", "probe", "--host-atom", "partner",
-                           "--density", "0.05", "--outer-radius", "10"],
+                           "--density", repr(0.05 / length**3),
+                           "--outer-radius", repr(10 * length)],
         }
         for name, argv in commands.items():
             for fmt in ("csv", "json"):
                 buf = io.StringIO()
                 with contextlib.redirect_stdout(buf):
-                    code = cli.main([*argv, "--config", CONFIG, "--format", fmt])
+                    code = cli.main([*argv, "--config", config, "--format", fmt])
                 text = buf.getvalue().replace(str(positions), "<positions>")
-                yield f"cli {name} {fmt} exit", str(code)
+                yield f"{prefix} {name} {fmt} exit", str(code)
                 for k, line in enumerate(text.splitlines()):
-                    yield f"cli {name} {fmt} {k:03d}", line
+                    yield f"{prefix} {name} {fmt} {k:03d}", line
 
 
 def dump(out=sys.stdout):

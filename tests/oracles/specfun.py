@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import cmath
 
-from lfvdw.errors import PoleError, UnsupportedOrderError
+from lfvdw.errors import DomainError
 
 __all__ = ["sph_j", "sph_h1", "riccati_deriv", "MIN_ORDER", "MAX_ORDER"]
 
@@ -29,7 +29,7 @@ _DBLFACT = (1.0, 3.0, 15.0, 105.0, 945.0, 10395.0)
 
 def _check_order(l: int) -> None:
     if not isinstance(l, int) or not (MIN_ORDER <= l <= MAX_ORDER):
-        raise UnsupportedOrderError(
+        raise DomainError(
             f"order must be an integer in [{MIN_ORDER}, {MAX_ORDER}], got {l!r}"
         )
 
@@ -78,7 +78,7 @@ def _h_low(l: int, x: complex) -> complex:
 
 def _sph_h1(l: int, x: complex) -> complex:
     if x == 0:
-        raise PoleError("spherical Hankel function has a pole at x = 0")
+        raise DomainError("spherical Hankel function has a pole at x = 0")
     if l <= 2:
         return _h_low(l, x)
     fm, f = _h_low(1, x), _h_low(2, x)

@@ -51,7 +51,7 @@ def test_csv_rows_format_every_float_as_17g():
     rows = [values, values[::-1]]
     cfg = load_config(CONFIG)
     columns = [f"c{k}" for k in range(len(values))]
-    text = cli._render_table(cfg, columns, rows, "csv")
+    text = cli._render_table(cfg, {"columns": columns, "rows": rows}, "csv")
     assert text.splitlines()[2:] == [",".join(f"{x:.17g}" for x in row) for row in rows]
 
 
@@ -505,3 +505,33 @@ def test_out_file_and_stdout_agree(tmp_path):
         "--material", "glass",
     )
     assert out.read_text() == direct.stdout
+
+
+def test_unwritable_out_path_is_a_config_error(tmp_path):
+    # the command's work is done; the failed write is a usage error, not a traceback
+    out = tmp_path / "missing" / "limits.json"
+    proc = run_cli(
+        "limits", "--config", CONFIG, "--atom-a", "probe", "--atom-b", "partner",
+        "--material", "glass", "--out", str(out),
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == ""
+    err = json.loads(proc.stdout)["error"]
+    assert err["type"] == "config"
+    assert f"--out {out}" in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["pair", "limits"])
+def test_atom_without_polarizability_exits_2(tmp_path, command):
+    # it used to print -0 rows with nan ratios, or a non-JSON Infinity
+    config = tmp_path / "empty.yaml"
+    config.write_text(Path(CONFIG).read_text().replace(
+        "probe:\n    resonances: [[1.0, 0.02]]", "probe:\n    resonances: []"))
+    proc = run_cli(command, "--config", str(config), "--atom-a", "probe", "--atom-b", "partner",
+                   "--material", "glass")
+    assert proc.returncode == 2
+    assert proc.stderr == ""
+    err = json.loads(proc.stdout)["error"]
+    assert err["type"] == "config"
+    assert "atoms.probe" in err["message"]

@@ -179,6 +179,14 @@ def test_invalid_configs(tmp_path, snippet, fragment):
         load_config(write(tmp_path, snippet))
 
 
+@pytest.mark.parametrize("resonances", ["[]", "[[1.0, 0.0]]", "[[1.0, -0.02]]"])
+def test_atom_without_polarizability_is_a_config_error(tmp_path, resonances):
+    path = write(tmp_path, GLASS.read_text().replace(
+        "probe:\n    resonances: [[1.0, 0.02]]", f"probe:\n    resonances: {resonances}"))
+    with pytest.raises(ConfigError, match="atoms.probe: resonance"):
+        load_config(path)
+
+
 def test_missing_file():
     with pytest.raises(ConfigError, match="cannot read"):
         load_config("/nonexistent/run.yaml")

@@ -1,0 +1,40 @@
+"""One exception type per bad-input condition, whichever function meets it."""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from conftest import ConstantMedium
+from lfvdw.cavity import CavitySpec, coeff_C_exact, coeff_C_expansion, coeff_D_exact
+from lfvdw.errors import DomainError, GeometryError
+from lfvdw.green import BodyShell, born_scatter_trace, bulk_dyad
+from lfvdw.potentials import n_atom_bulk
+from lfvdw.response import VACUUM, AtomModel
+
+SPEC = CavitySpec(radius=0.05, host=ConstantMedium(2.0))
+SHELL = BodyShell(inner_radius=0.05, outer_radius=10.0)
+ATOM = AtomModel(resonances=((1.0, 0.02),))
+AT_ZERO = "^u must be > 0: the cavity coefficients, the Born trace and the bulk dyad are singular at u = 0$"
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: coeff_C_exact(SPEC, 1, 0.0), DomainError, AT_ZERO),
+        (lambda: coeff_C_expansion(SPEC, np.array([1.0, 0.0])), DomainError, AT_ZERO),
+        (lambda: coeff_D_exact(SPEC, 0.0), DomainError, AT_ZERO),
+        (lambda: born_scatter_trace(SHELL, np.array([0.0, 1.0])), DomainError, AT_ZERO),
+        (lambda: bulk_dyad(VACUUM, np.ones(3), np.zeros(3), 0.0), DomainError, AT_ZERO),
+        (lambda: bulk_dyad(VACUUM, np.ones(3), np.ones(3), 1.0), GeometryError, "coincident"),
+        (lambda: n_atom_bulk([(ATOM, [1.0, 0.0, 0.0]), (ATOM, [1.0, 0.0, 0.0])], VACUUM),
+         GeometryError, "atoms 0 and 1 coincide"),
+        (lambda: coeff_C_exact(SPEC, 3, 1.0), DomainError, r"order l=3 not in \{1, 2\}"),
+    ],
+    ids=["C_exact-u0", "C_expansion-u0", "D_exact-u0", "born_trace-u0", "bulk_dyad-u0",
+         "bulk_dyad-coincident", "n_atom_bulk-coincident", "C_exact-order3"],
+)
+def test_each_bad_input_raises_its_one_error_type(call, error, message):
+    with pytest.raises(error, match=message) as exc_info:
+        call()
+    assert exc_info.type is error

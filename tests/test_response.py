@@ -120,6 +120,22 @@ def test_atom_validation():
 
 
 @pytest.mark.parametrize(
+    "resonances, message",
+    [
+        ((), "resonances must not be empty"),
+        (((1.0, 0.0),), "static strengths must be > 0"),
+        (((1.0, 0.02), (3.0, -0.005)), "static strengths must be > 0"),
+        (((1.0, float("nan")),), "static strengths must be > 0"),
+    ],
+    ids=["empty", "zero", "negative", "nan"],
+)
+def test_atom_needs_a_positive_polarizability(resonances, message):
+    # an atom without polarizability gave -0 pair potentials and nan ratios
+    with pytest.raises(DomainError, match=message):
+        AtomModel(resonances=resonances, beta_resonances=((2.0, 0.004),))
+
+
+@pytest.mark.parametrize(
     "make",
     [
         lambda: LorentzTerm(plasma_strength=-1.0, resonance=1.0),
