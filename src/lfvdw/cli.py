@@ -187,8 +187,7 @@ def cmd_pair(cfg: RunConfig, args) -> dict:
     u_corr, u_unc = (pair_bulk(atom_a, atom_b, material, l_grid, cfg.quadrature,
                                corrected=flag, cavity_radius=r_c).U for flag in (True, False))
     u_main = u_unc if args.uncorrected else u_corr
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(u_unc != 0.0, u_main / u_unc, math.nan)
+    ratio = u_main / u_unc  # pair_bulk returns U < 0 or raises
     slopes = _local_slopes(l_grid, u_main)
 
     columns = ["l", "U", "U_uncorrected", "ratio", "local_slope"]
@@ -255,7 +254,7 @@ def cmd_limits(cfg: RunConfig, args) -> dict:
     atom_a, atom_b, material = _pair_models(cfg, args)
     c_r = coeff_retarded(atom_a, atom_b, material)
     c_nr = coeff_nonretarded(atom_a, atom_b, material, cfg.quadrature)
-    crossover = c_r / c_nr if c_nr != 0.0 else math.inf
+    crossover = c_r / c_nr
     payload = {
         "atom_a": args.atom_a,
         "atom_b": args.atom_b,

@@ -19,9 +19,14 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
+import re
+from collections import ChainMap
 from dataclasses import dataclass
 
 import yaml
+from yaml.events import (AliasEvent, MappingEndEvent, MappingStartEvent, ScalarEvent,
+                         SequenceEndEvent, SequenceStartEvent)
 
 from .errors import ConfigError
 from .quadrature import QuadSpec
@@ -32,8 +37,14 @@ __all__ = ["UnitSystem", "Sweep", "RunConfig", "load_config", "HBAR_SI", "C_SI"]
 HBAR_SI = 1.054571817e-34  # J s
 C_SI = 299792458.0  # m/s
 
-# libyaml's safe loader is about ten times faster; PyYAML may lack it
+# libyaml's parser is about ten times faster; PyYAML may lack it
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_TAGS = {None, "!"} | {f"tag:yaml.org,2002:{t}" for t in "map seq str null bool int float".split()}
+_MERGE = type("MergeKey", (), {"__repr__": lambda self: "<<"})()  # plain <<; a quoted '<<' is text
+_PLAIN = {"": None, "~": None, "null": None, "Null": None, "NULL": None, "<<": _MERGE}
+# digits with a leading zero: YAML 1.1 reads 010 as 8 and float() as 10, so neither may
+_LEADING_ZERO = re.compile(r"\n[-+]?0[0-9_]+(?=\n)")
+_INT = re.compile(r"[-+]?(0|[1-9][0-9]*)")  # max_subdivisions, decimal
 
 
 @dataclass(frozen=True)
@@ -127,6 +138,66 @@ class RunConfig:
             raise ConfigError(f"atom {name!r} is not defined in the config") from None
 
 
+def _mapping(items: list, frames) -> dict:
+    """The dict of a mapping's [key, value, ...] items, << merged as in SafeLoader.
+    frames hold, for every collection around it from the document down, its
+    items and the event class and anchor of the collection opened inside it."""
+    keys = items[::2]
+    out = dict(zip(keys, items[1::2])) if all(type(k) not in (list, dict) for k in keys) else {}
+    if len(out) < len(keys):
+        dup = next((k for i, k in enumerate(keys) if k in keys[:i]), None)
+        where = "".join(f".{outer[-1]}" if kind is MappingStartEvent else f"[{len(outer)}]"
+                        for (_, kind, _), (outer, _, _) in zip(frames, frames[1:])).lstrip(".")
+        raise yaml.YAMLError(("a non-scalar key" if dup is None else f"duplicate key {dup!r}")
+                             + f" in {where or 'the top level'}")
+    merged = out.pop(_MERGE, [])
+    merged = merged if type(merged) is list else [merged]
+    if any(type(m) is not dict for m in merged):
+        raise yaml.YAMLError("a << key needs a mapping or a list of mappings")
+    return dict(ChainMap(out, *merged)) if merged else out  # explicit keys win, then the earlier
+
+
+def _read_yaml(raw: bytes):
+    """The one document of raw as dicts, lists, None and scalar text, for the
+    schema to type; the rules are in the README's "Configuration file" section."""
+    anchors, frames, node = {}, [], []  # node: the open collection's items, or the documents
+    loader = _LOADER(raw)
+    try:  # yaml.parse's event stream, without its generator
+        for ev in iter(loader.get_event, None):
+            cls = type(ev)
+            if cls is ScalarEvent and ev.implicit[0]:
+                value, anchor = ev.value, ev.anchor
+                if value in _PLAIN:
+                    value = _PLAIN[value]
+            elif getattr(ev, "tag", None) not in _TAGS:
+                raise yaml.YAMLError(f"tag {ev.tag} is not one of YAML's core tags")
+            elif cls is ScalarEvent:
+                value, anchor = ev.value, ev.anchor
+            elif cls is MappingStartEvent or cls is SequenceStartEvent:
+                frames.append((node, cls, ev.anchor))
+                node = []
+                continue
+            elif cls is MappingEndEvent or cls is SequenceEndEvent:
+                value = _mapping(node, frames) if cls is MappingEndEvent else node
+                node, _, anchor = frames.pop()
+            elif cls is AliasEvent:
+                if ev.anchor not in anchors:
+                    raise yaml.YAMLError(f"found undefined alias {ev.anchor!r}")
+                value, anchor = anchors[ev.anchor], None
+            else:  # the stream's and the documents' start and end
+                continue
+            if anchor is not None:
+                anchors[anchor] = value
+            node.append(value)
+        if len(node) > 1:
+            raise yaml.YAMLError("expected a single document, found a second one")
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"config is not valid YAML: {exc}") from None
+    finally:
+        loader.dispose()
+    return node[0] if node else None
+
+
 def _as_mapping(node, context: str) -> dict:
     if node is None:
         return {}
@@ -136,20 +207,21 @@ def _as_mapping(node, context: str) -> dict:
 
 
 def _check_keys(mapping: dict, allowed: tuple[str, ...], context: str):
-    unknown = sorted(set(mapping) - set(allowed))
+    unknown = sorted(set(mapping) - set(allowed), key=str)
     if unknown:
         raise ConfigError(f"unknown key(s) {unknown} in {context}")
 
 
 def _as_float(value, context: str) -> float:
-    # YAML 1.1 reads "1.0e15" (unsigned exponent) as a string, so accept
-    # strings that parse cleanly as floats.
+    """A number: text that float() reads, YAML's .inf or .nan (not finite), or a number."""
     if isinstance(value, str):
+        if _LEADING_ZERO.search(f"\n{value}\n"):
+            raise ConfigError(f"{context} must be a number without a leading zero, got {value!r}")
         try:
-            value = float(value)
+            value = math.nan if value.lstrip("+-").lower() in (".inf", ".nan") else float(value)
         except ValueError:
             raise ConfigError(f"{context} must be a number, got {value!r}") from None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    elif isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{context} must be a number, got {value!r}")
     out = float(value)
     if not math.isfinite(out):
@@ -157,13 +229,21 @@ def _as_float(value, context: str) -> float:
     return out
 
 
-def _grid(node, context: str, convert) -> tuple[float, ...]:
+def _grid(node, context: str, convert=None) -> tuple[float, ...]:
     if node is None:
         return ()
-    if not isinstance(node, (list, tuple)) or not node:
+    if not isinstance(node, list) or not node:
         raise ConfigError(f"{context} must be a non-empty list")
-    vals = tuple(convert(_as_float(v, context)) for v in node)
-    if any(b <= a for a, b in zip(vals, vals[1:])):
+    try:  # the whole grid in one pass; _as_float per value only to name a bad one
+        vals = list(map(float, node))
+        # only an integral value can hide a leading zero: 010 reads as 10.0
+        text = any(map(float.is_integer, vals)) and "\n%s\n" % "\n".join(node)
+        if not all(map(math.isfinite, vals)) or text and _LEADING_ZERO.search(text):
+            raise ValueError
+    except (TypeError, ValueError):
+        vals = [_as_float(v, context) for v in node]
+    vals = tuple(map(convert, vals) if convert else vals)
+    if any(map(operator.ge, vals, vals[1:])):
         raise ConfigError(f"{context} must be strictly increasing")
     if vals[0] <= 0.0:
         raise ConfigError(f"{context} must hold values > 0")
@@ -234,11 +314,7 @@ def load_config(path: str, tol_override: float | None = None) -> RunConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     config_hash = hashlib.sha256(raw).hexdigest()[:12]
-    try:
-        data = yaml.load(raw, Loader=_LOADER)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"config is not valid YAML: {exc}") from None
-    data = _as_mapping(data, "config")
+    data = _as_mapping(_read_yaml(raw), "config")
     _check_keys(data, ("unit_system", "materials", "atoms", "quadrature", "sweep"), "config")
 
     unit = _parse_unit(data.get("unit_system"))
@@ -277,9 +353,10 @@ def load_config(path: str, tol_override: float | None = None) -> RunConfig:
         for key in ("rel_tol", "abs_tol") if key in quad_node
     }
     if "max_subdivisions" in quad_node:
-        if not isinstance(quad_node["max_subdivisions"], int):
-            raise ConfigError("quadrature.max_subdivisions must be an integer")
-        quad_kwargs["max_subdivisions"] = quad_node["max_subdivisions"]
+        value = quad_node["max_subdivisions"]
+        if not _INT.fullmatch(str(value)):
+            raise ConfigError(f"quadrature.max_subdivisions must be an integer, got {value!r}")
+        quad_kwargs["max_subdivisions"] = int(value)
     if tol_override is not None:
         quad_kwargs["rel_tol"] = tol_override
     try:
@@ -294,10 +371,12 @@ def load_config(path: str, tol_override: float | None = None) -> RunConfig:
         raise ConfigError(f"sweep.R_c must be one number, got the list {r_c_node!r}")
     if r_c_node is not None:  # checked and converted as a one-value grid
         r_c_node = [r_c_node]
+    # reduced grids need no conversion, and a call per value costs about as much as float()
+    freq_in, length_in = (unit.freq_in, unit.length_in) if unit.is_si else (None, None)
     sweep = Sweep(
-        u=_grid(sweep_node.get("u"), "sweep.u", unit.freq_in),
-        l=_grid(sweep_node.get("l"), "sweep.l", unit.length_in),
-        cavity_radius=_grid(r_c_node, "sweep.R_c", unit.length_in),
+        u=_grid(sweep_node.get("u"), "sweep.u", freq_in),
+        l=_grid(sweep_node.get("l"), "sweep.l", length_in),
+        cavity_radius=_grid(r_c_node, "sweep.R_c", length_in),
     )
 
     return RunConfig(

@@ -342,9 +342,9 @@ def pair_bulk(
     res = integrate_semi_infinite(f, q, scale=scale_hint(atom_a, atom_b, m))
     norm = 2.0 * math.pi * (l * l * l) * (l * l * l)
     u_val = -res.value / norm
-    if np.any(u_val > 0.0):
+    if np.any(u_val >= 0.0):  # -0.0 too: an underflowed alpha_A alpha_B attracts with nothing
         raise InvariantError(
-            f"pair potential came out positive ({np.max(u_val):.6g}); ground-state "
+            f"pair potential came out non-negative ({np.max(u_val):.6g}); ground-state "
             "atoms in an eps, mu >= 1 medium must attract"
         )
     return PairResult(
@@ -367,7 +367,9 @@ def coeff_retarded(atom_a: AtomModel, atom_b: AtomModel, m: MediumResponse) -> f
     n0 = m.n_iu(0.0)
     w0 = _d_leading(eps0) ** 4
     _check_ratio(np.asarray(w0), _PAIR_BOUND, "coeff_retarded")
-    return 23.0 / (4.0 * math.pi) * atom_a.alpha_static * atom_b.alpha_static / (n0 * eps0**2) * w0
+    return _positive_coeff(
+        23.0 / (4.0 * math.pi) * atom_a.alpha_static * atom_b.alpha_static / (n0 * eps0**2) * w0,
+        "coeff_retarded")
 
 
 def coeff_nonretarded(
@@ -383,7 +385,14 @@ def coeff_nonretarded(
     def f(u):
         return _pair_weight(atom_a, atom_b, m, u, True, "coeff_nonretarded")[0]
 
-    return (3.0 / math.pi) * integrate_semi_infinite(f, q, scale=scale).value
+    return _positive_coeff((3.0 / math.pi) * integrate_semi_infinite(f, q, scale=scale).value,
+                           "coeff_nonretarded")
+
+
+def _positive_coeff(c: float, context: str) -> float:
+    if not c > 0.0:  # 0.0 once alpha_A alpha_B underflows
+        raise InvariantError(f"{context} came out {c!r}, not > 0: atoms must attract")
+    return c
 
 
 def _ring_setup(atoms, cavity_radius: float | None, context: str, stacklevel: int = 3):

@@ -535,3 +535,23 @@ def test_atom_without_polarizability_exits_2(tmp_path, command):
     err = json.loads(proc.stdout)["error"]
     assert err["type"] == "config"
     assert "atoms.probe" in err["message"]
+
+
+@pytest.mark.parametrize("command, message", [
+    ("pair", "pair potential came out non-negative"),
+    ("limits", "coeff_retarded came out 0.0"),
+])
+def test_underflowed_polarizability_exits_3(tmp_path, command, message):
+    # alpha_A alpha_B = 1e-340 underflows: pair used to print -0 rows with nan
+    # ratios and slopes, limits a non-JSON Infinity, both with exit 0
+    config = tmp_path / "underflow.yaml"
+    config.write_text(Path(CONFIG).read_text()
+                      .replace("[[1.0, 0.02]]", "[[1.0, 1.0e-170]]")
+                      .replace("[[1.3, 0.015]]", "[[1.3, 1.0e-170]]"))
+    proc = run_cli(command, "--config", str(config), "--atom-a", "probe", "--atom-b", "partner",
+                   "--material", "glass")
+    assert proc.returncode == 3
+    assert proc.stderr == ""
+    err = json.loads(proc.stdout)["error"]
+    assert err["type"] == "InvariantError"
+    assert message in err["message"]

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import textwrap
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 import yaml
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lfvdw import config
 from lfvdw.config import C_SI, HBAR_SI, UnitSystem, load_config
@@ -14,6 +17,7 @@ from lfvdw.errors import ConfigError
 from lfvdw.response import VACUUM
 
 GLASS = Path(__file__).parent / "data" / "glass.yaml"
+GLASS_SI = Path(__file__).parent / "data" / "glass_si.yaml"
 
 FULL = """\
 unit_system: reduced
@@ -98,7 +102,8 @@ def test_tol_override(tmp_path):
     assert cfg.quadrature.abs_tol == 1e-15  # untouched
 
 
-# YAML 1.1 reads "1.0e15" (no sign on the exponent) as a string
+# YAML 1.1 reads "1.0e15" (no sign on the exponent) as a string; the
+# config reader takes every number as text, so it is an ordinary number
 STRING_FLOATS = """\
 unit_system: {SI: {omega_ref: 1.0e15}}
 atoms:
@@ -170,6 +175,18 @@ INVALID = [
     ),
     ("atoms:\n  a:\n    resonances: [[-1, 0.1]]\n", "atoms.a"),
     ("sweep:\n  R_c: [0.05, 0.5]\n", "sweep.R_c must be one number"),
+    # YAML 1.1 integer spellings (SafeLoader read 010 as 8, 0x10 as 16) and other non-decimal text
+    ("sweep:\n  u: [010, 0x10]\n", "sweep.u must be a number without a leading zero, got '010'"),
+    ("sweep:\n  u: [1.0, 0x10]\n", "sweep.u must be a number, got '0x10'"),
+    ("sweep:\n  l: [0b10, 3.0]\n", "sweep.l must be a number, got '0b10'"),
+    ("sweep:\n  R_c: 1:30\n", "sweep.R_c must be a number, got '1:30'"),
+    ("sweep:\n  u: [-0_1, 0.5]\n", "sweep.u must be a number without a leading zero"),
+    ("quadrature:\n  rel_tol: 00\n", "quadrature.rel_tol must be a number without a leading zero"),
+    ("quadrature:\n  max_subdivisions: 0500\n", "quadrature.max_subdivisions must be an integer"),
+    ("quadrature:\n  max_subdivisions: 0x10\n", "quadrature.max_subdivisions must be an integer"),
+    ("quadrature:\n  abs_tol: -.inf\n", "quadrature.abs_tol must be finite"),
+    ("unit_system: {SI: {omega_ref: .NaN}}\n", "omega_ref must be finite"),
+    ("~: 1\nbogus: 2\n", r"unknown key\(s\) \[None, 'bogus'\] in config"),  # a null key among texts
 ]
 
 
@@ -229,13 +246,188 @@ def test_config_loads_through_libyaml():
     assert config._LOADER is yaml.CSafeLoader
 
 
+# one text that takes every rule of the config reader
+READER_RULES = """\
+nulls: [~, null, Null, NULL, '', 'null', "~", nULL]
+empty:
+texts: [1, 1.0, 1.0e15, .inf, true, 0x10, 'quoted', "double", !!str 2.5, ! plain]
+base: &base {a: '1', b: '2'}
+other: &other {b: '3', c: '4'}
+alias: *base
+merged: {<<: *base, b: '5'}
+merged_list:
+  <<: [*base, *other]
+  d: '6'
+block:
+  - &item {x: [1, 2]}
+  - *item
+"""
+
+
+@pytest.mark.parametrize("name, expected", [
+    ("nulls", [None, None, None, None, "", "null", "~", "nULL"]),
+    ("empty", None),
+    ("texts", ["1", "1.0", "1.0e15", ".inf", "true", "0x10", "quoted", "double", "2.5", "plain"]),
+    ("alias", {"a": "1", "b": "2"}),
+    ("merged", {"a": "1", "b": "5"}),  # explicit keys win
+    ("merged_list", {"a": "1", "b": "2", "c": "4", "d": "6"}),  # then the earlier mapping
+    ("block", [{"x": ["1", "2"]}, {"x": ["1", "2"]}]),
+])
+def test_reader_gives_text_none_and_anchored_values(name, expected):
+    assert config._read_yaml(READER_RULES.encode())[name] == expected
+
+
+@pytest.mark.parametrize("text, fragment", [
+    # the repeated key used to override silently: rel_tol loaded as 1e-3
+    ("quadrature:\n  rel_tol: 1.0e-8\n  rel_tol: 1.0e-3\n",
+     "duplicate key 'rel_tol' in quadrature"),
+    ("atoms:\n  a:\n    resonances: [[1.0, 0.1]]\n  a: {resonances: [[2.0, 0.1]]}\n",
+     "duplicate key 'a' in atoms"),
+    ("materials:\n  m:\n    eps_terms:\n      - {resonance: 1, resonance: 2}\n",
+     r"duplicate key 'resonance' in materials.m.eps_terms\[0\]"),
+    ("sweep: {u: *grid}\n", "undefined alias 'grid'"),
+    ("sweep: {R_c: 0.05}\n---\nsweep: {R_c: 0.06}\n", "a single document"),
+    ("sweep:\n  ? [u]\n  : [1.0]\n", "a non-scalar key in sweep"),
+    ("? {a: 1}\n: 2\n", "a non-scalar key in the top level"),
+    ("atoms: {a: {<<: {resonances: [[1.0, 0.1]]}, <<: {}}}\n", "duplicate key << in atoms.a"),
+    ("sweep: {R_c: !!binary MC4wNQ==}\n", "tag:yaml.org,2002:binary is not one of YAML's core"),
+    ("sweep: !!omap [{u: [1.0]}]\n", "tag:yaml.org,2002:omap is not one of YAML's core"),
+    ("atoms: {a: {<<: [1.0]}}\n", "a << key needs a mapping"),
+    ("unit_system: [unclosed\n", "did not find expected"),
+])
+def test_reader_errors_are_config_errors(tmp_path, text, fragment):
+    with pytest.raises(ConfigError, match="(?s)config is not valid YAML: .*" + fragment):
+        load_config(write(tmp_path, text))
+
+
 @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
 @pytest.mark.parametrize(
     "text",
-    [GLASS.read_text(), FULL, STRING_FLOATS, SI, LIST_ROOT, EMPTY] + [s for s, _ in INVALID],
-    ids=["glass", "full", "string_floats", "si", "list_root", "empty"]
+    [GLASS.read_text(), FULL, STRING_FLOATS, SI, LIST_ROOT, EMPTY, READER_RULES]
+    + [s for s, _ in INVALID],
+    ids=["glass", "full", "string_floats", "si", "list_root", "empty", "reader_rules"]
     + [f"invalid{k}" for k in range(len(INVALID))],
 )
-def test_libyaml_and_python_loaders_parse_alike(text):
-    raw = text.encode()
-    assert yaml.load(raw, Loader=yaml.CSafeLoader) == yaml.load(raw, Loader=yaml.SafeLoader)
+def test_libyaml_and_python_loaders_parse_alike(monkeypatch, text):
+    # the reader gives the same document through libyaml's parser and PyYAML's own
+    docs = []
+    for loader in (yaml.CSafeLoader, yaml.SafeLoader):
+        monkeypatch.setattr(config, "_LOADER", loader)
+        docs.append(config._read_yaml(text.encode()))
+    assert docs[0] == docs[1]
+
+
+# ----------------------------------------------------------------------
+# The reader and the schema against SafeLoader's typed values
+# ----------------------------------------------------------------------
+
+_FLOAT_TEXT = (
+    repr,
+    lambda x: "%.17g" % x,
+    lambda x: ("%.16e" % x).replace("e+", "e"),  # 1.0e15 style, a string to YAML 1.1
+)
+
+
+class _Anchor(NamedTuple):
+    name: str
+    node: object
+
+
+class _Alias(NamedTuple):
+    name: str
+
+
+def _emit(node, flow: bool, indent: int = 0) -> str:
+    """YAML text of node: dicts, lists, anchors and aliases of them, and
+    scalar text; mappings in block style unless flow, lists always in flow."""
+    if isinstance(node, str):
+        return node
+    if isinstance(node, _Alias):
+        return f"*{node.name}"
+    if isinstance(node, _Anchor):
+        return f"&{node.name} " + _emit(node.node, flow, indent)
+    if isinstance(node, list):
+        return "[" + ", ".join(_emit(v, True) for v in node) + "]"
+    if flow:
+        return "{" + ", ".join(f"{k}: {_emit(v, True)}" for k, v in node.items()) + "}"
+    pad = "  " * indent
+    lines = []
+    for key, value in node.items():
+        target = value.node if isinstance(value, _Anchor) else value
+        if isinstance(target, dict) and target:
+            head = f"&{value.name}" if isinstance(value, _Anchor) else ""
+            lines.append(f"{pad}{key}: {head}".rstrip())
+            lines.append(_emit(target, False, indent + 1))
+        else:
+            lines.append(f"{pad}{key}: {_emit(value, True)}")
+    return "\n".join(lines)
+
+
+@st.composite
+def _configs(draw) -> str:
+    fmt = draw(st.sampled_from(_FLOAT_TEXT))
+    positive = st.floats(min_value=1e-12, max_value=1e12).map(fmt)
+
+    def grid(size):
+        values = sorted(draw(st.sets(st.floats(min_value=1e-3, max_value=1e3),
+                                     min_size=1, max_size=size)))
+        # an SI unit conversion must not merge two neighbours
+        assume(all(b > a * (1.0 + 1e-12) for a, b in zip(values, values[1:])))
+        return [fmt(v) for v in values]
+
+    def term():
+        body = {"plasma_strength": draw(positive), "resonance": draw(positive)}
+        if draw(st.booleans()):
+            body["damping"] = draw(positive)
+        return body
+
+    glass = {"eps_terms": [term() for _ in range(draw(st.integers(1, 2)))]}
+    if draw(st.booleans()):
+        glass["mu_terms"] = [term()]
+    probe = {"resonances": [[draw(positive), draw(positive)]]}
+    doc = {
+        "unit_system": "reduced",
+        "materials": {"glass": _Anchor("m", glass), "copy": _Alias("m")},
+        "atoms": {
+            "probe": _Anchor("a", probe),
+            # the merge key: resonances from probe, beta_resonances its own
+            "partner": {"<<": _Alias("a"), "beta_resonances": [[draw(positive), draw(positive)]]},
+        },
+        "quadrature": {"rel_tol": fmt(draw(st.floats(1e-12, 1e-3))),
+                       "max_subdivisions": str(draw(st.integers(8, 5000)))},
+        "sweep": {"u": grid(8), "l": grid(4), "R_c": fmt(draw(st.floats(1e-3, 1e-2)))},
+    }
+    if draw(st.booleans()):
+        doc["unit_system"] = {"SI": {"omega_ref": fmt(draw(st.floats(1e13, 1e16)))}}
+    return _emit(doc, draw(st.booleans())) + "\n"
+
+
+def _load_both(monkeypatch, path):
+    """load_config of path through the reader, and through SafeLoader's typed values."""
+    new = load_config(path)
+    with monkeypatch.context() as m:
+        m.setattr(config, "_read_yaml", lambda raw: yaml.load(raw, Loader=yaml.CSafeLoader))
+        old = load_config(path)
+    return new, old
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+@pytest.mark.parametrize("text", [GLASS.read_text(), GLASS_SI.read_text(), FULL, STRING_FLOATS,
+                                  SI, EMPTY], ids=["glass", "glass_si", "full", "string_floats",
+                                                   "si", "empty"])
+def test_reader_loads_what_safeloader_loads(tmp_path, monkeypatch, text):
+    new, old = _load_both(monkeypatch, write(tmp_path, text))
+    assert new == old
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(text=_configs())
+def test_reader_loads_what_safeloader_loads_on_generated_configs(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("generated") / "run.yaml"
+    path.write_text(text)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        new, old = _load_both(monkeypatch, str(path))
+    assert new == old
+    assert new.material("copy") == new.material("glass")
+    assert new.atom("partner").resonances == new.atom("probe").resonances
