@@ -16,99 +16,22 @@ wavelength); the config layer converts from and to SI at the boundary.
 
 __version__ = "0.1.0"
 
-from .cavity import (
-    CavitySpec,
-    coeff_C_exact,
-    coeff_C_expansion,
-    coeff_D_exact,
-    coeff_D_leading,
-)
-from .config import RunConfig, UnitSystem, load_config
-from .errors import (
-    ConfigError,
-    ConvergenceError,
-    DomainError,
-    GeometryError,
-    InvariantError,
-    LfvdwError,
-)
-from .green import BodyShell, born_scatter_trace, bulk_dyad
-from .oracle import (
-    DiluteHost,
-    ForceEstimate,
-    finite_difference_force,
-    total_pairwise_sum,
-    u1_pairwise_sum,
-)
-from .potentials import (
-    PairResult,
-    SingleAtomResult,
-    StiffnessResult,
-    U1Expansion,
-    cavity_center_stiffness,
-    coeff_nonretarded,
-    coeff_retarded,
-    force_pair,
-    n_atom_bulk,
-    n_atom_orderings,
-    pair_bulk,
-    pair_free_space,
-    single_atom_total,
-    u1_exact,
-    u1_expanded,
-    u1_linearized,
-    u2_single,
-)
-from .quadrature import QuadResult, QuadSpec, integrate_finite, integrate_semi_infinite
-from .response import VACUUM, AtomModel, LorentzTerm, MediumResponse
+from . import cavity, config, errors, green, oracle, potentials, quadrature, response
+from .cavity import *
+from .config import *
+from .errors import *
+from .green import *
+from .oracle import *
+from .potentials import *
+from .quadrature import *
+from .response import *
 
-__all__ = [
-    "__version__",
-    "AtomModel",
-    "BodyShell",
-    "CavitySpec",
-    "ConfigError",
-    "ConvergenceError",
-    "DiluteHost",
-    "DomainError",
-    "ForceEstimate",
-    "GeometryError",
-    "InvariantError",
-    "LfvdwError",
-    "LorentzTerm",
-    "MediumResponse",
-    "PairResult",
-    "QuadResult",
-    "QuadSpec",
-    "RunConfig",
-    "SingleAtomResult",
-    "StiffnessResult",
-    "U1Expansion",
-    "UnitSystem",
-    "VACUUM",
-    "born_scatter_trace",
-    "bulk_dyad",
-    "cavity_center_stiffness",
-    "coeff_C_exact",
-    "coeff_C_expansion",
-    "coeff_D_exact",
-    "coeff_D_leading",
-    "coeff_nonretarded",
-    "coeff_retarded",
-    "finite_difference_force",
-    "force_pair",
-    "integrate_finite",
-    "integrate_semi_infinite",
-    "load_config",
-    "n_atom_bulk",
-    "n_atom_orderings",
-    "pair_bulk",
-    "pair_free_space",
-    "single_atom_total",
-    "total_pairwise_sum",
-    "u1_exact",
-    "u1_expanded",
-    "u1_linearized",
-    "u1_pairwise_sum",
-    "u2_single",
-]
+__all__ = ["__version__"]
+__all__ += cavity.__all__
+__all__ += config.__all__
+__all__ += errors.__all__
+__all__ += green.__all__
+__all__ += oracle.__all__
+__all__ += potentials.__all__
+__all__ += quadrature.__all__
+__all__ += response.__all__

@@ -54,27 +54,6 @@ import math
 
 import numpy as np
 
-__all__ = [
-    "lorentz_sum",
-    "alpha_sum",
-    "kernel_g",
-    "kernel_h",
-    "kernel_force",
-    "born_bracket",
-    "p0",
-    "p1",
-    "p2",
-    "s1",
-    "s2",
-    "t1",
-    "t2",
-    "cavity_c",
-    "cavity_c1_expansion",
-    "cavity_d",
-    "pair_dyads",
-    "ring_trace",
-]
-
 _SERIES_CUT = 3.0
 _SERIES_TERMS = 16
 _EXP_CLIP = 709.0  # glibc's cexp rescales above about 709.09
@@ -208,18 +187,11 @@ def cavity_c(t0, nrel, eps_like, l):
     permeability (magnetic kind; n is symmetric under the swap).
     """
     tn = nrel * t0
-    if l == 1:
-        p = p1(t0)
-        q = t0 * p0(t0) - p
-        num = s1(t0) * t1(tn) - eps_like * s1(tn) * t1(t0)
-        den = eps_like * s1(tn) * q - p * t1(tn)
-        sign = -1.0
-    else:
-        p = p2(t0)
-        q = t0 * p1(t0) - 2.0 * p
-        num = s2(t0) * t2(tn) - eps_like * s2(tn) * t2(t0)
-        den = eps_like * s2(tn) * q - p * t2(tn)
-        sign = 1.0
+    p_prev, p_l, s_l, t_l, sign = (p0, p1, s1, t1, -1.0) if l == 1 else (p1, p2, s2, t2, 1.0)
+    p = p_l(t0)
+    q = t0 * p_prev(t0) - l * p
+    num = s_l(t0) * t_l(tn) - eps_like * s_l(tn) * t_l(t0)
+    den = eps_like * s_l(tn) * q - p * t_l(tn)
     return sign * _exp(-2.0 * t0) * num / den
 
 

@@ -12,14 +12,13 @@ ordinary spherical Bessel functions at high precision and must agree.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
-from .errors import DomainError, GeometryError, InvariantError
+from .errors import DomainError, InvariantError, _check_radius
 from .response import MediumResponse, _as_nodes, _host_arrays, _pos_nodes, _ret
 
 __all__ = [
@@ -39,8 +38,7 @@ class CavitySpec:
     host: MediumResponse
 
     def __post_init__(self):
-        if not 0.0 < self.radius < math.inf:
-            raise GeometryError("cavity radius must be finite and > 0")
+        _check_radius("cavity", self.radius)
         if self.radius * self.host.max_resonance > 0.5:
             warnings.warn(
                 "cavity radius is not small against c/w_max; the real-cavity "
@@ -83,14 +81,22 @@ def coeff_C_expansion(spec: CavitySpec, u):
 def coeff_D_exact(spec: CavitySpec, u):
     """Exact cavity-to-medium transmission factor D(iu).
 
-    Real and positive in the regimes treated here; a non-positive value
-    means the model left its domain of validity and raises rather than
-    being silently accepted.
+    Real and positive in the regimes treated here; a non-positive value,
+    or a factor e^{(n-1) u R_c} beyond the float range, means the model
+    left its domain of validity and raises rather than being silently
+    accepted.
     """
     nodes, scalar = _pos_nodes(u)
     eps, mu, n = _host_arrays(spec.host, nodes)
     t0 = spec.radius * nodes
-    d = _kernels.cavity_d(t0, n, eps, mu)
+    try:
+        d = _kernels.cavity_d(t0, n, eps, mu)
+    except OverflowError:
+        k = int(np.argmax((n - 1.0) * t0))
+        raise InvariantError(
+            f"transmission factor D(iu) overflows at u = {nodes[k]:.6g}, "
+            f"R_c = {spec.radius:.6g}: e^((n-1) u R_c) is past the float range"
+        ) from None
     if d.min() <= 0.0:
         k = int(np.argmin(d))
         raise InvariantError(

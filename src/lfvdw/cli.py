@@ -34,7 +34,7 @@ from . import __version__
 from ._kernels import _libm
 from .cavity import CavitySpec, coeff_C_exact, coeff_C_expansion, coeff_D_exact, coeff_D_leading
 from .config import RunConfig, load_config
-from .errors import ConfigError, ConvergenceError, LfvdwError
+from .errors import ConfigError, ConvergenceError, DomainError, LfvdwError
 from .green import born_scatter_trace
 from .oracle import DiluteHost, finite_difference_force, total_pairwise_sum
 from .potentials import (
@@ -116,8 +116,8 @@ def _pair_models(cfg: RunConfig, args):
 def _local_slopes(l_grid: np.ndarray, u_vals: np.ndarray) -> np.ndarray:
     if l_grid.size < 2:
         return np.full_like(l_grid, math.nan)
-    # libm logs for host-independent bits; an underflowed U = 0 gives -inf, as in numpy
-    log = functools.partial(_libm, lambda x: math.log(x) if x else -math.inf)
+    # libm logs for host-independent bits
+    log = functools.partial(_libm, math.log)
     return np.gradient(log(np.abs(u_vals)), log(l_grid))
 
 
@@ -282,7 +282,10 @@ def cmd_born_check(cfg: RunConfig, args) -> dict:
         raise ConfigError(
             f"--outer-radius must not be below the cavity radius, got {args.outer_radius}"
         )
-    host = DiluteHost(density=density, host_atom=host_atom)
+    try:
+        host = DiluteHost(density=density, host_atom=host_atom)
+    except DomainError as exc:
+        raise ConfigError(f"--density: {exc}") from None
     medium = host.to_medium()
     spec = CavitySpec(radius=r_c, host=medium)
     shell = host.to_shell(r_c, outer)

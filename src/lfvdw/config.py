@@ -32,7 +32,7 @@ from .errors import ConfigError
 from .quadrature import QuadSpec
 from .response import AtomModel, LorentzTerm, MediumResponse, VACUUM
 
-__all__ = ["UnitSystem", "Sweep", "RunConfig", "load_config", "HBAR_SI", "C_SI"]
+__all__ = ["UnitSystem", "RunConfig", "load_config"]
 
 HBAR_SI = 1.054571817e-34  # J s
 C_SI = 299792458.0  # m/s

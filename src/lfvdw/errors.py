@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 __all__ = [
     "LfvdwError",
     "DomainError",
@@ -46,3 +48,9 @@ class InvariantError(LfvdwError, AssertionError):
 
 class ConfigError(LfvdwError, ValueError):
     """Malformed or inconsistent run configuration."""
+
+
+def _check_radius(name: str, value: float) -> None:
+    """The one radius check of the package: cavity and shell radii are finite and > 0."""
+    if not 0.0 < value < math.inf:
+        raise GeometryError(f"{name} radius must be finite and > 0")

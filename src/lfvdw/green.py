@@ -43,7 +43,7 @@ from typing import Callable
 import numpy as np
 
 from . import _kernels
-from .errors import DomainError, GeometryError
+from .errors import DomainError, GeometryError, _check_radius
 from .quadrature import QuadSpec
 from .response import MediumResponse, _host_arrays, _pos_nodes, _ret
 
@@ -87,8 +87,7 @@ class BodyShell:
     zeta: Callable = lambda u: np.zeros_like(np.asarray(u, dtype=np.float64))
 
     def __post_init__(self):
-        if not self.inner_radius > 0.0:
-            raise GeometryError("inner radius must be > 0")
+        _check_radius("inner", self.inner_radius)
         if not self.outer_radius >= self.inner_radius:
             raise GeometryError("outer radius must not be below inner radius")
 

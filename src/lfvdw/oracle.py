@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, GeometryError
+from .errors import ConfigError, DomainError, GeometryError, _check_radius
 from .green import BodyShell
 from .potentials import pair_free_space
 from .quadrature import QuadSpec, integrate_finite
@@ -122,8 +122,7 @@ def u1_pairwise_sum(
     guest: AtomModel, host: DiluteHost, R_c: float, q: QuadSpec = QuadSpec()
 ) -> float:
     """Literal sum of guest-host pair potentials outside the cavity."""
-    if not R_c > 0.0:
-        raise GeometryError("cavity radius must be > 0")
+    _check_radius("cavity", R_c)
     if host.density == 0.0:
         return 0.0
     f = _radial_integrand(guest, host, q)
@@ -149,8 +148,7 @@ def total_pairwise_sum(
     an empty range gives exactly zero, an infinite body reduces to
     u1_pairwise_sum's truncated-plus-tail form.
     """
-    if not R_c > 0.0:
-        raise GeometryError("cavity radius must be > 0")
+    _check_radius("cavity", R_c)
     lo = max(R_c, body.inner_radius)
     if math.isinf(body.outer_radius):
         if lo > R_c:

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import _kernels
 from .cavity import CavitySpec, _d_leading, coeff_C_exact, coeff_D_leading
-from .errors import DomainError, GeometryError, InvariantError
+from .errors import DomainError, GeometryError, InvariantError, _check_radius
 from .quadrature import QuadSpec, integrate_semi_infinite
 from .response import AtomModel, MediumResponse, _host_arrays, _ret, scale_hint
 
@@ -206,8 +206,7 @@ def u1_linearized(
     It equals the radial pairwise sum over host atoms identically, and the
     two-term small-radius form up to O(u R_c) and O(chi^2) differences.
     """
-    if not radius > 0.0:
-        raise GeometryError("cavity radius must be > 0")
+    _check_radius("cavity", radius)
     if scale is None:
         scale = scale_hint(atom)
 

@@ -27,7 +27,7 @@ import numpy as np
 from . import _kernels
 from .errors import DomainError
 
-__all__ = ["LorentzTerm", "MediumResponse", "AtomModel", "VACUUM", "scale_hint"]
+__all__ = ["LorentzTerm", "MediumResponse", "AtomModel", "VACUUM"]
 
 
 def _as_nodes(u):

@@ -293,6 +293,21 @@ def test_transmission_positivity_guard(monkeypatch):
         coeff_D_exact(spec, 1.0)
 
 
+def test_transmission_overflow_is_an_invariant_error():
+    # e^{(n-1) u R_c} past 709.78 used to escape as libm's OverflowError
+    glass = MediumResponse(
+        eps_terms=(LorentzTerm(plasma_strength=1.5, resonance=1.2, damping=0.02),))
+    with pytest.warns(UserWarning, match="not small"):
+        spec = CavitySpec(radius=1e4, host=glass)
+    with pytest.raises(InvariantError, match=r"D\(iu\) overflows at u = 1, R_c = 10000"):
+        coeff_D_exact(spec, np.array([0.2, 1.0]))
+    # at n = 2 the exponent is u R_c itself: e^709 still fits, e^710 does not
+    spec = CavitySpec(radius=1.0, host=ConstantMedium(4.0))
+    assert math.isfinite(coeff_D_exact(spec, 709.0))
+    with pytest.raises(InvariantError, match="overflows at u = 710"):
+        coeff_D_exact(spec, 710.0)
+
+
 def test_large_cavity_warning():
     m = MediumResponse(eps_terms=(LorentzTerm(plasma_strength=1.0, resonance=4.0),))
     with pytest.warns(UserWarning):

@@ -215,9 +215,6 @@ def test_local_slopes_take_libm_logs():
     expected = np.gradient(np.array([math.log(-u) for u in u_vals.tolist()]),
                            np.array([math.log(l) for l in l_grid.tolist()]))
     assert np.array_equal(cli._local_slopes(l_grid, u_vals), expected)
-    # an underflowed U = -0 gives a -inf log, as numpy's log does, without a warning
-    assert cli._local_slopes(np.array([1.0, 2.0]), np.array([-1.0, -0.0])).tolist() == [
-        -math.inf, -math.inf]
 
 
 def test_nbody_two_atoms_match_pair(tmp_path):
@@ -425,9 +422,12 @@ _BORN = ("born-check", "--config", CONFIG, "--guest", "probe", "--host-atom", "p
         (_BORN + ("--density", "-1", "--outer-radius", "10"), "--density"),
         (_BORN + ("--density", "0.05", "--outer-radius", "nan"), "--outer-radius"),
         (_BORN + ("--density", "0.05", "--outer-radius", "0.01"), "--outer-radius"),
+        # |chi(0)| >= 0.01 used to be a DomainError, exit 3, that did not name the flag
+        (_BORN + ("--density", "100", "--outer-radius", "10", "--cavity-radius", "0.05"),
+         "--density"),
     ],
     ids=["separation-negative", "separation-inf", "density-negative", "outer-nan",
-         "outer-inside-cavity"],
+         "outer-inside-cavity", "density-not-dilute"],
 )
 def test_bad_numeric_flag_is_a_config_error(argv, flag):
     proc = run_cli(*argv)
@@ -436,6 +436,16 @@ def test_bad_numeric_flag_is_a_config_error(argv, flag):
     assert err["type"] == "config"
     assert flag in err["message"]
     assert proc.stderr == ""
+
+
+def test_overflowing_transmission_exits_3():
+    # e^{(n-1) u R_c} past the float range used to end in an OverflowError traceback, exit 1
+    proc = run_cli("coeffs", "--config", CONFIG, "--material", "glass", "--cavity-radius", "1e4")
+    assert proc.returncode == 3
+    assert "cavity radius is not small" in proc.stderr
+    err = json.loads(proc.stdout)["error"]
+    assert err["type"] == "InvariantError"
+    assert "u = 1, R_c = 10000" in err["message"]
 
 
 def test_non_finite_position_is_a_config_error(tmp_path):

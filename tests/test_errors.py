@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -9,12 +11,15 @@ from conftest import ConstantMedium
 from lfvdw.cavity import CavitySpec, coeff_C_exact, coeff_C_expansion, coeff_D_exact
 from lfvdw.errors import DomainError, GeometryError
 from lfvdw.green import BodyShell, born_scatter_trace, bulk_dyad
-from lfvdw.potentials import n_atom_bulk
+from lfvdw.oracle import DiluteHost, total_pairwise_sum, u1_pairwise_sum
+from lfvdw.potentials import n_atom_bulk, u1_linearized
 from lfvdw.response import VACUUM, AtomModel
 
 SPEC = CavitySpec(radius=0.05, host=ConstantMedium(2.0))
 SHELL = BodyShell(inner_radius=0.05, outer_radius=10.0)
 ATOM = AtomModel(resonances=((1.0, 0.02),))
+HOST = DiluteHost(density=1e-3, host_atom=ATOM)
+CAVITY = "^cavity radius must be finite and > 0$"
 AT_ZERO = "^u must be > 0: the cavity coefficients, the Born trace and the bulk dyad are singular at u = 0$"
 
 
@@ -30,9 +35,19 @@ AT_ZERO = "^u must be > 0: the cavity coefficients, the Born trace and the bulk 
         (lambda: n_atom_bulk([(ATOM, [1.0, 0.0, 0.0]), (ATOM, [1.0, 0.0, 0.0])], VACUUM),
          GeometryError, "atoms 0 and 1 coincide"),
         (lambda: coeff_C_exact(SPEC, 3, 1.0), DomainError, r"order l=3 not in \{1, 2\}"),
+        # an infinite radius used to pass, giving 0.0 or an error about separations
+        (lambda: CavitySpec(radius=math.inf, host=VACUUM), GeometryError, CAVITY),
+        (lambda: u1_linearized(ATOM, math.inf, np.zeros_like, np.zeros_like), GeometryError,
+         CAVITY),
+        (lambda: u1_pairwise_sum(ATOM, HOST, math.inf), GeometryError, CAVITY),
+        (lambda: total_pairwise_sum(ATOM, HOST, SHELL, R_c=math.inf), GeometryError, CAVITY),
+        (lambda: BodyShell(inner_radius=math.inf, outer_radius=math.inf), GeometryError,
+         "^inner radius must be finite and > 0$"),
     ],
     ids=["C_exact-u0", "C_expansion-u0", "D_exact-u0", "born_trace-u0", "bulk_dyad-u0",
-         "bulk_dyad-coincident", "n_atom_bulk-coincident", "C_exact-order3"],
+         "bulk_dyad-coincident", "n_atom_bulk-coincident", "C_exact-order3",
+         "cavity_spec-inf", "u1_linearized-inf", "u1_pairwise_sum-inf", "total_pairwise_sum-inf",
+         "body_shell-inf"],
 )
 def test_each_bad_input_raises_its_one_error_type(call, error, message):
     with pytest.raises(error, match=message) as exc_info:
