@@ -52,6 +52,18 @@ def _d_leading(eps):
     return 3.0 * eps / (2.0 * eps + 1.0)
 
 
+def _finite(name: str, spec: CavitySpec, nodes, kernel, *args):
+    """kernel(*args), numpy's float warnings silenced, if every value is
+    finite; else an InvariantError naming the first bad node's u and R_c."""
+    with np.errstate(all="ignore"):
+        c = kernel(*args)
+    if not np.isfinite(c).all():
+        k = int(np.argmin(np.isfinite(c)))
+        raise InvariantError(f"cavity coefficient {name} = {c[k]} at u = {nodes[k]:.6g}, R_c = "
+                             f"{spec.radius:.6g} is not finite: outside the kernels' float range")
+    return c
+
+
 def coeff_C_exact(spec: CavitySpec, l: int, u):
     """Exact electric cavity reflection coefficient C_l(iu), l in {1, 2}.
 
@@ -63,7 +75,8 @@ def coeff_C_exact(spec: CavitySpec, l: int, u):
         raise DomainError(f"cavity coefficient order l={l} not in {{1, 2}}")
     nodes, scalar = _pos_nodes(u)
     eps, _, n = _host_arrays(spec.host, nodes)
-    return _ret(_kernels.cavity_c(spec.radius * nodes, n, eps, l), scalar)
+    return _ret(_finite(f"C_{l}", spec, nodes, _kernels.cavity_c, spec.radius * nodes, n, eps, l),
+                scalar)
 
 
 def coeff_C_expansion(spec: CavitySpec, u):
@@ -75,29 +88,30 @@ def coeff_C_expansion(spec: CavitySpec, u):
     nodes, scalar = _pos_nodes(u)
     eps, mu, n = _host_arrays(spec.host, nodes)
     t0 = spec.radius * nodes
-    return _ret(_kernels.cavity_c1_expansion(t0, eps, mu, n), scalar)
+    return _ret(_finite("C_1 expansion", spec, nodes, _kernels.cavity_c1_expansion, t0, eps, mu, n),
+                scalar)
 
 
 def coeff_D_exact(spec: CavitySpec, u):
     """Exact cavity-to-medium transmission factor D(iu).
 
-    Real and positive in the regimes treated here; a non-positive value,
-    or a factor e^{(n-1) u R_c} beyond the float range, means the model
-    left its domain of validity and raises rather than being silently
-    accepted.
+    Real and positive in the regimes treated here; a non-finite or
+    non-positive value, or a factor e^{(n-1) u R_c} beyond the float range,
+    means the model left its domain of validity and raises rather than
+    being silently accepted.
     """
     nodes, scalar = _pos_nodes(u)
     eps, mu, n = _host_arrays(spec.host, nodes)
     t0 = spec.radius * nodes
     try:
-        d = _kernels.cavity_d(t0, n, eps, mu)
+        d = _finite("D", spec, nodes, _kernels.cavity_d, t0, n, eps, mu)
     except OverflowError:
         k = int(np.argmax((n - 1.0) * t0))
         raise InvariantError(
             f"transmission factor D(iu) overflows at u = {nodes[k]:.6g}, "
             f"R_c = {spec.radius:.6g}: e^((n-1) u R_c) is past the float range"
         ) from None
-    if d.min() <= 0.0:
+    if not d.min() > 0.0:
         k = int(np.argmin(d))
         raise InvariantError(
             f"transmission factor D(iu) = {d[k]:.6g} <= 0 at u = {nodes[k]:.6g}, "

@@ -1,10 +1,11 @@
 """Command line interface.
 
 Subcommands: coeffs, single, pair, nbody, limits, born-check, force-check.
-Every command reads one YAML config (--config) and returns its payload;
-main() alone renders it as CSV or JSON (--format), writes it (--out) and
-picks the exit code. Output is stamped with the package version and a
-hash of the config file so identical inputs give byte-identical files.
+Every command reads one YAML config (--config) and returns its payload in
+reduced units; main() alone adds the SI twins an SI config asks for,
+renders it as CSV or JSON (--format), writes it (--out) and picks the exit
+code. Output is stamped with the package version and a hash of the config
+file so identical inputs give byte-identical files.
 A pair sweep over sweep.l is one vector integral per corrected flag, one
 component per separation, and force-check's finite-difference stencil is
 one more. Every command runs in the calling thread; --threads is still
@@ -33,7 +34,7 @@ import numpy as np
 from . import __version__
 from ._kernels import _libm
 from .cavity import CavitySpec, coeff_C_exact, coeff_C_expansion, coeff_D_exact, coeff_D_leading
-from .config import RunConfig, load_config
+from .config import RunConfig, UnitSystem, load_config
 from .errors import ConfigError, ConvergenceError, DomainError, LfvdwError
 from .green import born_scatter_trace
 from .oracle import DiluteHost, finite_difference_force, total_pairwise_sum
@@ -43,7 +44,8 @@ from .potentials import (
     force_pair,
     n_atom_orderings,
     pair_bulk,
-    single_atom_total,
+    u1_expanded,
+    u2_single,
 )
 from .response import AtomModel
 
@@ -63,7 +65,8 @@ def _fmt(x) -> str:
 def _render_table(cfg: RunConfig, table: dict, fmt: str) -> str:
     """A {"columns": ..., "rows": ...} table as CSV, or as JSON rows keyed by column."""
     columns, rows = table["columns"], table["rows"]
-    if fmt == "json":
+    if fmt == "json":  # a NaN cell (a one-point grid's local_slope) is null
+        rows = [[None if x != x else x for x in row] for row in rows]
         return _render_doc(cfg, {"rows": [dict(zip(columns, row)) for row in rows]}, fmt)
     lines = [f"# lfvdw {__version__} config={cfg.config_hash}", ",".join(columns)]
     row_fmt = ",".join(["%.17g"] * len(columns))  # the bytes of _fmt, one % per row
@@ -81,7 +84,18 @@ def _render_doc(cfg: RunConfig, payload: dict, fmt: str) -> str:
             ",".join(_fmt(v) for v in flat.values()),
         ]
         return "\n".join(lines) + "\n"
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
+def _si_view(unit: UnitSystem, payload: dict, si) -> dict:
+    """payload with the SI twins si declares, (name, reduced field,
+    conversion) each: appended table columns, or a document's "SI" block."""
+    if "columns" in payload:
+        cols = [payload["columns"].index(field) for _, field, _ in si]
+        return {"columns": payload["columns"] + [name for name, _, _ in si],
+                "rows": [row + [to_si(unit, row[k]) for k, (_, _, to_si) in zip(cols, si)]
+                         for row in payload["rows"]]}
+    return {**payload, "SI": {name: to_si(unit, payload[field]) for name, field, to_si in si}}
 
 
 # How main() renders a command's payload, and in which format by default.
@@ -128,25 +142,18 @@ def cmd_coeffs(cfg: RunConfig, args) -> dict:
     u = np.array(cfg.sweep.u)
     spec = CavitySpec(radius=_cavity_radius(cfg, args), host=material)
     columns = ["u", "eps", "mu", "n", "D_leading", "D_exact", "C1_exact", "C1_expansion", "C2"]
-    table = np.column_stack(
-        [
-            u,
-            material.eps_iu(u),
-            material.mu_iu(u),
-            material.n_iu(u),
-            coeff_D_leading(material, u),
-            coeff_D_exact(spec, u),
-            coeff_C_exact(spec, 1, u),
-            coeff_C_expansion(spec, u),
-            coeff_C_exact(spec, 2, u),
-        ]
-    )
-    rows = table.tolist()
-    if cfg.unit.is_si:
-        columns.append("u_SI")
-        for row in rows:
-            row.append(cfg.unit.freq_out(row[0]))
-    return {"columns": columns, "rows": rows}
+    table = np.column_stack([
+        u,
+        material.eps_iu(u),
+        material.mu_iu(u),
+        material.n_iu(u),
+        coeff_D_leading(material, u),
+        coeff_D_exact(spec, u),
+        coeff_C_exact(spec, 1, u),
+        coeff_C_expansion(spec, u),
+        coeff_C_exact(spec, 2, u),
+    ])
+    return {"columns": columns, "rows": table.tolist()}
 
 
 def cmd_single(cfg: RunConfig, args) -> dict:
@@ -154,27 +161,18 @@ def cmd_single(cfg: RunConfig, args) -> dict:
     material = cfg.material(args.material)
     r_c = _cavity_radius(cfg, args)
     spec = CavitySpec(radius=r_c, host=material)
-    res = single_atom_total(
-        atom, spec, lambda u: np.zeros_like(u), cfg.quadrature
-    )
-    payload = {
+    expansion = u1_expanded(atom, spec, cfg.quadrature)
+    u1, u2 = expansion.total, u2_single(atom, spec, np.zeros_like, cfg.quadrature)
+    return {
         "atom": args.atom,
         "material": args.material,
         "cavity_radius": r_c,
-        "U1": res.U1,
-        "U2": res.U2,
-        "total": res.total,
-        "term_r3": res.term_r3,
-        "term_r1": res.term_r1,
+        "U1": u1,
+        "U2": u2,
+        "total": u1 + u2,
+        "term_r3": expansion.term_r3,
+        "term_r1": expansion.term_r1,
     }
-    if cfg.unit.is_si:
-        payload["SI"] = {
-            "cavity_radius_m": cfg.unit.length_out(r_c),
-            "U1_J": cfg.unit.energy_out(res.U1),
-            "U2_J": cfg.unit.energy_out(res.U2),
-            "total_J": cfg.unit.energy_out(res.total),
-        }
-    return payload
 
 
 def cmd_pair(cfg: RunConfig, args) -> dict:
@@ -190,13 +188,8 @@ def cmd_pair(cfg: RunConfig, args) -> dict:
     ratio = u_main / u_unc  # pair_bulk returns U < 0 or raises
     slopes = _local_slopes(l_grid, u_main)
 
-    columns = ["l", "U", "U_uncorrected", "ratio", "local_slope"]
-    rows = np.column_stack([l_grid, u_main, u_unc, ratio, slopes]).tolist()
-    if cfg.unit.is_si:
-        columns.extend(["l_m", "U_J"])
-        for row in rows:
-            row.extend([cfg.unit.length_out(row[0]), cfg.unit.energy_out(row[1])])
-    return {"columns": columns, "rows": rows}
+    return {"columns": ["l", "U", "U_uncorrected", "ratio", "local_slope"],
+            "rows": np.column_stack([l_grid, u_main, u_unc, ratio, slopes]).tolist()}
 
 
 def _read_positions(path: str, cfg: RunConfig) -> list[tuple[AtomModel, list[float]]]:
@@ -236,40 +229,28 @@ def cmd_nbody(cfg: RunConfig, args) -> dict:
         )
     r_c = _sweep_cavity_radius(cfg)
     per_ordering = n_atom_orderings(atoms, material, cfg.quadrature, cavity_radius=r_c)
-    energy = math.fsum(e for _, e in per_ordering)
-    payload = {
+    return {
         "material": args.material,
         "n_atoms": len(atoms),
-        "energy": energy,
+        "energy": math.fsum(e for _, e in per_ordering),
         "orderings": [
             {"cycle": list(ordering), "energy": e} for ordering, e in per_ordering
         ],
     }
-    if cfg.unit.is_si:
-        payload["SI"] = {"energy_J": cfg.unit.energy_out(energy)}
-    return payload
 
 
 def cmd_limits(cfg: RunConfig, args) -> dict:
     atom_a, atom_b, material = _pair_models(cfg, args)
     c_r = coeff_retarded(atom_a, atom_b, material)
     c_nr = coeff_nonretarded(atom_a, atom_b, material, cfg.quadrature)
-    crossover = c_r / c_nr
-    payload = {
+    return {
         "atom_a": args.atom_a,
         "atom_b": args.atom_b,
         "material": args.material,
         "C_r": c_r,
         "C_nr": c_nr,
-        "crossover_length_estimate": crossover,
+        "crossover_length_estimate": c_r / c_nr,
     }
-    if cfg.unit.is_si:
-        payload["SI"] = {
-            "C_r_J_m7": cfg.unit.c_r_out(c_r),
-            "C_nr_J_m6": cfg.unit.c_nr_out(c_nr),
-            "crossover_length_m": cfg.unit.length_out(crossover),
-        }
-    return payload
 
 
 def cmd_born_check(cfg: RunConfig, args) -> dict:
@@ -286,16 +267,14 @@ def cmd_born_check(cfg: RunConfig, args) -> dict:
         host = DiluteHost(density=density, host_atom=host_atom)
     except DomainError as exc:
         raise ConfigError(f"--density: {exc}") from None
-    medium = host.to_medium()
-    spec = CavitySpec(radius=r_c, host=medium)
+    spec = CavitySpec(radius=r_c, host=host.to_medium())
     shell = host.to_shell(r_c, outer)
     q = cfg.quadrature
 
-    module_value = single_atom_total(
-        guest, spec, lambda u: born_scatter_trace(shell, u, q), q).total
+    module_value = (u1_expanded(guest, spec, q).total
+                    + u2_single(guest, spec, lambda u: born_scatter_trace(shell, u, q), q))
     oracle_value = total_pairwise_sum(guest, host, shell, r_c, q)
-    denom = max(abs(oracle_value), 1e-300)
-    deviation = abs(module_value - oracle_value) / denom
+    deviation = abs(module_value - oracle_value) / max(abs(oracle_value), 1e-300)
     return {
         "guest": args.guest,
         "host_atom": args.host_atom,
@@ -320,9 +299,8 @@ def cmd_force_check(cfg: RunConfig, args) -> dict:
     numerical = finite_difference_force(
         lambda x: pair_bulk(atom_a, atom_b, material, x, fd_spec, cavity_radius=r_c).U,
         l, initial=5e-3 * l, levels=2)
-    denom = max(abs(analytic), 1e-300)
-    deviation = abs(analytic - numerical.value) / denom
-    payload = {
+    deviation = abs(analytic - numerical.value) / max(abs(analytic), 1e-300)
+    return {
         "atom_a": args.atom_a,
         "atom_b": args.atom_b,
         "material": args.material,
@@ -333,13 +311,11 @@ def cmd_force_check(cfg: RunConfig, args) -> dict:
         "relative_deviation": deviation,
         "pass": deviation < _FORCE_TOL,
     }
-    if cfg.unit.is_si:
-        payload["SI"] = {"analytic_N": cfg.unit.force_out(analytic)}
-    return payload
 
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    U = UnitSystem  # si: the (name, reduced field, conversion) of each SI twin
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="YAML config file")
     common.add_argument("--out", help="output file (default: stdout)")
@@ -358,13 +334,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coeffs", parents=[common], help="cavity coefficient table over sweep.u")
     p.add_argument("--material", required=True)
     p.add_argument("--cavity-radius", type=float)
-    p.set_defaults(run=cmd_coeffs, **_TABLE)
+    p.set_defaults(run=cmd_coeffs, si=[("u_SI", "u", U.freq_out)], **_TABLE)
 
     p = sub.add_parser("single", parents=[common], help="single embedded atom in infinite bulk")
     p.add_argument("--atom", required=True)
     p.add_argument("--material", required=True)
     p.add_argument("--cavity-radius", type=float)
-    p.set_defaults(run=cmd_single, **_DOC)
+    p.set_defaults(run=cmd_single, si=[("cavity_radius_m", "cavity_radius", U.length_out),
+                                       ("U1_J", "U1", U.energy_out), ("U2_J", "U2", U.energy_out),
+                                       ("total_J", "total", U.energy_out)], **_DOC)
 
     pair_args = argparse.ArgumentParser(add_help=False, parents=[common])
     for flag in ("--atom-a", "--atom-b", "--material"):
@@ -373,15 +351,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pair", parents=[pair_args], help="two-atom potential over sweep.l")
     p.add_argument("--uncorrected", action="store_true",
                    help="report the uncorrected potential in the U column")
-    p.set_defaults(run=cmd_pair, **_TABLE)
+    p.set_defaults(run=cmd_pair, si=[("l_m", "l", U.length_out), ("U_J", "U", U.energy_out)],
+                   **_TABLE)
 
     p = sub.add_parser("nbody", parents=[common], help="N-atom ring potential from a positions file")
     p.add_argument("--positions", required=True, help="file with 'name x y z' lines")
     p.add_argument("--material", required=True)
-    p.set_defaults(run=cmd_nbody, **_DOC)
+    p.set_defaults(run=cmd_nbody, si=[("energy_J", "energy", U.energy_out)], **_DOC)
 
     p = sub.add_parser("limits", parents=[pair_args], help="retarded/non-retarded coefficients")
-    p.set_defaults(run=cmd_limits, **_DOC)
+    p.set_defaults(run=cmd_limits, si=[("C_r_J_m7", "C_r", U.c_r_out),
+                                       ("C_nr_J_m6", "C_nr", U.c_nr_out),
+                                       ("crossover_length_m", "crossover_length_estimate",
+                                        U.length_out)], **_DOC)
 
     p = sub.add_parser("born-check", parents=[common],
                        help="module path vs pairwise-summation oracle")
@@ -390,12 +372,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--density", type=float, required=True)
     p.add_argument("--outer-radius", type=float, required=True)
     p.add_argument("--cavity-radius", type=float)
-    p.set_defaults(run=cmd_born_check, **_DOC)
+    p.set_defaults(run=cmd_born_check, si=[], **_DOC)  # no SI block
 
     p = sub.add_parser("force-check", parents=[pair_args],
                        help="analytic force vs finite differences")
     p.add_argument("--separation", type=float, required=True)
-    p.set_defaults(run=cmd_force_check, **_DOC)
+    p.set_defaults(run=cmd_force_check, si=[("analytic_N", "analytic", U.force_out)], **_DOC)
     return parser
 
 
@@ -415,6 +397,8 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, tol_override=args.tol)
         payload = args.run(cfg, args)
+        if cfg.unit.is_si and args.si:
+            payload = _si_view(cfg.unit, payload, args.si)
         text = args.render(cfg, payload, args.format or args.default_format)
         code = 0 if payload.get("pass", True) else 1
     except LfvdwError as exc:

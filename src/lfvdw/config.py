@@ -206,10 +206,22 @@ def _as_mapping(node, context: str) -> dict:
     return node
 
 
-def _check_keys(mapping: dict, allowed: tuple[str, ...], context: str):
-    unknown = sorted(set(mapping) - set(allowed), key=str)
+def _section(node, allowed: tuple[str, ...], context: str) -> dict:
+    """A mapping whose keys all come from allowed; None reads as {}."""
+    node = _as_mapping(node, context)
+    unknown = sorted(set(node) - set(allowed), key=str)
     if unknown:
         raise ConfigError(f"unknown key(s) {unknown} in {context}")
+    return node
+
+
+def _records(node, context: str, what: str) -> list:
+    """The (item, context[i]) of a list of what; None reads as no items."""
+    if node is None:
+        return []
+    if not isinstance(node, (list, tuple)):
+        raise ConfigError(f"{context} must be a list of {what}")
+    return [(raw, f"{context}[{i}]") for i, raw in enumerate(node)]
 
 
 def _as_float(value, context: str) -> float:
@@ -254,55 +266,36 @@ def _parse_unit(node) -> UnitSystem:
     if node is None or node == "reduced":
         return UnitSystem("reduced")
     if isinstance(node, dict):
-        _check_keys(node, ("SI",), "unit_system")
-        si = _as_mapping(node.get("SI"), "unit_system.SI")
-        _check_keys(si, ("omega_ref",), "unit_system.SI")
+        si = _section(node, ("SI",), "unit_system").get("SI")
+        si = _section(si, ("omega_ref",), "unit_system.SI")
         return UnitSystem("SI", omega_ref=_as_float(si.get("omega_ref"), "omega_ref"))
     raise ConfigError("unit_system must be 'reduced' or {SI: {omega_ref: ...}}")
 
 
 def _parse_terms(node, unit: UnitSystem, context: str) -> tuple[LorentzTerm, ...]:
-    if node is None:
-        return ()
-    if not isinstance(node, (list, tuple)):
-        raise ConfigError(f"{context} must be a list of terms")
     terms = []
-    for i, raw in enumerate(node):
-        tctx = f"{context}[{i}]"
-        term = _as_mapping(raw, tctx)
-        _check_keys(term, ("plasma_strength", "resonance", "damping"), tctx)
+    for raw, tctx in _records(node, context, "terms"):
+        term = _section(raw, ("plasma_strength", "resonance", "damping"), tctx)
         if "plasma_strength" not in term or "resonance" not in term:
             raise ConfigError(f"{tctx} needs plasma_strength and resonance")
         try:
-            terms.append(
-                LorentzTerm(
-                    plasma_strength=unit.freq_sq_in(
-                        _as_float(term["plasma_strength"], f"{tctx}.plasma_strength")
-                    ),
-                    resonance=unit.freq_in(_as_float(term["resonance"], f"{tctx}.resonance")),
-                    damping=unit.freq_in(_as_float(term.get("damping", 0.0), f"{tctx}.damping")),
-                )
-            )
+            terms.append(LorentzTerm(
+                plasma_strength=unit.freq_sq_in(
+                    _as_float(term["plasma_strength"], f"{tctx}.plasma_strength")),
+                resonance=unit.freq_in(_as_float(term["resonance"], f"{tctx}.resonance")),
+                damping=unit.freq_in(_as_float(term.get("damping", 0.0), f"{tctx}.damping"))))
         except ValueError as exc:
             raise ConfigError(f"{tctx}: {exc}") from None
     return tuple(terms)
 
 
 def _parse_resonances(node, unit: UnitSystem, context: str):
-    if node is None:
-        return ()
-    if not isinstance(node, (list, tuple)):
-        raise ConfigError(f"{context} must be a list of [frequency, strength] pairs")
     out = []
-    for i, raw in enumerate(node):
+    for raw, rctx in _records(node, context, "[frequency, strength] pairs"):
         if not isinstance(raw, (list, tuple)) or len(raw) != 2:
-            raise ConfigError(f"{context}[{i}] must be a [frequency, strength] pair")
-        out.append(
-            (
-                unit.freq_in(_as_float(raw[0], f"{context}[{i}] frequency")),
-                unit.volume_in(_as_float(raw[1], f"{context}[{i}] strength")),
-            )
-        )
+            raise ConfigError(f"{rctx} must be a [frequency, strength] pair")
+        out.append((unit.freq_in(_as_float(raw[0], f"{rctx} frequency")),
+                    unit.volume_in(_as_float(raw[1], f"{rctx} strength"))))
     return tuple(out)
 
 
@@ -314,16 +307,15 @@ def load_config(path: str, tol_override: float | None = None) -> RunConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     config_hash = hashlib.sha256(raw).hexdigest()[:12]
-    data = _as_mapping(_read_yaml(raw), "config")
-    _check_keys(data, ("unit_system", "materials", "atoms", "quadrature", "sweep"), "config")
+    data = _section(_read_yaml(raw), ("unit_system", "materials", "atoms", "quadrature", "sweep"),
+                    "config")
 
     unit = _parse_unit(data.get("unit_system"))
 
     materials: dict[str, MediumResponse] = {}
     for name, node in _as_mapping(data.get("materials"), "materials").items():
         ctx = f"materials.{name}"
-        body = _as_mapping(node, ctx)
-        _check_keys(body, ("eps_terms", "mu_terms"), ctx)
+        body = _section(node, ("eps_terms", "mu_terms"), ctx)
         materials[str(name)] = MediumResponse(
             eps_terms=_parse_terms(body.get("eps_terms"), unit, f"{ctx}.eps_terms"),
             mu_terms=_parse_terms(body.get("mu_terms"), unit, f"{ctx}.mu_terms"),
@@ -332,8 +324,7 @@ def load_config(path: str, tol_override: float | None = None) -> RunConfig:
     atoms: dict[str, AtomModel] = {}
     for name, node in _as_mapping(data.get("atoms"), "atoms").items():
         ctx = f"atoms.{name}"
-        body = _as_mapping(node, ctx)
-        _check_keys(body, ("resonances", "beta_resonances"), ctx)
+        body = _section(node, ("resonances", "beta_resonances"), ctx)
         if "resonances" not in body:
             raise ConfigError(f"{ctx} needs a resonances list")
         try:
@@ -346,8 +337,8 @@ def load_config(path: str, tol_override: float | None = None) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(f"{ctx}: {exc}") from None
 
-    quad_node = _as_mapping(data.get("quadrature"), "quadrature")
-    _check_keys(quad_node, ("rel_tol", "abs_tol", "max_subdivisions"), "quadrature")
+    quad_node = _section(data.get("quadrature"), ("rel_tol", "abs_tol", "max_subdivisions"),
+                         "quadrature")
     quad_kwargs = {
         key: _as_float(quad_node[key], f"quadrature.{key}")
         for key in ("rel_tol", "abs_tol") if key in quad_node
@@ -364,8 +355,7 @@ def load_config(path: str, tol_override: float | None = None) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"quadrature: {exc}") from None
 
-    sweep_node = _as_mapping(data.get("sweep"), "sweep")
-    _check_keys(sweep_node, ("u", "l", "R_c"), "sweep")
+    sweep_node = _section(data.get("sweep"), ("u", "l", "R_c"), "sweep")
     r_c_node = sweep_node.get("R_c")
     if isinstance(r_c_node, (list, tuple)):
         raise ConfigError(f"sweep.R_c must be one number, got the list {r_c_node!r}")

@@ -33,14 +33,12 @@ from .response import AtomModel, MediumResponse, _host_arrays, _ret, scale_hint
 
 __all__ = [
     "U1Expansion",
-    "SingleAtomResult",
     "PairResult",
     "StiffnessResult",
     "u1_exact",
     "u1_expanded",
     "u1_linearized",
     "u2_single",
-    "single_atom_total",
     "pair_free_space",
     "pair_bulk",
     "coeff_retarded",
@@ -70,21 +68,6 @@ class U1Expansion:
     @property
     def total(self) -> float:
         return self.term_r3 + self.term_r1
-
-
-@dataclass(frozen=True)
-class SingleAtomResult:
-    """Single embedded atom: cavity part U1, scattering part U2."""
-
-    U1: float
-    U2: float
-    total: float
-    term_r3: float
-    term_r1: float
-
-    def __post_init__(self):
-        if self.total != self.U1 + self.U2:
-            raise InvariantError("total must equal U1 + U2 exactly")
 
 
 @dataclass(frozen=True)
@@ -170,19 +153,22 @@ def u1_expanded(atom: AtomModel, spec: CavitySpec, q: QuadSpec = QuadSpec()) -> 
 
     The R_c^-3 term integrates (eps-1)/(2 eps+1) alpha; the R_c^-1 term
     integrates u^2 [eps^2(1-5 mu) + 3 eps + 1]/(2 eps+1)^2 alpha. A vacuum
-    host makes both brackets vanish identically.
+    host makes both brackets vanish identically. A radius so small that
+    U1 or its error estimate leaves the float range raises.
     """
     r = spec.radius
     res = _small_radius_integrals(
         atom, spec, q, 2.0, lambda eps, mu: eps * eps * (1.0 - 5.0 * mu) + 3.0 * eps + 1.0
     )
     (i3, i1), (e3, e1) = res.value.tolist(), res.err_est.tolist()
-    return U1Expansion(
-        term_r3=-(3.0 / (math.pi * r**3)) * i3,
-        term_r1=-(9.0 / (5.0 * math.pi * r)) * i1,
-        err_est=(3.0 / (math.pi * r**3)) * e3 + (9.0 / (5.0 * math.pi * r)) * e1,
-        evals=res.evals,
-    )
+    pi_r3 = math.pi * r**3
+    a3, a1 = (3.0 / pi_r3 if pi_r3 else math.inf), 9.0 / (5.0 * math.pi * r)
+    out = U1Expansion(term_r3=-a3 * i3, term_r1=-a1 * i1, err_est=a3 * e3 + a1 * e1,
+                      evals=res.evals)
+    if not (math.isfinite(out.total) and math.isfinite(out.err_est)):
+        raise InvariantError(f"u1_expanded: U1 = {out.total} is not finite at R_c = {r:.6g}; "
+                             "the R_c^-3 term is past the float range")
+    return out
 
 
 def u1_linearized(
@@ -238,16 +224,6 @@ def u2_single(atom: AtomModel, spec: CavitySpec, scatter_trace, q: QuadSpec = Qu
         return 2.0 * u * u * d2 * atom.alpha_iu(u) * tr
 
     return integrate_semi_infinite(f, q, scale=scale).value
-
-
-def single_atom_total(
-    atom: AtomModel, spec: CavitySpec, scatter_trace, q: QuadSpec = QuadSpec()
-) -> SingleAtomResult:
-    """U1 + U2 for one embedded atom, with the U1 term breakdown attached."""
-    expansion = u1_expanded(atom, spec, q)
-    u1, u2 = expansion.total, u2_single(atom, spec, scatter_trace, q)
-    return SingleAtomResult(U1=u1, U2=u2, total=u1 + u2,
-                            term_r3=expansion.term_r3, term_r1=expansion.term_r1)
 
 
 def pair_free_space(

@@ -308,6 +308,20 @@ def test_transmission_overflow_is_an_invariant_error():
         coeff_D_exact(spec, 710.0)
 
 
+@pytest.mark.parametrize("radius, coefficient", [
+    (1e-70, lambda spec, u: coeff_C_exact(spec, 2, u)),
+    (1e-104, lambda spec, u: coeff_C_exact(spec, 1, u)),
+    (1e-104, coeff_C_expansion),
+    (1e-300, coeff_D_exact),
+], ids=["C2-1e-70", "C1-1e-104", "C1-expansion-1e-104", "D-1e-300"])
+def test_non_finite_coefficient_is_an_invariant_error(glass, radius, coefficient):
+    # u R_c this small used to give nan or inf, with numpy RuntimeWarnings
+    # (errors under this suite's filter, so none may escape here)
+    spec = CavitySpec(radius=radius, host=glass)
+    with pytest.raises(InvariantError, match=rf"at u = 0\.2, R_c = {radius:.6g} is not finite"):
+        coefficient(spec, np.array([0.2, 1.0, 5.0]))
+
+
 def test_large_cavity_warning():
     m = MediumResponse(eps_terms=(LorentzTerm(plasma_strength=1.0, resonance=4.0),))
     with pytest.warns(UserWarning):

@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 
 from lfvdw import cli, quadrature
-from lfvdw.config import load_config
+from lfvdw.config import UnitSystem, load_config
 
 DATA = Path(__file__).parent / "data"
 CONFIG = str(DATA / "glass.yaml")
+SI_CONFIG = str(DATA / "glass_si.yaml")  # glass.yaml at omega_ref = 1e15 rad/s
 GOLDEN = DATA / "coeffs_golden.csv"
 
 
@@ -123,6 +124,76 @@ def test_pair_table_structure():
         assert ratio == pytest.approx(u / u_unc, abs=0.0)
         assert 1.0 < ratio < 81.0 / 16.0
         assert -7.5 < slope < -5.5
+
+
+def test_one_point_pair_sweep_has_a_null_slope_in_json(tmp_path):
+    # the local slope of a one-point sweep.l is undefined; JSON used to get a bare NaN
+    config = tmp_path / "one.yaml"
+    config.write_text(Path(CONFIG).read_text().replace("l: [2.0, 3.0, 5.0]", "l: [2.0]"))
+    argv = ("pair", "--config", str(config), "--atom-a", "probe", "--atom-b", "partner",
+            "--material", "glass")
+
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    proc = run_cli(*argv, "--format", "json")
+    assert proc.returncode == 0
+    (row,) = json.loads(proc.stdout, parse_constant=reject)["rows"]
+    assert row["local_slope"] is None and row["U"] < 0.0
+    csv = run_cli(*argv)
+    assert csv.returncode == 0
+    assert csv.stdout.splitlines()[-1].endswith(",nan")
+
+
+# Each command's SI twins: (SI column or key, reduced field, conversion).
+SI_TWINS = {
+    "coeffs": [("u_SI", "u", UnitSystem.freq_out)],
+    "pair": [("l_m", "l", UnitSystem.length_out), ("U_J", "U", UnitSystem.energy_out)],
+    "single": [("cavity_radius_m", "cavity_radius", UnitSystem.length_out),
+               ("U1_J", "U1", UnitSystem.energy_out), ("U2_J", "U2", UnitSystem.energy_out),
+               ("total_J", "total", UnitSystem.energy_out)],
+    "nbody": [("energy_J", "energy", UnitSystem.energy_out)],
+    "limits": [("C_r_J_m7", "C_r", UnitSystem.c_r_out), ("C_nr_J_m6", "C_nr", UnitSystem.c_nr_out),
+               ("crossover_length_m", "crossover_length_estimate", UnitSystem.length_out)],
+    "force-check": [("analytic_N", "analytic", UnitSystem.force_out)],
+    "born-check": [],
+}
+
+
+@pytest.mark.parametrize("config, length", [(CONFIG, 1.0), (SI_CONFIG, 2.99792458e-7)],
+                         ids=["reduced", "SI"])
+def test_si_view_converts_each_reduced_field(tmp_path, capsys, config, length):
+    # length: the config's length unit, c/omega_ref in m for the SI twin
+    unit = load_config(config).unit
+    positions = tmp_path / "pair.txt"
+    positions.write_text(f"probe 0 0 0\npartner {3.0 * length!r} 0 0\n")
+    pair = ["--atom-a", "probe", "--atom-b", "partner", "--material", "glass"]
+    argvs = {
+        "coeffs": ["--material", "glass"],
+        "pair": pair,
+        "single": ["--atom", "probe", "--material", "glass"],
+        "nbody": ["--positions", str(positions), "--material", "glass"],
+        "limits": pair,
+        "force-check": [*pair, "--separation", repr(3.0 * length)],
+        "born-check": ["--guest", "probe", "--host-atom", "partner",
+                       "--density", repr(0.05 / length**3), "--outer-radius", repr(10.0 * length)],
+    }
+    for command, argv in argvs.items():
+        assert cli.main([command, *argv, "--config", config, "--format", "json"]) == 0, command
+        doc = json.loads(capsys.readouterr().out)
+        twins = SI_TWINS[command]
+        names = [name for name, _, _ in twins]
+        if not unit.is_si or not twins:  # no SI column or key, and no empty "SI" block
+            assert "SI" not in doc and not set(names) & set(doc.get("rows", [{}])[0]), command
+        elif "rows" in doc:  # a table: the SI columns appended to each row
+            for row in doc["rows"]:
+                assert list(row)[-len(names):] == names, command
+                for name, field, to_si in twins:
+                    assert row[name] == to_si(unit, row[field]), (command, name)
+        else:
+            assert list(doc["SI"]) == names, command
+            for name, field, to_si in twins:
+                assert doc["SI"][name] == to_si(unit, doc[field]), (command, name)
 
 
 def test_pair_threads_do_not_change_output():
@@ -446,6 +517,20 @@ def test_overflowing_transmission_exits_3():
     err = json.loads(proc.stdout)["error"]
     assert err["type"] == "InvariantError"
     assert "u = 1, R_c = 10000" in err["message"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("coeffs", "--material", "glass"), "cavity coefficient D = nan at u = 0.2, R_c = 1e-300"),
+    (("single", "--atom", "probe", "--material", "glass"), "U1 = -inf is not finite"),
+], ids=["coeffs", "single"])
+def test_tiny_cavity_radius_exits_3(argv, message):
+    # coeffs used to print nan/inf rows with exit 0, single a ZeroDivisionError traceback
+    proc = run_cli(*argv, "--config", CONFIG, "--cavity-radius", "1e-300")
+    assert proc.returncode == 3
+    assert proc.stderr == ""
+    err = json.loads(proc.stdout)["error"]
+    assert err["type"] == "InvariantError"
+    assert message in err["message"]
 
 
 def test_non_finite_position_is_a_config_error(tmp_path):

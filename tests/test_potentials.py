@@ -19,7 +19,6 @@ from lfvdw.errors import ConfigError, DomainError, GeometryError, InvariantError
 from lfvdw.green import bulk_dyad
 from lfvdw.oracle import finite_difference_force
 from lfvdw.potentials import (
-    SingleAtomResult,
     _ring_integrand,
     _ring_setup,
     cavity_center_stiffness,
@@ -30,7 +29,6 @@ from lfvdw.potentials import (
     n_atom_orderings,
     pair_bulk,
     pair_free_space,
-    single_atom_total,
     u1_exact,
     u1_expanded,
     u1_linearized,
@@ -103,6 +101,14 @@ def test_u1_vanishes_in_vacuum(atom_a, quad):
     assert u1_expanded(atom_a, spec, quad).total == 0.0
 
 
+@pytest.mark.parametrize("radius", [1e-104, 1e-300])
+def test_u1_expanded_past_the_float_range_is_an_invariant_error(atom_a, glass, quad, radius):
+    # R_c^-3 used to overflow to -inf, or R_c**3 underflow to a ZeroDivisionError
+    spec = CavitySpec(radius=radius, host=glass)
+    with pytest.raises(InvariantError, match=f"U1 = -inf is not finite at R_c = {radius:.6g}"):
+        u1_expanded(atom_a, spec, quad)
+
+
 def test_u1_linearized_matches_reference(atom_b, quad):
     guest = AtomModel(resonances=((1.0, 0.02),))
     rho = 0.0053
@@ -123,19 +129,6 @@ def test_u1_linearized_fails_fast_on_non_finite_chi(quad):
 def test_u2_zero_trace_gives_zero(atom_a, glass, quad):
     spec = CavitySpec(radius=0.05, host=glass)
     assert u2_single(atom_a, spec, lambda u: np.zeros_like(u), quad) == 0.0
-
-
-def test_single_atom_total_is_exact_sum(atom_a, glass, quad):
-    spec = CavitySpec(radius=0.05, host=glass)
-    res = single_atom_total(atom_a, spec, lambda u: np.zeros_like(u), quad)
-    assert res.total == res.U1 + res.U2
-    assert res.U1 == pytest.approx(u1_expanded(atom_a, spec, quad).total, abs=0.0)
-    assert res.U2 == 0.0
-
-
-def test_single_atom_result_guards_inconsistent_totals():
-    with pytest.raises(InvariantError):
-        SingleAtomResult(U1=-1.0, U2=0.5, total=-0.4, term_r3=-1.0, term_r1=0.0)
 
 
 def test_u2_rejects_transmission_below_unity(atom_a, quad):
