@@ -1,11 +1,12 @@
 """Command line interface.
 
-Subcommands: coeffs, single, pair, nbody, limits, born-check, force-check.
-Every command reads one YAML config (--config) and returns its payload in
-reduced units; main() alone adds the SI twins an SI config asks for,
-renders it as CSV or JSON (--format), writes it (--out) and picks the exit
-code. Output is stamped with the package version and a hash of the config
-file so identical inputs give byte-identical files.
+Subcommands: coeffs, single, pair, nbody, limits, born-check, force-check;
+each runs the cmd_* function of its name, dashes as underscores. Every
+command reads one YAML config (--config) and returns its payload in reduced
+units; main() alone adds the SI twins an SI config asks for, renders it as
+CSV or JSON (--format), writes it (--out) and picks the exit code. Output
+is stamped with the package version and a hash of the config file so
+identical inputs give byte-identical files.
 A pair sweep over sweep.l is one vector integral per corrected flag, one
 component per separation, and force-check's finite-difference stencil is
 one more. Every command runs in the calling thread; --threads is still
@@ -39,6 +40,7 @@ from .errors import ConfigError, ConvergenceError, DomainError, LfvdwError
 from .green import born_scatter_trace
 from .oracle import DiluteHost, finite_difference_force, total_pairwise_sum
 from .potentials import (
+    _MAX_RING_ATOMS,
     coeff_nonretarded,
     coeff_retarded,
     force_pair,
@@ -162,7 +164,7 @@ def cmd_single(cfg: RunConfig, args) -> dict:
     r_c = _cavity_radius(cfg, args)
     spec = CavitySpec(radius=r_c, host=material)
     expansion = u1_expanded(atom, spec, cfg.quadrature)
-    u1, u2 = expansion.total, u2_single(atom, spec, np.zeros_like, cfg.quadrature)
+    u1, u2 = expansion.total, 0.0  # the scattering Green tensor vanishes in infinite bulk
     return {
         "atom": args.atom,
         "material": args.material,
@@ -223,10 +225,9 @@ def _read_positions(path: str, cfg: RunConfig) -> list[tuple[AtomModel, list[flo
 def cmd_nbody(cfg: RunConfig, args) -> dict:
     material = cfg.material(args.material)
     atoms = _read_positions(args.positions, cfg)
-    if not 2 <= len(atoms) <= 6:
-        raise ConfigError(
-            f"positions file {args.positions} has {len(atoms)} atoms; need 2 to 6"
-        )
+    if not 2 <= len(atoms) <= _MAX_RING_ATOMS:
+        raise ConfigError(f"positions file {args.positions} has {len(atoms)} atoms; "
+                          f"need 2 to {_MAX_RING_ATOMS}")
     r_c = _sweep_cavity_radius(cfg)
     per_ordering = n_atom_orderings(atoms, material, cfg.quadrature, cavity_radius=r_c)
     return {
@@ -334,15 +335,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coeffs", parents=[common], help="cavity coefficient table over sweep.u")
     p.add_argument("--material", required=True)
     p.add_argument("--cavity-radius", type=float)
-    p.set_defaults(run=cmd_coeffs, si=[("u_SI", "u", U.freq_out)], **_TABLE)
+    p.set_defaults(si=[("u_SI", "u", U.freq_out)], **_TABLE)
 
     p = sub.add_parser("single", parents=[common], help="single embedded atom in infinite bulk")
     p.add_argument("--atom", required=True)
     p.add_argument("--material", required=True)
     p.add_argument("--cavity-radius", type=float)
-    p.set_defaults(run=cmd_single, si=[("cavity_radius_m", "cavity_radius", U.length_out),
-                                       ("U1_J", "U1", U.energy_out), ("U2_J", "U2", U.energy_out),
-                                       ("total_J", "total", U.energy_out)], **_DOC)
+    p.set_defaults(si=[("cavity_radius_m", "cavity_radius", U.length_out),
+                       ("U1_J", "U1", U.energy_out), ("U2_J", "U2", U.energy_out),
+                       ("total_J", "total", U.energy_out)], **_DOC)
 
     pair_args = argparse.ArgumentParser(add_help=False, parents=[common])
     for flag in ("--atom-a", "--atom-b", "--material"):
@@ -351,19 +352,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pair", parents=[pair_args], help="two-atom potential over sweep.l")
     p.add_argument("--uncorrected", action="store_true",
                    help="report the uncorrected potential in the U column")
-    p.set_defaults(run=cmd_pair, si=[("l_m", "l", U.length_out), ("U_J", "U", U.energy_out)],
-                   **_TABLE)
+    p.set_defaults(si=[("l_m", "l", U.length_out), ("U_J", "U", U.energy_out)], **_TABLE)
 
     p = sub.add_parser("nbody", parents=[common], help="N-atom ring potential from a positions file")
     p.add_argument("--positions", required=True, help="file with 'name x y z' lines")
     p.add_argument("--material", required=True)
-    p.set_defaults(run=cmd_nbody, si=[("energy_J", "energy", U.energy_out)], **_DOC)
+    p.set_defaults(si=[("energy_J", "energy", U.energy_out)], **_DOC)
 
     p = sub.add_parser("limits", parents=[pair_args], help="retarded/non-retarded coefficients")
-    p.set_defaults(run=cmd_limits, si=[("C_r_J_m7", "C_r", U.c_r_out),
-                                       ("C_nr_J_m6", "C_nr", U.c_nr_out),
-                                       ("crossover_length_m", "crossover_length_estimate",
-                                        U.length_out)], **_DOC)
+    p.set_defaults(si=[("C_r_J_m7", "C_r", U.c_r_out), ("C_nr_J_m6", "C_nr", U.c_nr_out),
+                       ("crossover_length_m", "crossover_length_estimate", U.length_out)],
+                   **_DOC)
 
     p = sub.add_parser("born-check", parents=[common],
                        help="module path vs pairwise-summation oracle")
@@ -372,12 +371,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--density", type=float, required=True)
     p.add_argument("--outer-radius", type=float, required=True)
     p.add_argument("--cavity-radius", type=float)
-    p.set_defaults(run=cmd_born_check, si=[], **_DOC)  # no SI block
+    p.set_defaults(si=[], **_DOC)  # no SI block
 
     p = sub.add_parser("force-check", parents=[pair_args],
                        help="analytic force vs finite differences")
     p.add_argument("--separation", type=float, required=True)
-    p.set_defaults(run=cmd_force_check, si=[("analytic_N", "analytic", U.force_out)], **_DOC)
+    p.set_defaults(si=[("analytic_N", "analytic", U.force_out)], **_DOC)
     return parser
 
 
@@ -396,7 +395,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, tol_override=args.tol)
-        payload = args.run(cfg, args)
+        # cmd_<command> is looked up at call time, so a wrapper set on the module runs
+        payload = globals()[f"cmd_{args.command.replace('-', '_')}"](cfg, args)
         if cfg.unit.is_si and args.si:
             payload = _si_view(cfg.unit, payload, args.si)
         text = args.render(cfg, payload, args.format or args.default_format)

@@ -12,8 +12,8 @@ and y = n(iu) u l:
 
 All quadratures go through the adaptive engine in quadrature.py with the
 map scale set to the largest resonance frequency of the models
-involved, and every corrected integrand asserts its local-field
-enhancement bounds pointwise while it is being integrated.
+involved. Every corrected op takes the local-field factor D^2 per atom
+from _local_field, which asserts D^2 in [1, 9/4] on every node.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .cavity import CavitySpec, _d_leading, coeff_C_exact, coeff_D_leading
+from .cavity import CavitySpec, _d_leading, coeff_C_exact
 from .errors import DomainError, GeometryError, InvariantError, _check_radius
 from .quadrature import QuadSpec, integrate_semi_infinite
 from .response import AtomModel, MediumResponse, _host_arrays, _ret, scale_hint
@@ -49,11 +49,8 @@ __all__ = [
     "cavity_center_stiffness",
 ]
 
-_SINGLE_BOUND = 9.0 / 4.0
-_PAIR_BOUND = 81.0 / 16.0
 _BOUND_SLACK = 1e-9
 _MAX_RING_ATOMS = 6
-_PARTS = ("electric", "magnetic", "both")
 
 
 @dataclass(frozen=True)
@@ -93,24 +90,27 @@ class StiffnessResult:
     err_est: float
 
 
-def _check_ratio(w: np.ndarray, bound: float, context: str):
-    if w.min() < 1.0 - _BOUND_SLACK or w.max() > bound + _BOUND_SLACK:
+def _local_field(eps, context: str):
+    """D^2, the local-field factor each embedded atom's polarizability
+    gains at leading order, D = 3 eps/(2 eps + 1); every value must lie in
+    [1, 9/4], so a pair carries D^4 in [1, 81/16]. NaN fails the test too."""
+    d2 = np.square(_d_leading(eps))
+    if not (d2.min() >= 1.0 - _BOUND_SLACK and d2.max() <= 2.25 + _BOUND_SLACK):
         raise InvariantError(
-            f"local-field enhancement {w.min():.6g}..{w.max():.6g} leaves "
-            f"[1, {bound:.6g}] in {context}; the host response is outside "
-            "the model's domain (eps or mu below 1?)"
+            f"local-field factor D^2 {d2.min():.6g}..{d2.max():.6g} leaves [1, 9/4] in "
+            f"{context}; the host response is outside the model's domain (eps below 1?)"
         )
+    return d2
 
 
 def _pair_weight(atom_a, atom_b, m, u: np.ndarray, corrected: bool, context: str):
-    """(alpha_A alpha_B W / eps^2, n) on the nodes, with W = D^4 asserted
-    to stay in [1, 81/16] when corrected, else W = 1."""
+    """(alpha_A alpha_B W / eps^2, n) on the nodes, with W = D^4 when
+    corrected, else W = 1."""
     eps, _, n = _host_arrays(m, u)
     phi = atom_a.alpha_iu(u) * atom_b.alpha_iu(u) / (eps * eps)
     if corrected:
-        w = np.square(np.square(_d_leading(eps)))
-        _check_ratio(w, _PAIR_BOUND, context)
-        phi = phi * w
+        d2 = _local_field(eps, context)
+        phi = phi * (d2 * d2)
     return phi, n
 
 
@@ -212,12 +212,12 @@ def u2_single(atom: AtomModel, spec: CavitySpec, scatter_trace, q: QuadSpec = Qu
     scatter_trace maps an array of u > 0 nodes to the reduced scattering
     Green trace at the atom's position; D is the leading-order
     transmission factor, whose square is asserted to stay in [1, 9/4].
+    In infinite bulk G^(1) and so U2 vanish.
     """
     scale = scale_hint(atom, spec.host)
 
     def f(u):
-        d2 = np.square(coeff_D_leading(spec.host, u))
-        _check_ratio(d2, _SINGLE_BOUND, "u2_single")
+        d2 = _local_field(spec.host.eps_iu(u), "u2_single")
         tr = np.asarray(scatter_trace(u), dtype=np.float64)
         if tr.shape != np.shape(u):
             raise DomainError("scatter_trace must return one value per node")
@@ -231,7 +231,6 @@ def pair_free_space(
     atom_b: AtomModel,
     l: float | np.ndarray,
     q: QuadSpec = QuadSpec(),
-    parts: str = "both",
 ) -> float | np.ndarray:
     """Two-atom potential in free space at separation l (a float), or at
     each separation of a 1-D grid l (an array).
@@ -240,31 +239,26 @@ def pair_free_space(
     magnetic: +(1/(2 pi l^4)) int u^2 alpha_A beta_B h(ul) du
 
     The magnetic part couples atom A's polarizability to atom B's
-    magnetizability; it vanishes when atom B has no beta resonances.
+    magnetizability; it is left out when atom B has no beta resonances.
     Both parts at every separation are one vector integral.
     """
     l, scalar = _guard_separation(l, None, "pair_free_space")
-    if parts not in _PARTS:
-        raise DomainError(f"parts must be one of {_PARTS}, got {parts!r}")
-    el, mag = parts != "magnetic", parts != "electric" and bool(atom_b.beta_resonances)
-    if not (el or mag):
-        return _ret(0.0 * l, scalar)
+    mag = bool(atom_b.beta_resonances)
 
     def f(u):
         x = np.multiply.outer(u, l)
         alpha = atom_a.alpha_iu(u)
-        cols = [(alpha * atom_b.alpha_iu(u))[:, None] * _kernels.kernel_g(x)] if el else []
+        cols = [(alpha * atom_b.alpha_iu(u))[:, None] * _kernels.kernel_g(x)]
         if mag:
             cols.append((u * u * alpha * atom_b.beta_iu(u))[:, None] * _kernels.kernel_h(x))
         return np.hstack(cols)
 
     res = integrate_semi_infinite(f, q, scale=scale_hint(atom_a, atom_b))
-    raw = res.value.reshape(el + mag, -1)  # one row per part
-    l2, total = l * l, 0.0
-    if el:
-        total = total - raw[0] / (2.0 * math.pi * l2 * l2 * l2)
+    raw = res.value.reshape(1 + mag, -1)  # one row per part
+    l2 = l * l
+    total = -raw[0] / (2.0 * math.pi * l2 * l2 * l2)
     if mag:
-        total = total + raw[-1] / (2.0 * math.pi * l2 * l2)
+        total = total + raw[1] / (2.0 * math.pi * l2 * l2)
     return _ret(total, scalar)
 
 
@@ -340,11 +334,10 @@ def coeff_retarded(atom_a: AtomModel, atom_b: AtomModel, m: MediumResponse) -> f
     """
     eps0 = m.eps_iu(0.0)
     n0 = m.n_iu(0.0)
-    w0 = _d_leading(eps0) ** 4
-    _check_ratio(np.asarray(w0), _PAIR_BOUND, "coeff_retarded")
+    d2 = float(_local_field(eps0, "coeff_retarded"))
     return _positive_coeff(
-        23.0 / (4.0 * math.pi) * atom_a.alpha_static * atom_b.alpha_static / (n0 * eps0**2) * w0,
-        "coeff_retarded")
+        23.0 / (4.0 * math.pi) * atom_a.alpha_static * atom_b.alpha_static / (n0 * (eps0 * eps0))
+        * (d2 * d2), "coeff_retarded")
 
 
 def coeff_nonretarded(
@@ -365,8 +358,8 @@ def coeff_nonretarded(
 
 
 def _positive_coeff(c: float, context: str) -> float:
-    if not c > 0.0:  # 0.0 once alpha_A alpha_B underflows
-        raise InvariantError(f"{context} came out {c!r}, not > 0: atoms must attract")
+    if not 0.0 < c < math.inf:  # 0.0 once alpha_A alpha_B underflows, inf once it overflows
+        raise InvariantError(f"{context} came out {c!r}, not finite and > 0: atoms must attract")
     return c
 
 
@@ -422,8 +415,7 @@ def _ring_integrand(models, m: MediumResponse, dist, vv, legs, context: str):
 
     def f(u):
         eps, mu, n = _host_arrays(m, u)
-        d2 = np.square(_d_leading(eps))
-        _check_ratio(d2, _SINGLE_BOUND, context)
+        d2 = _local_field(eps, context)
         weight = 1.0
         for model in models:  # (u^2 D^2)^N prod alpha_k; ** is a per-CPU SIMD pow
             weight = weight * u * u * d2 * model.alpha_iu(u)

@@ -76,6 +76,7 @@ class LorentzTerm:
     plasma_strength : S, units w_ref^2, >= 0
     resonance       : transverse resonance w_T, units w_ref, > 0
     damping         : g, units w_ref, >= 0
+    Each must be finite.
     """
 
     plasma_strength: float
@@ -83,12 +84,12 @@ class LorentzTerm:
     damping: float = 0.0
 
     def __post_init__(self):
-        if not self.plasma_strength >= 0.0:
-            raise DomainError("plasma_strength must be >= 0")
-        if not self.resonance > 0.0:
-            raise DomainError("resonance must be > 0")
-        if not self.damping >= 0.0:
-            raise DomainError("damping must be >= 0")
+        if not 0.0 <= self.plasma_strength < math.inf:
+            raise DomainError("plasma_strength must be >= 0 and finite")
+        if not 0.0 < self.resonance < math.inf:
+            raise DomainError("resonance must be > 0 and finite")
+        if not 0.0 <= self.damping < math.inf:
+            raise DomainError("damping must be >= 0 and finite")
 
 
 def _term_arrays(terms: tuple[LorentzTerm, ...]):
@@ -155,6 +156,7 @@ class AtomModel:
                       every strength > 0, so that alpha(iu) > 0
     beta_resonances : tuple of (transition_frequency, static_strength),
                       empty for a purely electric atom
+    Every frequency is > 0 and every value finite.
     """
 
     resonances: tuple[tuple[float, float], ...]
@@ -171,11 +173,14 @@ class AtomModel:
         )
         if not self.resonances:
             raise DomainError("resonances must not be empty: an atom needs a polarizability")
-        for w, _ in self.resonances + self.beta_resonances:
-            if not w > 0.0:
-                raise DomainError("transition frequencies must be > 0")
-        if not all(a > 0.0 for _, a in self.resonances):
-            raise DomainError("resonance static strengths must be > 0")
+        for name, poles in (("resonances", self.resonances),
+                            ("beta_resonances", self.beta_resonances)):
+            if not all(0.0 < w < math.inf for w, _ in poles):
+                raise DomainError(f"{name}: transition frequencies must be > 0 and finite")
+        if not all(0.0 < a < math.inf for _, a in self.resonances):
+            raise DomainError("resonances: static strengths must be > 0 and finite")
+        if not all(math.isfinite(b) for _, b in self.beta_resonances):
+            raise DomainError("beta_resonances: static strengths must be finite")
         object.__setattr__(self, "_alpha_arrays", _pole_arrays(self.resonances))
         object.__setattr__(self, "_beta_arrays", _pole_arrays(self.beta_resonances))
 

@@ -9,7 +9,9 @@ which bits a change moved:
 
 ``--counts`` prints instead, for each library key, how many integrand
 calls and evaluations its quadrature took (``key: calls=<n> evals=<n>``),
-summed over every integral the key starts, nested ones included; two such
+summed over every integral the key starts, nested ones included, and for
+each CLI invocation the integrals it starts as well
+(``cli <name> <format>: integrals=<n> calls=<n> evals=<n>``); two such
 files compare the same way.
 
 Every line reads ``key: value``. The library values are the reprs of the
@@ -26,6 +28,7 @@ only one file. The script writes nothing into the repository.
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import math
 import re
@@ -118,9 +121,9 @@ def library_lines():
                            lambda: lfvdw.pair_bulk(probe, partner, host, l, q, corrected=flag).U)
                 yield (f"force_pair{tag}(l={l})",
                        lambda: lfvdw.force_pair(probe, partner, host, l, q))
-                for parts in ("both", "electric", "magnetic"):
-                    yield (f"pair_free_space{tag}(l={l},{parts})",
-                           lambda: lfvdw.pair_free_space(probe, partner, l, q, parts))
+                # "both": the electric and the magnetic part, the key of older dumps
+                yield (f"pair_free_space{tag}(l={l},both)",
+                       lambda: lfvdw.pair_free_space(probe, partner, l, q))
             yield f"coeff_nonretarded{tag}", lambda: lfvdw.coeff_nonretarded(probe, partner, host, q)
             for atom_name, atom in (("probe", probe), ("partner", partner)):
                 at = f"{tag}({atom_name})"
@@ -142,14 +145,17 @@ def library_lines():
                        lambda: [e for _, e in lfvdw.n_atom_orderings(ring[:n], host, q)])
 
 
-def cli_lines():
+def cli_runs():
+    """(key, run) of each CLI invocation; run() returns its exit code and its
+    stdout, with the positions file's path replaced by <positions>. As with
+    library_lines, call each run before taking the next one."""
     from lfvdw import cli
 
     for prefix, config, length in CONFIGS:
-        yield from _cli_lines(cli, prefix, str(config), length)
+        yield from _cli_runs(cli, prefix, str(config), length)
 
 
-def _cli_lines(cli, prefix, config, length):
+def _cli_runs(cli, prefix, config, length):
     with tempfile.TemporaryDirectory() as tmp:
         positions = Path(tmp) / "ring4.txt"
         positions.write_text("".join(
@@ -170,15 +176,17 @@ def _cli_lines(cli, prefix, config, length):
                            "--density", repr(0.05 / length**3),
                            "--outer-radius", repr(10 * length)],
         }
+
+        def run(argv):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                code = cli.main(argv)
+            return code, buf.getvalue().replace(str(positions), "<positions>")
+
         for name, argv in commands.items():
             for fmt in ("csv", "json"):
-                buf = io.StringIO()
-                with contextlib.redirect_stdout(buf):
-                    code = cli.main([*argv, "--config", config, "--format", fmt])
-                text = buf.getvalue().replace(str(positions), "<positions>")
-                yield f"{prefix} {name} {fmt} exit", str(code)
-                for k, line in enumerate(text.splitlines()):
-                    yield f"{prefix} {name} {fmt} {k:03d}", line
+                yield (f"{prefix} {name} {fmt}",
+                       functools.partial(run, [*argv, "--config", config, "--format", fmt]))
 
 
 def dump(out=sys.stdout):
@@ -187,19 +195,23 @@ def dump(out=sys.stdout):
     for key, fn in library_lines():
         for entry, value in _entries(key, fn):
             out.write(f"{entry}: {value}\n")
-    for key, line in cli_lines():
-        out.write(f"{key}: {line}\n")
+    for key, run in cli_runs():
+        code, text = run()
+        out.write(f"{key} exit: {code}\n")
+        for k, line in enumerate(text.splitlines()):
+            out.write(f"{key} {k:03d}: {line}\n")
 
 
-def _counting(integrate, tally):
-    """integrate, adding its integrand calls and evaluations to tally."""
+def _counting(adaptive, tally):
+    """adaptive, adding its integrals, integrand calls and evaluations to tally."""
 
     def wrapped(f, *args, **kwargs):
         def g(x):
             tally["calls"] += 1
             return f(x)
 
-        res = integrate(g, *args, **kwargs)
+        tally["integrals"] += 1
+        res = adaptive(g, *args, **kwargs)
         tally["evals"] += res.evals
         return res
 
@@ -207,28 +219,27 @@ def _counting(integrate, tally):
 
 
 def counts(out=sys.stdout):
-    from lfvdw import LfvdwError, oracle, potentials
+    from lfvdw import LfvdwError, quadrature
 
-    # wrap the integrators where the library modules look them up; green
-    # and cavity start no integral of their own
+    # every integral of the package goes through the engine's _adaptive
     tally = {}
-    patched = [
-        (module, name, getattr(module, name))
-        for module, name in ((potentials, "integrate_semi_infinite"), (oracle, "integrate_finite"))
-    ]
-    for module, name, integrate in patched:
-        setattr(module, name, _counting(integrate, tally))
+    adaptive = quadrature._adaptive
+    quadrature._adaptive = _counting(adaptive, tally)
     try:
         for key, fn in library_lines():
-            tally.update(calls=0, evals=0)
+            tally.update(integrals=0, calls=0, evals=0)
             try:
                 fn()
             except LfvdwError as exc:
                 key = f"{key} ({type(exc).__name__})"
             out.write(f"{key}: calls={tally['calls']} evals={tally['evals']}\n")
+        for key, run in cli_runs():
+            tally.update(integrals=0, calls=0, evals=0)
+            run()
+            out.write(f"{key}: integrals={tally['integrals']} calls={tally['calls']} "
+                      f"evals={tally['evals']}\n")
     finally:
-        for module, name, integrate in patched:
-            setattr(module, name, integrate)
+        quadrature._adaptive = adaptive
 
 
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf")

@@ -333,6 +333,14 @@ def test_nbody_rejects_single_atom(tmp_path):
     assert json.loads(proc.stdout)["error"]["type"] == "config"
 
 
+def test_nbody_rejects_more_atoms_than_a_ring_takes(tmp_path, capsys):
+    positions = tmp_path / "seven.txt"
+    positions.write_text("".join(f"probe {k} 0 0\n" for k in range(7)))
+    assert cli.main(["nbody", "--config", CONFIG, "--positions", str(positions),
+                     "--material", "glass"]) == 2
+    assert "has 7 atoms; need 2 to 6" in json.loads(capsys.readouterr().out)["error"]["message"]
+
+
 def test_limits_payload():
     proc = run_cli(
         "limits", "--config", CONFIG, "--atom-a", "probe", "--atom-b", "partner",
@@ -386,8 +394,8 @@ def test_force_check_passes():
     assert doc["analytic"] == pytest.approx(-1.8119254953065484e-7, rel=1e-9, abs=0.0)
 
 
-def test_force_check_is_two_integrals(monkeypatch, capsys):
-    # the analytic force, and the whole finite-difference stencil as one grid
+def _integrals_started(monkeypatch, argv) -> int:
+    """How many quadrature._adaptive calls cli.main(argv) makes; it must exit 0."""
     calls = []
     original = quadrature._adaptive
 
@@ -396,9 +404,38 @@ def test_force_check_is_two_integrals(monkeypatch, capsys):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(quadrature, "_adaptive", counting)
-    assert cli.main([*_FORCE, "--separation", "0.5"]) == 0
-    assert len(calls) == 2
+    assert cli.main(argv) == 0
+    return len(calls)
+
+
+def test_force_check_is_two_integrals(monkeypatch, capsys):
+    # the analytic force, and the whole finite-difference stencil as one grid
+    assert _integrals_started(monkeypatch, [*_FORCE, "--separation", "0.5"]) == 2
     assert json.loads(capsys.readouterr().out)["pass"] is True
+
+
+def test_single_is_one_integral(monkeypatch, capsys):
+    # u1_expanded; U2 is 0 in infinite bulk and is not integrated
+    argv = ["single", "--config", CONFIG, "--atom", "probe", "--material", "glass"]
+    assert _integrals_started(monkeypatch, argv) == 1
+    assert json.loads(capsys.readouterr().out)["U2"] == 0.0
+
+
+def test_main_runs_the_command_function_the_module_holds_at_call_time(monkeypatch, capsys):
+    # a wrapper set on the module after the parser is built still runs
+    cli._build_parser()
+    seen = []
+    original = cli.cmd_limits
+
+    def wrapped(cfg, args):
+        seen.append(args.command)
+        return original(cfg, args)
+
+    monkeypatch.setattr(cli, "cmd_limits", wrapped)
+    assert cli.main(["limits", "--config", CONFIG, "--atom-a", "probe", "--atom-b", "partner",
+                     "--material", "glass"]) == 0
+    assert seen == ["limits"]
+    assert json.loads(capsys.readouterr().out)["C_r"] > 0.0
 
 
 def test_force_check_honours_the_cavity_radius():

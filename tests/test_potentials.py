@@ -177,23 +177,18 @@ def test_pair_coefficients_in_medium(atom_a, atom_b, glass, quad):
 
 
 def test_magnetoelectric_pair_is_repulsive(atom_a, atom_b, quad):
-    val = pair_free_space(atom_a, atom_b, 40.0, quad, parts="magnetic")
-    assert val > 0.0
+    # the magnetic part: atom_b's potential less that of its electric twin
+    electric_b = AtomModel(resonances=atom_b.resonances)
+
+    def magnetic(l):
+        return (pair_free_space(atom_a, atom_b, l, quad)
+                - pair_free_space(atom_a, electric_b, l, quad))
+
+    assert magnetic(40.0) > 0.0
     # retarded closed form +7 alpha(0) beta(0) / (4 pi l^7)
-    far = pair_free_space(atom_a, atom_b, 400.0, quad, parts="magnetic")
-    assert far * 400.0**7 == pytest.approx(
+    assert magnetic(400.0) * 400.0**7 == pytest.approx(
         7.0 * 0.02 * 0.004 / (4.0 * math.pi), rel=1e-3, abs=0.0
     )
-
-
-def test_pair_parts_sum(atom_a, atom_b, quad):
-    l = 2.5
-    both = pair_free_space(atom_a, atom_b, l, quad)
-    el = pair_free_space(atom_a, atom_b, l, quad, parts="electric")
-    mag = pair_free_space(atom_a, atom_b, l, quad, parts="magnetic")
-    assert both == pytest.approx(el + mag, rel=1e-12, abs=0.0)
-    with pytest.raises(ValueError):
-        pair_free_space(atom_a, atom_b, l, quad, parts="scalar")
 
 
 def test_pair_bulk_reference(atom_a, atom_b, glass, quad):
@@ -208,7 +203,7 @@ def test_pair_bulk_reference(atom_a, atom_b, glass, quad):
 
 def test_pair_bulk_vacuum_reduces_to_free_space(atom_a, quad):
     bulk = pair_bulk(atom_a, atom_a, VACUUM, 4.0, quad)
-    free = pair_free_space(atom_a, atom_a, 4.0, quad, parts="electric")
+    free = pair_free_space(atom_a, atom_a, 4.0, quad)
     assert bulk.U == free
 
 
@@ -245,9 +240,9 @@ def _pair_calls(atom_a, atom_b, glass, q):
         for flag in (True, False)
     }
     calls["force_pair"] = lambda l: force_pair(atom_a, atom_b, glass, l, q)
-    for parts in ("electric", "magnetic", "both"):
-        calls[f"pair_free_space({parts})"] = lambda l, parts=parts: pair_free_space(
-            atom_a, atom_b, l, q, parts)
+    # atom_a has no beta resonances: the electric part alone
+    calls["pair_free_space(electric)"] = lambda l: pair_free_space(atom_b, atom_a, l, q)
+    calls["pair_free_space"] = lambda l: pair_free_space(atom_a, atom_b, l, q)
     return calls
 
 
@@ -321,6 +316,31 @@ def test_limit_coefficients_reject_enhancement_below_unity(atom_a, atom_b, quad,
     # eps < 1 gives W = [3 eps/(2 eps + 1)]^4 < 1, as pair_bulk already refuses
     with pytest.raises(InvariantError):
         limit(atom_a, atom_b, ConstantMedium(0.5), quad)
+
+
+@pytest.mark.parametrize("op", ["pair_bulk", "coeff_nonretarded", "coeff_retarded",
+                                "n_atom_bulk", "u2_single"])
+def test_nan_host_trips_the_local_field_check(atom_a, atom_b, quad, op):
+    # NaN fails every comparison, so the D^2 check names it before the engine does
+    host = ConstantMedium(math.nan)
+    calls = {
+        "pair_bulk": lambda: pair_bulk(atom_a, atom_b, host, 2.5, quad),
+        "coeff_nonretarded": lambda: coeff_nonretarded(atom_a, atom_b, host, quad),
+        "coeff_retarded": lambda: coeff_retarded(atom_a, atom_b, host),
+        "n_atom_bulk": lambda: n_atom_bulk([(atom_a, [0.0, 0.0, 0.0]), (atom_b, [2.0, 0.0, 0.0])],
+                                           host, quad),
+        "u2_single": lambda: u2_single(atom_a, CavitySpec(radius=0.05, host=host),
+                                       lambda u: np.full_like(u, 1e-6), quad),
+    }
+    with pytest.raises(InvariantError, match=rf"^local-field factor D\^2 nan\.\.nan .* in {op};"):
+        calls[op]()
+
+
+def test_overflowing_retarded_coefficient_is_an_invariant_error():
+    # alpha_static = 2e308 overflows to inf; C_r used to come out inf
+    huge = AtomModel(resonances=((1.0, 1e308), (2.0, 1e308)))
+    with pytest.raises(InvariantError, match="coeff_retarded came out inf"):
+        coeff_retarded(huge, huge, VACUUM)
 
 
 def test_retardation_slopes_in_vacuum(atom_a, quad):
@@ -617,7 +637,6 @@ _ARGUMENT_ERRORS = {
     "quad_scale": (DomainError, lambda: integrate_semi_infinite(np.exp, scale=0.0)),
     "quad_bounds": (DomainError, lambda: integrate_finite(np.sin, 0.0, math.inf)),
     "quad_order": (DomainError, lambda: integrate_finite(np.sin, 2.0, 1.0)),
-    "pair_parts": (DomainError, lambda: pair_free_space(_ATOM, _ATOM, 2.0, parts="x")),
     "pair_free_space_inf": (GeometryError, lambda: pair_free_space(_ATOM, _ATOM, math.inf)),
     "pair_bulk_inf": (GeometryError, lambda: pair_bulk(_ATOM, _ATOM, VACUUM, math.inf)),
     "force_pair_inf": (GeometryError, lambda: force_pair(_ATOM, _ATOM, VACUUM, math.inf)),

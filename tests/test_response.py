@@ -136,18 +136,33 @@ def test_atom_needs_a_positive_polarizability(resonances, message):
 
 
 @pytest.mark.parametrize(
-    "make",
+    "make, field",
     [
-        lambda: LorentzTerm(plasma_strength=-1.0, resonance=1.0),
-        lambda: LorentzTerm(plasma_strength=1.0, resonance=0.0),
-        lambda: LorentzTerm(plasma_strength=1.0, resonance=1.0, damping=-0.1),
-        lambda: AtomModel(resonances=((0.0, 0.02),)),
-        lambda: AtomModel(resonances=((1.0, 0.02),), beta_resonances=((-2.0, 0.004),)),
+        (lambda: LorentzTerm(plasma_strength=-1.0, resonance=1.0), "plasma_strength"),
+        (lambda: LorentzTerm(plasma_strength=1.0, resonance=0.0), "resonance"),
+        (lambda: LorentzTerm(plasma_strength=1.0, resonance=1.0, damping=-0.1), "damping"),
+        (lambda: AtomModel(resonances=((0.0, 0.02),)), "resonances"),
+        (lambda: AtomModel(resonances=((1.0, 0.02),), beta_resonances=((-2.0, 0.004),)),
+         "beta_resonances"),
+        # non-finite parameters used to construct, giving inf or nan responses
+        (lambda: LorentzTerm(plasma_strength=math.inf, resonance=1.0), "plasma_strength"),
+        (lambda: LorentzTerm(plasma_strength=1.0, resonance=math.inf), "resonance"),
+        (lambda: LorentzTerm(plasma_strength=1.0, resonance=1.0, damping=math.inf), "damping"),
+        (lambda: AtomModel(resonances=((1.0, math.inf),)), "resonances"),
+        (lambda: AtomModel(resonances=((math.inf, 0.1),)), "resonances"),
+        (lambda: AtomModel(resonances=((1.0, 0.02),), beta_resonances=((math.inf, 0.004),)),
+         "beta_resonances"),
+        (lambda: AtomModel(resonances=((1.0, 0.02),), beta_resonances=((2.0, math.inf),)),
+         "beta_resonances"),
+        (lambda: AtomModel(resonances=((1.0, 0.02),), beta_resonances=((2.0, math.nan),)),
+         "beta_resonances"),
     ],
-    ids=["strength", "resonance", "damping", "alpha-frequency", "beta-frequency"],
+    ids=["strength", "resonance", "damping", "alpha-frequency", "beta-frequency",
+         "strength-inf", "resonance-inf", "damping-inf", "alpha-strength-inf",
+         "alpha-frequency-inf", "beta-frequency-inf", "beta-strength-inf", "beta-strength-nan"],
 )
-def test_model_validators_raise_domain_error(make):
-    with pytest.raises(LfvdwError) as err:
+def test_model_validators_raise_domain_error(make, field):
+    with pytest.raises(LfvdwError, match=f"^{field}[ :]") as err:
         make()
     assert err.type is DomainError
 
