@@ -8,10 +8,10 @@ all host atoms outside the cavity,
     U1 = rho int_{R_c}^inf 4 pi s^2 [U_el(s) + U_mag(s)] ds,
 
 with no reference to cavity coefficients. This module computes that sum
-literally, truncating the radial integral once the integrand is
-negligible and adding the closed-form retarded tail, and provides a
-Richardson-extrapolated finite-difference force as an independent check
-on the analytic force integrands.
+literally, as one adaptive radial integral over the whole half line
+s = R_c + v, v in (0, inf), with no cut-off and no asymptotic tail, and
+provides a Richardson-extrapolated finite-difference force as an
+independent check on the analytic force integrands.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ConfigError, DomainError, GeometryError, _check_radius
 from .green import BodyShell
 from .potentials import pair_free_space
-from .quadrature import QuadSpec, integrate_finite
+from .quadrature import QuadSpec, integrate_finite, integrate_semi_infinite
 from .response import AtomModel, LorentzTerm, MediumResponse, scale_hint
 
 __all__ = [
@@ -37,15 +37,15 @@ __all__ = [
 ]
 
 _DILUTE_LIMIT = 0.01
-_S_MAX_CAP = 1e7
 
 
 @dataclass(frozen=True)
 class DiluteHost:
     """Dilute gas of identical host atoms, rho per (c/w_ref)^3.
 
-    The dilute invariant |chi(iu)| < 0.01 is enforced at construction
-    (chi peaks at u = 0 for undamped resonances).
+    The dilute invariants are enforced at construction: |chi(0)| < 0.01
+    (chi peaks at u = 0 for undamped resonances) and 4 pi rho sum |b_k|
+    < 0.01, which bounds |zeta(iu)| at every u.
     """
 
     density: float
@@ -54,11 +54,12 @@ class DiluteHost:
     def __post_init__(self):
         if not self.density >= 0.0:
             raise DomainError("density must be >= 0")
-        chi0 = 4.0 * math.pi * self.density * self.host_atom.alpha_static
-        if abs(chi0) >= _DILUTE_LIMIT:
-            raise DomainError(
-                f"|chi(0)| = {abs(chi0):.3g} is not dilute (needs < {_DILUTE_LIMIT})"
-            )
+        pref, atom = 4.0 * math.pi * self.density, self.host_atom
+        for name, value in (("|chi(0)|", abs(pref * atom.alpha_static)),
+                            ("|zeta(iu)| <= 4 pi rho sum|b_k|",
+                             pref * sum(abs(b) for _, b in atom.beta_resonances))):
+            if value >= _DILUTE_LIMIT:
+                raise DomainError(f"{name} = {value:.3g} is not dilute (needs < {_DILUTE_LIMIT})")
 
     def chi_iu(self, u):
         """Electric density-susceptibility 4 pi rho alpha(iu)."""
@@ -107,32 +108,19 @@ def _radial_integrand(guest: AtomModel, host: DiluteHost, q: QuadSpec) -> Callab
     return f
 
 
-def _retarded_tail(guest: AtomModel, host: DiluteHost, s_max: float) -> float:
-    """Closed-form remainder of the radial sum beyond s_max.
-
-    Uses the retarded asymptotes U_el -> -23 a_A a_h/(4 pi s^7) and
-    U_mag -> +7 a_A b_h/(4 pi s^7), valid once s_max is deep in the
-    retarded regime (enforced by the truncation criterion).
-    """
-    a, h = guest.alpha_static, host.host_atom
-    return host.density * (-23.0 * a * h.alpha_static + 7.0 * a * h.beta_static) / (4.0 * s_max**4)
-
-
 def u1_pairwise_sum(
     guest: AtomModel, host: DiluteHost, R_c: float, q: QuadSpec = QuadSpec()
 ) -> float:
-    """Literal sum of guest-host pair potentials outside the cavity."""
+    """Literal sum of guest-host pair potentials over every host atom
+    outside the cavity: one semi-infinite radial integral in v = s - R_c,
+    mapped with the larger of R_c and the retardation length 1/w_max."""
     _check_radius("cavity", R_c)
     if host.density == 0.0:
         return 0.0
     f = _radial_integrand(guest, host, q)
-    pref = 4.0 * math.pi * host.density
-
-    s_max = max(4.0 * R_c, 8.0 / scale_hint(guest, host.host_atom))
-    while abs(pref * f(np.array([s_max]))[0]) > q.abs_tol * 1e-2 and s_max < _S_MAX_CAP:
-        s_max *= 2.0
-    body = integrate_finite(f, R_c, s_max, q).value
-    return pref * body + _retarded_tail(guest, host, s_max)
+    scale = max(R_c, 1.0 / scale_hint(guest, host.host_atom))
+    body = integrate_semi_infinite(lambda v: f(R_c + v), q, scale=scale).value
+    return 4.0 * math.pi * host.density * body
 
 
 def total_pairwise_sum(
@@ -145,8 +133,8 @@ def total_pairwise_sum(
     """Pairwise sum over a finite concentric body, cavity excluded.
 
     The material occupies max(R_c, inner_radius) <= s <= outer_radius;
-    an empty range gives exactly zero, an infinite body reduces to
-    u1_pairwise_sum's truncated-plus-tail form.
+    an empty range gives exactly zero, and an infinite body starting at
+    the cavity wall is u1_pairwise_sum.
     """
     _check_radius("cavity", R_c)
     lo = max(R_c, body.inner_radius)

@@ -492,7 +492,8 @@ def cavity_center_stiffness(
     Positive K pushes the atom away from the center (unstable, purely
     dielectric hosts); negative K restores it (purely magnetic hosts).
     The small-radius two-term estimate is returned alongside; the exact
-    quadrupole coefficient is authoritative for the classification.
+    quadrupole coefficient is authoritative for the classification, which
+    is "neutral" only when |K| is within its error estimate.
     """
     scale = scale_hint(atom, spec.host)
     r = spec.radius
@@ -508,8 +509,6 @@ def cavity_center_stiffness(
     ).value.tolist()
     k_small = (90.0 / r**5 * i5 - 75.0 / (7.0 * r**3) * i3) / (3.0 * math.pi)
 
-    classification = (
-        "unstable" if k_exact > 1e-12 else "restoring" if k_exact < -1e-12 else "neutral"
-    )
-    return StiffnessResult(K=k_exact, K_small_radius=k_small, classification=classification,
-                           err_est=res.err_est / (3.0 * math.pi))
+    err = res.err_est / (3.0 * math.pi)
+    kind = "neutral" if abs(k_exact) <= err else "unstable" if k_exact > 0.0 else "restoring"
+    return StiffnessResult(K=k_exact, K_small_radius=k_small, classification=kind, err_est=err)

@@ -139,6 +139,10 @@ def library_lines():
                        lambda: u1_pairwise_sum(atom, dilute, R_C, q))
                 yield (f"total_pairwise_sum{at}",
                        lambda: total_pairwise_sum(atom, dilute, shell, R_C, q))
+            # deep in the retarded regime, where an asymptotic tail in place
+            # of the far radial integral shows at 1e-10
+            yield (f"u1_pairwise_sum{tag}(probe,R_c=5)",
+                   lambda: u1_pairwise_sum(probe, dilute, 5.0, q))
             for n in range(2, 7):
                 yield f"n_atom_bulk{tag}(N={n})", lambda: lfvdw.n_atom_bulk(ring[:n], host, q)
                 yield (f"n_atom_orderings{tag}(N={n})",

@@ -152,6 +152,17 @@ def main():
         show(f"D_{tag}", cavity_d(t0, n, eps, mu))
 
     print()
+    print("# --- cavity coefficients on a weak magnetic-only host (test_cavity) ---")
+    # S = 1e-8, w_T = 1.2, R_c = 0.05: eps = 1 and mu = 1 + zeta, with zeta
+    # kept to every digit of the working precision
+    weak_mu = ((mp.mpf("1e-8"), mp.mpf("1.2"), mp.mpf(0)),)
+    for u in ("0.5", "5", "50"):
+        uu = mp.mpf(u)
+        t0, n = mp.mpf("0.05") * uu, mp.sqrt(lorentz(uu, weak_mu))
+        show(f"C1_WEAK_MU_U{u.replace('.', 'p')}", cavity_c(t0, n, 1, 1))
+        show(f"C2_WEAK_MU_U{u.replace('.', 'p')}", cavity_c(t0, n, 1, 2))
+
+    print()
     print("# --- reference integrals (test_potentials) ---")
     # vacuum pair, identical atoms, l = 5
     l = mp.mpf(5)

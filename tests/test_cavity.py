@@ -183,6 +183,31 @@ def test_coefficients_match_complex_mie_oracle(tag):
     assert coeff_D_exact(spec, u) == pytest.approx(d, rel=1e-12, abs=0.0)
 
 
+# electric C_1, C_2 on a magnetic-only host, mu = 1 + 1e-8/(1.44 + u^2),
+# at R_c = 0.05 (u -> C1, C2; tests/oracles/gen_values.py, 50 digits)
+FROZEN_C_WEAK_MU = {
+    0.5: (-2.2795734727903411377e-7, 0.001135399261093036442),
+    5.0: (-1.0322949956948287599e-9, 6.8934365825426290539e-8),
+    50.0: (-2.4242645432898172495e-14, 7.6822249749615855127e-14),
+}
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason=(
+        "ROADMAP item 2: with eps = 1 and n -> 1 the numerator "
+        "S_l(t0) T_l(n t0) - eps S_l(n t0) T_l(t0) of _kernels.cavity_c "
+        "cancels; on this host C_1 and C_2 are 2e-6 to 1.6e-4 off"
+    ),
+)
+def test_coefficients_on_weak_magnetic_host_match_reference():
+    host = MediumResponse(mu_terms=(LorentzTerm(plasma_strength=1e-8, resonance=1.2),))
+    spec = CavitySpec(radius=0.05, host=host)
+    for u, (c1, c2) in FROZEN_C_WEAK_MU.items():
+        assert coeff_C_exact(spec, 1, u) == pytest.approx(c1, rel=1e-12, abs=0.0)
+        assert coeff_C_exact(spec, 2, u) == pytest.approx(c2, rel=1e-12, abs=0.0)
+
+
 def test_vacuum_coefficients_are_trivial():
     spec = CavitySpec(radius=0.05, host=VACUUM)
     u = np.array([0.2, 1.0, 6.0])

@@ -533,12 +533,20 @@ _BORN = ("born-check", "--config", CONFIG, "--guest", "probe", "--host-atom", "p
         # |chi(0)| >= 0.01 used to be a DomainError, exit 3, that did not name the flag
         (_BORN + ("--density", "100", "--outer-radius", "10", "--cavity-radius", "0.05"),
          "--density"),
+        # zeta(0) = 0.063 passed the |chi(0)| check; the comparison then failed, exit 1
+        (("born-check", "--config", CONFIG, "--guest", "probe", "--host-atom", "magnet",
+          "--density", "0.01", "--outer-radius", "10"), "--density"),
     ],
     ids=["separation-negative", "separation-inf", "density-negative", "outer-nan",
-         "outer-inside-cavity", "density-not-dilute"],
+         "outer-inside-cavity", "density-not-dilute", "density-not-dilute-zeta"],
 )
-def test_bad_numeric_flag_is_a_config_error(argv, flag):
-    proc = run_cli(*argv)
+def test_bad_numeric_flag_is_a_config_error(argv, flag, tmp_path):
+    # every case runs on glass.yaml plus one weakly polarizable, strongly
+    # magnetizable atom
+    config = tmp_path / "magnet.yaml"
+    magnet = "  magnet:\n    resonances: [[1.0, 0.001]]\n    beta_resonances: [[1.0, 0.5]]\n"
+    config.write_text(Path(CONFIG).read_text().replace("atoms:\n", "atoms:\n" + magnet))
+    proc = run_cli(*(str(config) if a == CONFIG else a for a in argv))
     assert proc.returncode == 2
     err = json.loads(proc.stdout)["error"]
     assert err["type"] == "config"

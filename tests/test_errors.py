@@ -43,11 +43,15 @@ AT_ZERO = "^u must be > 0: the cavity coefficients, the Born trace and the bulk 
         (lambda: total_pairwise_sum(ATOM, HOST, SHELL, R_c=math.inf), GeometryError, CAVITY),
         (lambda: BodyShell(inner_radius=math.inf, outer_radius=math.inf), GeometryError,
          "^inner radius must be finite and > 0$"),
+        # zeta(0) = 0.063 passed when only |chi(0)| < 0.01 was checked
+        (lambda: DiluteHost(density=0.01, host_atom=AtomModel(
+            resonances=((1.0, 0.001),), beta_resonances=((1.0, 0.5),))), DomainError,
+         r"^\|zeta\(iu\)\| <= 4 pi rho sum\|b_k\| = 0.0628 is not dilute \(needs < 0.01\)$"),
     ],
     ids=["C_exact-u0", "C_expansion-u0", "D_exact-u0", "born_trace-u0", "bulk_dyad-u0",
          "bulk_dyad-coincident", "n_atom_bulk-coincident", "C_exact-order3",
          "cavity_spec-inf", "u1_linearized-inf", "u1_pairwise_sum-inf", "total_pairwise_sum-inf",
-         "body_shell-inf"],
+         "body_shell-inf", "dilute_host-zeta"],
 )
 def test_each_bad_input_raises_its_one_error_type(call, error, message):
     with pytest.raises(error, match=message) as exc_info:

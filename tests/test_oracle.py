@@ -18,7 +18,7 @@ from lfvdw.oracle import (
     u1_pairwise_sum,
 )
 from lfvdw.potentials import pair_free_space, u1_linearized
-from lfvdw.quadrature import integrate_finite, integrate_semi_infinite
+from lfvdw.quadrature import QuadSpec, integrate_finite, integrate_semi_infinite
 from lfvdw.response import AtomModel
 
 HOST_ATOM = AtomModel(resonances=((1.0, 0.02),), beta_resonances=((1.5, 0.008),))
@@ -63,14 +63,17 @@ def test_to_shell_carries_susceptibilities():
 # pairwise sums
 # ----------------------------------------------------------------------
 
-def test_pairwise_sum_equals_linearized_single_atom(atom_a, quad):
+@pytest.mark.parametrize("R_c", [0.005, 0.05, 5.0, 50.0])
+def test_pairwise_sum_equals_linearized_single_atom(atom_a, atom_b, R_c):
     # summing guest-host pair potentials over an infinite dilute gas must
     # reproduce the linearized cavity result; the two go through entirely
-    # different integral representations
-    host = DiluteHost(density=0.0053, host_atom=AtomModel(resonances=((1.3, 0.015),)))
-    direct = u1_pairwise_sum(atom_a, host, 0.05, quad)
-    linear = u1_linearized(atom_a, 0.05, host.chi_iu, host.zeta_iu, quad)
-    assert direct == pytest.approx(linear, rel=1e-8, abs=0.0)
+    # different integral representations. A cut-off radius plus a
+    # closed-form retarded tail was 1.2e-10 off at R_c = 5 and 2.8e-7 at 50
+    q = QuadSpec(rel_tol=1e-11)
+    host = DiluteHost(density=1e-3, host_atom=atom_b)
+    direct = u1_pairwise_sum(atom_a, host, R_c, q)
+    linear = u1_linearized(atom_a, R_c, host.chi_iu, host.zeta_iu, q)
+    assert direct == pytest.approx(linear, rel=4.0 * q.rel_tol, abs=0.0)
 
 
 def test_infinite_body_defers_to_pairwise_sum(atom_a, quad):
@@ -233,3 +236,20 @@ def test_pairwise_sum_makes_one_u_integral_per_radial_step(monkeypatch, atom_a, 
     assert len(radial) > 1
     assert len(grids) == len(u_integrals) == len(radial)
     assert all(np.array_equal(g, s) for g, s in zip(grids, radial))
+
+
+def test_infinite_body_hands_pair_free_space_whole_radial_steps(monkeypatch, atom_a, quad):
+    # one semi-infinite radial integral: 105 initial nodes, then 30 per
+    # bisection, each step one grid; no single-node probes for a cut-off
+    grids = []
+
+    def pair(*args):
+        grids.append(np.size(args[2]))
+        return pair_free_space(*args)
+
+    monkeypatch.setattr(oracle, "pair_free_space", pair)
+    host = DiluteHost(density=0.01, host_atom=HOST_ATOM)
+    for R_c in (0.05, 5.0):
+        grids.clear()
+        u1_pairwise_sum(atom_a, host, R_c, quad)
+        assert grids == [105] + [30] * (len(grids) - 1)

@@ -579,6 +579,16 @@ def test_stiffness_magnetic_reference(atom_a, quad):
     assert res.classification == "restoring"
 
 
+def test_stiffness_classifies_by_error_estimate(glass, quad):
+    # a weak atom's K (3.7e-14 in glass, -1.8e-17 on MAGN) lies far outside
+    # its error estimate, but an absolute |K| <= 1e-12 called both neutral
+    weak = AtomModel(resonances=((1.0, 1e-20),))
+    for host, classification in ((glass, "unstable"), (MAGN, "restoring")):
+        res = cavity_center_stiffness(weak, CavitySpec(radius=0.05, host=host), quad)
+        assert abs(res.K) > 1e3 * res.err_est
+        assert res.classification == classification
+
+
 def test_stiffness_small_radius_expansion(atom_a, quad):
     for medium in (DIEL, MAGN):
         res = cavity_center_stiffness(
