@@ -2,14 +2,15 @@
 
 Subcommands: coeffs, single, pair, nbody, limits, born-check, force-check;
 each runs the cmd_* function of its name, dashes as underscores. Every
-command reads one YAML config (--config) and returns its payload in reduced
-units; main() alone adds the SI twins an SI config asks for, renders it as
-CSV or JSON (--format), writes it (--out) and picks the exit code. Output
-is stamped with the package version and a hash of the config file so
-identical inputs give byte-identical files.
-A pair sweep over sweep.l is one vector integral per corrected flag, one
-component per separation, and force-check's finite-difference stencil is
-one more. Every command runs in the calling thread; --threads is still
+command reads one YAML config (--config), the only source of quadrature
+tolerances, and returns its payload in reduced units; main() alone adds the
+SI twins an SI config asks for, renders it as CSV or JSON (--format),
+writes it (--out) and picks the exit code. Output is stamped with the
+package version and a hash of the config file so identical inputs give
+byte-identical files. A pair sweep over sweep.l is one vector integral per
+corrected flag, one component per separation; U, ratio and local_slope are
+the corrected potential's. force-check's finite-difference stencil is one
+more. Every command runs in the calling thread; --threads is still
 accepted for old scripts and changes nothing. The argument parser is built
 once per process and shared by every main() call: it depends on no input,
 and parsing keeps no state between calls. Nothing else is kept; each call
@@ -186,12 +187,11 @@ def cmd_pair(cfg: RunConfig, args) -> dict:
 
     u_corr, u_unc = (pair_bulk(atom_a, atom_b, material, l_grid, cfg.quadrature,
                                corrected=flag, cavity_radius=r_c).U for flag in (True, False))
-    u_main = u_unc if args.uncorrected else u_corr
-    ratio = u_main / u_unc  # pair_bulk returns U < 0 or raises
-    slopes = _local_slopes(l_grid, u_main)
+    ratio = u_corr / u_unc  # pair_bulk returns U < 0 or raises
+    slopes = _local_slopes(l_grid, u_corr)
 
     return {"columns": ["l", "U", "U_uncorrected", "ratio", "local_slope"],
-            "rows": np.column_stack([l_grid, u_main, u_unc, ratio, slopes]).tolist()}
+            "rows": np.column_stack([l_grid, u_corr, u_unc, ratio, slopes]).tolist()}
 
 
 def _read_positions(path: str, cfg: RunConfig) -> list[tuple[AtomModel, list[float]]]:
@@ -258,12 +258,10 @@ def cmd_born_check(cfg: RunConfig, args) -> dict:
     guest = cfg.atom(args.guest)
     host_atom = cfg.atom(args.host_atom)
     density = cfg.unit.density_in(_positive("--density", args.density, allow_zero=True))
-    outer = cfg.unit.length_in(args.outer_radius)
+    outer = cfg.unit.length_in(_positive("--outer-radius", args.outer_radius))
     r_c = _cavity_radius(cfg, args)
-    if not outer >= r_c:
-        raise ConfigError(
-            f"--outer-radius must not be below the cavity radius, got {args.outer_radius}"
-        )
+    if not outer > r_c:  # the body R_c <= s <= R_o must not be empty
+        raise ConfigError(f"--outer-radius must exceed the cavity radius, got {args.outer_radius}")
     try:
         host = DiluteHost(density=density, host_atom=host_atom)
     except DomainError as exc:
@@ -274,7 +272,7 @@ def cmd_born_check(cfg: RunConfig, args) -> dict:
 
     module_value = (u1_expanded(guest, spec, q).total
                     + u2_single(guest, spec, lambda u: born_scatter_trace(shell, u, q), q))
-    oracle_value = total_pairwise_sum(guest, host, shell, r_c, q)
+    oracle_value = total_pairwise_sum(guest, host, r_c, outer, q)
     deviation = abs(module_value - oracle_value) / max(abs(oracle_value), 1e-300)
     return {
         "guest": args.guest,
@@ -321,7 +319,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", required=True, help="YAML config file")
     common.add_argument("--out", help="output file (default: stdout)")
     common.add_argument("--format", choices=("csv", "json"))
-    common.add_argument("--tol", type=float, help="override quadrature rel_tol")
     common.add_argument("--threads", type=int, default=1,
                         help="accepted for compatibility; changes nothing")
 
@@ -350,8 +347,6 @@ def _build_parser() -> argparse.ArgumentParser:
         pair_args.add_argument(flag, required=True)
 
     p = sub.add_parser("pair", parents=[pair_args], help="two-atom potential over sweep.l")
-    p.add_argument("--uncorrected", action="store_true",
-                   help="report the uncorrected potential in the U column")
     p.set_defaults(si=[("l_m", "l", U.length_out), ("U_J", "U", U.energy_out)], **_TABLE)
 
     p = sub.add_parser("nbody", parents=[common], help="N-atom ring potential from a positions file")
@@ -394,7 +389,7 @@ def _error_doc(exc: LfvdwError) -> tuple[str, int]:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config, tol_override=args.tol)
+        cfg = load_config(args.config)
         # cmd_<command> is looked up at call time, so a wrapper set on the module runs
         payload = globals()[f"cmd_{args.command.replace('-', '_')}"](cfg, args)
         if cfg.unit.is_si and args.si:

@@ -4,7 +4,7 @@ One YAML file defines named materials and atoms, the unit system, the
 quadrature settings and the sweep grids. Unknown keys anywhere are hard
 errors; a typo in a physics config must never be silently ignored.
 
-Unit systems:
+Unit systems, UnitSystem(omega_ref) with omega_ref None for reduced:
   reduced        all quantities dimensionless (frequencies in w_ref,
                  lengths in c/w_ref, polarizability volumes in
                  4 pi eps0 (c/w_ref)^3); no conversion happens.
@@ -21,7 +21,6 @@ import hashlib
 import math
 import operator
 import re
-from collections import ChainMap
 from dataclasses import dataclass
 
 import yaml
@@ -40,8 +39,7 @@ C_SI = 299792458.0  # m/s
 # libyaml's parser is about ten times faster; PyYAML may lack it
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _TAGS = {None, "!"} | {f"tag:yaml.org,2002:{t}" for t in "map seq str null bool int float".split()}
-_MERGE = type("MergeKey", (), {"__repr__": lambda self: "<<"})()  # plain <<; a quoted '<<' is text
-_PLAIN = {"": None, "~": None, "null": None, "Null": None, "NULL": None, "<<": _MERGE}
+_PLAIN = {"": None, "~": None, "null": None, "Null": None, "NULL": None}
 # digits with a leading zero: YAML 1.1 reads 010 as 8 and float() as 10, so neither may
 _LEADING_ZERO = re.compile(r"\n[-+]?0[0-9_]+(?=\n)")
 _INT = re.compile(r"[-+]?(0|[1-9][0-9]*)")  # max_subdivisions, decimal
@@ -49,20 +47,17 @@ _INT = re.compile(r"[-+]?(0|[1-9][0-9]*)")  # max_subdivisions, decimal
 
 @dataclass(frozen=True)
 class UnitSystem:
-    """Input/output unit conversions around the dimensionless core."""
+    """Unit conversions around the dimensionless core: SI at omega_ref rad/s, reduced if None."""
 
-    name: str
     omega_ref: float | None = None
 
     def __post_init__(self):
-        if self.name not in ("reduced", "SI"):
-            raise ConfigError(f"unit_system must be 'reduced' or 'SI', got {self.name!r}")
-        if self.name == "SI" and not (self.omega_ref and self.omega_ref > 0.0):
+        if self.omega_ref is not None and not 0.0 < self.omega_ref < math.inf:
             raise ConfigError("SI unit system needs omega_ref > 0 in rad/s")
 
     @property
     def is_si(self) -> bool:
-        return self.name == "SI"
+        return self.omega_ref is not None
 
     @property
     def length_unit_m(self) -> float:
@@ -139,9 +134,9 @@ class RunConfig:
 
 
 def _mapping(items: list, frames) -> dict:
-    """The dict of a mapping's [key, value, ...] items, << merged as in SafeLoader.
-    frames hold, for every collection around it from the document down, its
-    items and the event class and anchor of the collection opened inside it."""
+    """The dict of a mapping's [key, value, ...] items. frames hold, for every
+    collection around it from the document down, its items and the event
+    class and anchor of the collection opened inside it."""
     keys = items[::2]
     out = dict(zip(keys, items[1::2])) if all(type(k) not in (list, dict) for k in keys) else {}
     if len(out) < len(keys):
@@ -150,11 +145,7 @@ def _mapping(items: list, frames) -> dict:
                         for (_, kind, _), (outer, _, _) in zip(frames, frames[1:])).lstrip(".")
         raise yaml.YAMLError(("a non-scalar key" if dup is None else f"duplicate key {dup!r}")
                              + f" in {where or 'the top level'}")
-    merged = out.pop(_MERGE, [])
-    merged = merged if type(merged) is list else [merged]
-    if any(type(m) is not dict for m in merged):
-        raise yaml.YAMLError("a << key needs a mapping or a list of mappings")
-    return dict(ChainMap(out, *merged)) if merged else out  # explicit keys win, then the earlier
+    return out
 
 
 def _read_yaml(raw: bytes):
@@ -169,6 +160,8 @@ def _read_yaml(raw: bytes):
                 value, anchor = ev.value, ev.anchor
                 if value in _PLAIN:
                     value = _PLAIN[value]
+                elif value == "<<":  # YAML 1.1's merge key; YAML 1.2 has none
+                    raise ConfigError("merge keys (a plain <<) are not supported; quote '<<'")
             elif getattr(ev, "tag", None) not in _TAGS:
                 raise yaml.YAMLError(f"tag {ev.tag} is not one of YAML's core tags")
             elif cls is ScalarEvent:
@@ -264,11 +257,11 @@ def _grid(node, context: str, convert=None) -> tuple[float, ...]:
 
 def _parse_unit(node) -> UnitSystem:
     if node is None or node == "reduced":
-        return UnitSystem("reduced")
+        return UnitSystem()
     if isinstance(node, dict):
         si = _section(node, ("SI",), "unit_system").get("SI")
         si = _section(si, ("omega_ref",), "unit_system.SI")
-        return UnitSystem("SI", omega_ref=_as_float(si.get("omega_ref"), "omega_ref"))
+        return UnitSystem(_as_float(si.get("omega_ref"), "omega_ref"))
     raise ConfigError("unit_system must be 'reduced' or {SI: {omega_ref: ...}}")
 
 
@@ -299,7 +292,7 @@ def _parse_resonances(node, unit: UnitSystem, context: str):
     return tuple(out)
 
 
-def load_config(path: str, tol_override: float | None = None) -> RunConfig:
+def load_config(path: str) -> RunConfig:
     """Parse and validate a config file; returns reduced-unit models."""
     try:
         with open(path, "rb") as fh:
@@ -348,8 +341,6 @@ def load_config(path: str, tol_override: float | None = None) -> RunConfig:
         if not _INT.fullmatch(str(value)):
             raise ConfigError(f"quadrature.max_subdivisions must be an integer, got {value!r}")
         quad_kwargs["max_subdivisions"] = int(value)
-    if tol_override is not None:
-        quad_kwargs["rel_tol"] = tol_override
     try:
         quadrature = QuadSpec(**quad_kwargs)
     except ValueError as exc:

@@ -8,9 +8,9 @@ all host atoms outside the cavity,
     U1 = rho int_{R_c}^inf 4 pi s^2 [U_el(s) + U_mag(s)] ds,
 
 with no reference to cavity coefficients. This module computes that sum
-literally, as one adaptive radial integral over the whole half line
-s = R_c + v, v in (0, inf), with no cut-off and no asymptotic tail, and
-provides a Richardson-extrapolated finite-difference force as an
+literally, as one adaptive radial integral over s = R_c + v, v in (0, inf)
+(or up to a body's outer radius), with no cut-off and no asymptotic tail,
+and provides a Richardson-extrapolated finite-difference force as an
 independent check on the analytic force integrands.
 """
 
@@ -124,30 +124,20 @@ def u1_pairwise_sum(
 
 
 def total_pairwise_sum(
-    guest: AtomModel,
-    host: DiluteHost,
-    body: BodyShell,
-    R_c: float,
-    q: QuadSpec = QuadSpec(),
+    guest: AtomModel, host: DiluteHost, R_c: float, outer_radius: float, q: QuadSpec = QuadSpec()
 ) -> float:
-    """Pairwise sum over a finite concentric body, cavity excluded.
-
-    The material occupies max(R_c, inner_radius) <= s <= outer_radius;
-    an empty range gives exactly zero, and an infinite body starting at
-    the cavity wall is u1_pairwise_sum.
-    """
+    """Pairwise sum over the host atoms at R_c <= s <= outer_radius: a body
+    from the cavity wall out. outer_radius == R_c gives exactly zero, and
+    an infinite outer_radius is u1_pairwise_sum."""
     _check_radius("cavity", R_c)
-    lo = max(R_c, body.inner_radius)
-    if math.isinf(body.outer_radius):
-        if lo > R_c:
-            raise GeometryError("infinite body with inner radius beyond the "
-                                "cavity is not a supported geometry")
+    if not outer_radius >= R_c:  # NaN too
+        raise GeometryError(f"outer radius {outer_radius} is below the cavity radius {R_c}")
+    if math.isinf(outer_radius):
         return u1_pairwise_sum(guest, host, R_c, q)
-    if body.outer_radius <= lo or host.density == 0.0:
+    if outer_radius == R_c or host.density == 0.0:
         return 0.0
     f = _radial_integrand(guest, host, q)
-    pref = 4.0 * math.pi * host.density
-    return pref * integrate_finite(f, lo, body.outer_radius, q).value
+    return 4.0 * math.pi * host.density * integrate_finite(f, R_c, outer_radius, q).value
 
 
 class ForceEstimate(NamedTuple):

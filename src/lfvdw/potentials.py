@@ -256,10 +256,21 @@ def pair_free_space(
     res = integrate_semi_infinite(f, q, scale=scale_hint(atom_a, atom_b))
     raw = res.value.reshape(1 + mag, -1)  # one row per part
     l2 = l * l
-    total = -raw[0] / (2.0 * math.pi * l2 * l2 * l2)
+    total = -_over_power(raw[0], 2.0 * math.pi * l2 * l2 * l2, l, "pair_free_space")
     if mag:
-        total = total + raw[1] / (2.0 * math.pi * l2 * l2)
+        total = total + _over_power(raw[1], 2.0 * math.pi * l2 * l2, l, "pair_free_space")
     return _ret(total, scalar)
+
+
+def _over_power(raw: np.ndarray, norm: np.ndarray, l: np.ndarray, context: str) -> np.ndarray:
+    """raw / norm, norm a power of the separations l: a quotient that is not finite
+    (an l so small that its l^6 or l^7 underflows) raises, with no RuntimeWarning."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        out = raw / norm
+    if not np.isfinite(out).all():
+        raise InvariantError(f"{context}: the result is not finite at the smallest separation "
+                             f"{float(l.min()):.6g}: its 1/l^n prefactor overflows")
+    return out
 
 
 def _guard_separation(l, cavity_radius: float | None, context: str, stacklevel: int = 3):
@@ -310,7 +321,7 @@ def pair_bulk(
     f = _pair_integrand(atom_a, atom_b, m, l, corrected, _kernels.kernel_g, "pair_bulk")
     res = integrate_semi_infinite(f, q, scale=scale_hint(atom_a, atom_b, m))
     norm = 2.0 * math.pi * (l * l * l) * (l * l * l)
-    u_val = -res.value / norm
+    u_val = -_over_power(res.value, norm, l, "pair_bulk")
     if np.any(u_val >= 0.0):  # -0.0 too: an underflowed alpha_A alpha_B attracts with nothing
         raise InvariantError(
             f"pair potential came out non-negative ({np.max(u_val):.6g}); ground-state "
@@ -480,7 +491,8 @@ def force_pair(
     l, scalar = _guard_separation(l, cavity_radius, "force_pair")
     f = _pair_integrand(atom_a, atom_b, m, l, True, _kernels.kernel_force, "force_pair")
     res = integrate_semi_infinite(f, q, scale=scale_hint(atom_a, atom_b, m))
-    return _ret(-res.value / (2.0 * math.pi * (l * l * l) * (l * l * l) * l), scalar)
+    norm = 2.0 * math.pi * (l * l * l) * (l * l * l) * l
+    return _ret(-_over_power(res.value, norm, l, "force_pair"), scalar)
 
 
 def cavity_center_stiffness(

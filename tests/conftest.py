@@ -3,12 +3,24 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from lfvdw.quadrature import QuadSpec
 from lfvdw.response import AtomModel, LorentzTerm, MediumResponse
+
+# hypothesis's pytest hook imports this module, and with it libcst, when a
+# property test fails. libcst's import warns, which the warnings-as-errors
+# filter makes an exception the hook does not catch: the run would end in
+# an INTERNALERROR. Imported once here, a failing property test fails alone.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 
 class ConstantMedium:

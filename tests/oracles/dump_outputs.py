@@ -17,7 +17,7 @@ files compare the same way.
 Every line reads ``key: value``. The library values are the reprs of the
 integrated quantities on a dielectric-magnetic (glass), a dielectric-only
 and a magnetic-only host at rel_tol 1e-8 and 1e-10; the CLI lines are the
-stdout of 18 invocations on tests/data/glass.yaml and of the same 18 on
+stdout of 16 invocations on tests/data/glass.yaml and of the same 16 on
 its SI twin tests/data/glass_si.yaml, with the flags in SI units; one key
 per output line. ``--compare`` prints, for every key whose value differs,
 the largest relative deviation over the numbers on that line (or "text"
@@ -138,7 +138,7 @@ def library_lines():
                 yield (f"u1_pairwise_sum{at}",
                        lambda: u1_pairwise_sum(atom, dilute, R_C, q))
                 yield (f"total_pairwise_sum{at}",
-                       lambda: total_pairwise_sum(atom, dilute, shell, R_C, q))
+                       lambda: total_pairwise_sum(atom, dilute, R_C, OUTER, q))
             # deep in the retarded regime, where an asymptotic tail in place
             # of the far radial integral shows at 1e-10
             yield (f"u1_pairwise_sum{tag}(probe,R_c=5)",
@@ -170,7 +170,6 @@ def _cli_runs(cli, prefix, config, length):
         commands = {
             "coeffs": ["coeffs", "--material", "glass"],
             "pair": ["pair", *pair],
-            "pair-uncorrected": ["pair", *pair, "--uncorrected"],
             "limits": ["limits", *pair],
             "single": ["single", "--atom", "probe", "--material", "glass"],
             "nbody": ["nbody", "--positions", str(positions), "--material", "glass"],

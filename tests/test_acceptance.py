@@ -155,7 +155,7 @@ def test_criterion_05_born_oracle_equivalence():
     module_value = u1_expanded(ATOM_A, spec, Q).total + u2_single(
         ATOM_A, spec, lambda u: born_scatter_trace(shell, u, Q), Q
     )
-    oracle_value = total_pairwise_sum(ATOM_A, host, shell, r_c, Q)
+    oracle_value = total_pairwise_sum(ATOM_A, host, r_c, outer, Q)
     dev = abs(module_value - oracle_value) / abs(oracle_value)
     elapsed = time.monotonic() - start
     verdict(

@@ -209,23 +209,6 @@ def test_pair_threads_do_not_change_output():
     assert base.stderr == threaded.stderr == ""
 
 
-def test_pair_uncorrected_flag():
-    proc = run_cli(
-        "pair", "--config", CONFIG, "--atom-a", "probe", "--atom-b", "partner",
-        "--material", "glass", "--uncorrected",
-    )
-    lines = [l for l in proc.stdout.splitlines() if not l.startswith("#")]
-    corrected = run_cli(
-        "pair", "--config", CONFIG, "--atom-a", "probe", "--atom-b", "partner",
-        "--material", "glass",
-    )
-    ref = [l for l in corrected.stdout.splitlines() if not l.startswith("#")]
-    # the U column now holds the uncorrected value
-    first = lines[1].split(",")
-    ref_first = ref[1].split(",")
-    assert first[1] == ref_first[2]
-
-
 def test_pair_sweep_is_one_pair_bulk_call_per_flag(monkeypatch, capsys):
     calls = []
     original = cli.pair_bulk
@@ -248,7 +231,7 @@ def test_one_parser_serves_every_call_in_a_process(capsys):
     pair = ["pair", "--config", CONFIG, "--atom-a", "probe", "--atom-b", "partner",
             "--material", "glass"]
     sequence = [
-        (pair + ["--uncorrected"], 0),
+        (pair + ["--format", "json"], 0),
         (pair, 0),
         (["limits", *pair[1:]], 0),
         (pair[:-2], 2),  # no --material: a usage error
@@ -529,7 +512,11 @@ _BORN = ("born-check", "--config", CONFIG, "--guest", "probe", "--host-atom", "p
         (_FORCE + ("--separation", "inf"), "--separation"),
         (_BORN + ("--density", "-1", "--outer-radius", "10"), "--density"),
         (_BORN + ("--density", "0.05", "--outer-radius", "nan"), "--outer-radius"),
+        # an infinite body ran, and its outer_radius inf then broke the JSON output, exit 1
+        (_BORN + ("--density", "0.05", "--outer-radius", "inf"), "--outer-radius"),
         (_BORN + ("--density", "0.05", "--outer-radius", "0.01"), "--outer-radius"),
+        # an empty body: its oracle value is exactly 0, and the deviation read 4.7e297, exit 1
+        (_BORN + ("--density", "0.05", "--outer-radius", "0.05"), "--outer-radius"),
         # |chi(0)| >= 0.01 used to be a DomainError, exit 3, that did not name the flag
         (_BORN + ("--density", "100", "--outer-radius", "10", "--cavity-radius", "0.05"),
          "--density"),
@@ -537,8 +524,9 @@ _BORN = ("born-check", "--config", CONFIG, "--guest", "probe", "--host-atom", "p
         (("born-check", "--config", CONFIG, "--guest", "probe", "--host-atom", "magnet",
           "--density", "0.01", "--outer-radius", "10"), "--density"),
     ],
-    ids=["separation-negative", "separation-inf", "density-negative", "outer-nan",
-         "outer-inside-cavity", "density-not-dilute", "density-not-dilute-zeta"],
+    ids=["separation-negative", "separation-inf", "density-negative", "outer-nan", "outer-inf",
+         "outer-inside-cavity", "outer-at-cavity", "density-not-dilute",
+         "density-not-dilute-zeta"],
 )
 def test_bad_numeric_flag_is_a_config_error(argv, flag, tmp_path):
     # every case runs on glass.yaml plus one weakly polarizable, strongly
@@ -602,30 +590,33 @@ def test_physics_error_exit_code(tmp_path):
     assert json.loads(proc.stdout)["error"]["type"] == "GeometryError"
 
 
-def test_tol_flag_loosens_quadrature():
-    args = (
-        "pair", "--config", CONFIG, "--atom-a", "probe", "--atom-b", "partner",
-        "--material", "glass",
-    )
-    tight = run_cli(*args)
-    loose = run_cli(*args, "--tol", "1e-2")
-    row_tight = data_section(tight.stdout).splitlines()[1]
-    row_loose = data_section(loose.stdout).splitlines()[1]
-    u_tight = float(row_tight.split(",")[1])
-    u_loose = float(row_loose.split(",")[1])
-    assert u_loose == pytest.approx(u_tight, rel=1e-2, abs=0.0)
-    assert row_loose != row_tight  # the override reached the integrator
-
-
-def test_infinite_tol_is_a_config_error():
+def test_infinite_tol_is_a_config_error(tmp_path):
+    # quadrature.rel_tol is the one way to set the tolerance
+    config = tmp_path / "inf_tol.yaml"
+    config.write_text(Path(CONFIG).read_text().replace("rel_tol: 1.0e-8", "rel_tol: .inf"))
     proc = run_cli(
-        "pair", "--config", CONFIG, "--atom-a", "probe", "--atom-b", "partner",
-        "--material", "glass", "--tol", "inf",
+        "pair", "--config", str(config), "--atom-a", "probe", "--atom-b", "partner",
+        "--material", "glass",
     )
     assert proc.returncode == 2
     err = json.loads(proc.stdout)["error"]
     assert err["type"] == "config"
-    assert "tolerances" in err["message"]
+    assert "quadrature.rel_tol must be finite" in err["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("pair", "--tol", "1e-2"),
+    ("limits", "--tol", "1e-2"),
+    ("pair", "--uncorrected"),
+], ids=["pair-tol", "limits-tol", "pair-uncorrected"])
+def test_removed_flags_are_usage_errors(argv):
+    # the config sets rel_tol, and pair's U_uncorrected column holds the
+    # uncorrected potential; neither has a second way in
+    proc = run_cli(argv[0], "--config", CONFIG, "--atom-a", "probe", "--atom-b", "partner",
+                   "--material", "glass", *argv[1:])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert f"unrecognized arguments: {argv[1]}" in proc.stderr
 
 
 def test_version_flag():
@@ -695,3 +686,23 @@ def test_underflowed_polarizability_exits_3(tmp_path, command, message):
     err = json.loads(proc.stdout)["error"]
     assert err["type"] == "InvariantError"
     assert message in err["message"]
+
+
+@pytest.mark.parametrize("argv, smallest", [
+    (("pair", "--format", "csv"), "1e-60"),
+    (("pair", "--format", "json"), "1e-60"),
+    (("force-check", "--separation", "1e-50"), "1e-50"),
+], ids=["pair-csv", "pair-json", "force-check"])
+def test_tiny_separation_exits_3(tmp_path, argv, smallest):
+    # l^6 or l^7 underflows: pair used to print -inf,-inf,nan,-inf with exit 0,
+    # and in JSON, as force-check, to die on a non-JSON -inf with exit 1
+    config = tmp_path / "no_cavity.yaml"  # no sweep.R_c, so no separation guard
+    config.write_text(Path(CONFIG).read_text().replace("  R_c: 0.05\n", "")
+                      .replace("l: [2.0, 3.0, 5.0]", "l: [1.0e-60, 1.0e-3]"))
+    proc = run_cli(argv[0], "--config", str(config), "--atom-a", "probe", "--atom-b", "partner",
+                   "--material", "glass", *argv[1:])
+    assert proc.returncode == 3
+    assert proc.stderr == ""
+    err = json.loads(proc.stdout)["error"]
+    assert err["type"] == "InvariantError"
+    assert f"not finite at the smallest separation {smallest}" in err["message"]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import math
 import textwrap
 from pathlib import Path
 from typing import NamedTuple
@@ -93,13 +95,6 @@ def test_hash_tracks_content(tmp_path):
     assert first.config_hash == again.config_hash
     changed = load_config(write(tmp_path, FULL.replace("0.05", "0.06"), "c.yaml"))
     assert changed.config_hash != first.config_hash
-
-
-def test_tol_override(tmp_path):
-    path = write(tmp_path, FULL)
-    cfg = load_config(path, tol_override=1e-6)
-    assert cfg.quadrature.rel_tol == 1e-6
-    assert cfg.quadrature.abs_tol == 1e-15  # untouched
 
 
 # YAML 1.1 reads "1.0e15" (no sign on the exponent) as a string; the
@@ -232,13 +227,22 @@ def test_empty_config_is_minimal_but_valid(tmp_path):
 
 
 def test_unit_system_direct_validation():
-    with pytest.raises(ConfigError):
-        UnitSystem("natural")
-    with pytest.raises(ConfigError):
-        UnitSystem("SI", omega_ref=0.0)
-    assert UnitSystem("SI", omega_ref=2e15).length_unit_m == pytest.approx(
-        C_SI / 2e15, abs=0.0
-    )
+    for omega_ref in (0.0, -1e15, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="SI unit system needs omega_ref > 0"):
+            UnitSystem(omega_ref)
+    assert UnitSystem(2e15).is_si
+    assert UnitSystem(2e15).length_unit_m == pytest.approx(C_SI / 2e15, abs=0.0)
+
+
+def test_reduced_units_are_omega_ref_none(tmp_path):
+    # one field: no omega_ref, no conversion
+    reduced = UnitSystem()
+    assert reduced == UnitSystem(None) == UnitSystem(omega_ref=None)
+    assert not reduced.is_si
+    assert [f.name for f in dataclasses.fields(UnitSystem)] == ["omega_ref"]
+    assert (reduced.freq_in(2.5), reduced.length_in(2.5), reduced.density_in(2.5)) == (2.5,) * 3
+    assert load_config(write(tmp_path, FULL)).unit == reduced
+    assert load_config(write(tmp_path, STRING_FLOATS)).unit == UnitSystem(1e15)
 
 
 @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
@@ -252,12 +256,10 @@ nulls: [~, null, Null, NULL, '', 'null', "~", nULL]
 empty:
 texts: [1, 1.0, 1.0e15, .inf, true, 0x10, 'quoted', "double", !!str 2.5, ! plain]
 base: &base {a: '1', b: '2'}
-other: &other {b: '3', c: '4'}
 alias: *base
-merged: {<<: *base, b: '5'}
-merged_list:
-  <<: [*base, *other]
-  d: '6'
+quoted_merge_key: {'<<': *base, <<x: '3'}
+grid: &grid [1, 2]
+grid_alias: {u: *grid}
 block:
   - &item {x: [1, 2]}
   - *item
@@ -269,8 +271,8 @@ block:
     ("empty", None),
     ("texts", ["1", "1.0", "1.0e15", ".inf", "true", "0x10", "quoted", "double", "2.5", "plain"]),
     ("alias", {"a": "1", "b": "2"}),
-    ("merged", {"a": "1", "b": "5"}),  # explicit keys win
-    ("merged_list", {"a": "1", "b": "2", "c": "4", "d": "6"}),  # then the earlier mapping
+    ("quoted_merge_key", {"<<": {"a": "1", "b": "2"}, "<<x": "3"}),  # texts, not merges
+    ("grid_alias", {"u": ["1", "2"]}),
     ("block", [{"x": ["1", "2"]}, {"x": ["1", "2"]}]),
 ])
 def test_reader_gives_text_none_and_anchored_values(name, expected):
@@ -289,15 +291,26 @@ def test_reader_gives_text_none_and_anchored_values(name, expected):
     ("sweep: {R_c: 0.05}\n---\nsweep: {R_c: 0.06}\n", "a single document"),
     ("sweep:\n  ? [u]\n  : [1.0]\n", "a non-scalar key in sweep"),
     ("? {a: 1}\n: 2\n", "a non-scalar key in the top level"),
-    ("atoms: {a: {<<: {resonances: [[1.0, 0.1]]}, <<: {}}}\n", "duplicate key << in atoms.a"),
     ("sweep: {R_c: !!binary MC4wNQ==}\n", "tag:yaml.org,2002:binary is not one of YAML's core"),
     ("sweep: !!omap [{u: [1.0]}]\n", "tag:yaml.org,2002:omap is not one of YAML's core"),
-    ("atoms: {a: {<<: [1.0]}}\n", "a << key needs a mapping"),
     ("unit_system: [unclosed\n", "did not find expected"),
 ])
 def test_reader_errors_are_config_errors(tmp_path, text, fragment):
     with pytest.raises(ConfigError, match="(?s)config is not valid YAML: .*" + fragment):
         load_config(write(tmp_path, text))
+
+
+@pytest.mark.parametrize("text", [
+    "materials: {<<: {glass: {eps_terms: []}}}\n",  # as text, a material named <<
+    "atoms:\n  probe: &p {resonances: [[1.0, 0.02]]}\n  partner:\n    <<: *p\n",
+    "sweep: {u: [<<]}\n",
+], ids=["materials", "atoms-alias", "value"])
+def test_merge_key_is_a_config_error(tmp_path, text):
+    # YAML 1.1's merge key; YAML 1.2 has none, and a plain << is no text either
+    message = r"^merge keys \(a plain <<\) are not supported; quote '<<'$"
+    with pytest.raises(ConfigError, match=message) as exc_info:
+        load_config(write(tmp_path, text))
+    assert exc_info.type is ConfigError
 
 
 @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
@@ -384,14 +397,15 @@ def _configs(draw) -> str:
     glass = {"eps_terms": [term() for _ in range(draw(st.integers(1, 2)))]}
     if draw(st.booleans()):
         glass["mu_terms"] = [term()]
-    probe = {"resonances": [[draw(positive), draw(positive)]]}
+    probe = {"resonances": _Anchor("r", [[draw(positive), draw(positive)]])}
     doc = {
         "unit_system": "reduced",
         "materials": {"glass": _Anchor("m", glass), "copy": _Alias("m")},
         "atoms": {
-            "probe": _Anchor("a", probe),
-            # the merge key: resonances from probe, beta_resonances its own
-            "partner": {"<<": _Alias("a"), "beta_resonances": [[draw(positive), draw(positive)]]},
+            "probe": probe,
+            # an aliased list: resonances from probe, beta_resonances its own
+            "partner": {"resonances": _Alias("r"),
+                        "beta_resonances": [[draw(positive), draw(positive)]]},
         },
         "quadrature": {"rel_tol": fmt(draw(st.floats(1e-12, 1e-3))),
                        "max_subdivisions": str(draw(st.integers(8, 5000)))},

@@ -40,7 +40,8 @@ AT_ZERO = "^u must be > 0: the cavity coefficients, the Born trace and the bulk 
         (lambda: u1_linearized(ATOM, math.inf, np.zeros_like, np.zeros_like), GeometryError,
          CAVITY),
         (lambda: u1_pairwise_sum(ATOM, HOST, math.inf), GeometryError, CAVITY),
-        (lambda: total_pairwise_sum(ATOM, HOST, SHELL, R_c=math.inf), GeometryError, CAVITY),
+        (lambda: total_pairwise_sum(ATOM, HOST, R_c=math.inf, outer_radius=math.inf),
+         GeometryError, CAVITY),
         (lambda: BodyShell(inner_radius=math.inf, outer_radius=math.inf), GeometryError,
          "^inner radius must be finite and > 0$"),
         # zeta(0) = 0.063 passed when only |chi(0)| < 0.01 was checked

@@ -78,51 +78,49 @@ def test_pairwise_sum_equals_linearized_single_atom(atom_a, atom_b, R_c):
 
 def test_infinite_body_defers_to_pairwise_sum(atom_a, quad):
     host = DiluteHost(density=0.003, host_atom=HOST_ATOM)
-    body = host.to_shell(0.05, float("inf"))
-    assert total_pairwise_sum(atom_a, host, body, 0.05, quad) == u1_pairwise_sum(
+    assert total_pairwise_sum(atom_a, host, 0.05, math.inf, quad) == u1_pairwise_sum(
         atom_a, host, 0.05, quad
     )
 
 
 def test_empty_body_gives_zero(atom_a, quad):
     host = DiluteHost(density=0.003, host_atom=HOST_ATOM)
-    # the body sits entirely inside the excluded cavity
-    assert total_pairwise_sum(atom_a, host, host.to_shell(0.01, 0.02), 0.05, quad) == 0.0
+    # the body ends at the cavity wall
+    assert total_pairwise_sum(atom_a, host, 0.05, 0.05, quad) == 0.0
     zero = DiluteHost(density=0.0, host_atom=HOST_ATOM)
-    assert total_pairwise_sum(atom_a, zero, zero.to_shell(0.05, 5.0), 0.05, quad) == 0.0
+    assert total_pairwise_sum(atom_a, zero, 0.05, 5.0, quad) == 0.0
 
 
 def test_pairwise_sum_geometry_guards(atom_a, quad):
     host = DiluteHost(density=0.003, host_atom=HOST_ATOM)
-    with pytest.raises(GeometryError):
-        total_pairwise_sum(atom_a, host, host.to_shell(0.0, 5.0), 0.0, quad)
-    with pytest.raises(GeometryError):
-        # a hollow region between cavity and infinite body is unsupported
-        total_pairwise_sum(atom_a, host, host.to_shell(0.2, float("inf")), 0.05, quad)
+    with pytest.raises(GeometryError, match="cavity radius must be finite and > 0"):
+        total_pairwise_sum(atom_a, host, 0.0, 5.0, quad)
+    # an outer radius inside the cavity used to give 0.0
+    for outer in (0.01, math.nan, -math.inf):
+        with pytest.raises(GeometryError, match="is below the cavity radius 0.05$"):
+            total_pairwise_sum(atom_a, host, 0.05, outer, quad)
 
 
 def test_pairwise_sum_is_linear_in_density(atom_a, quad):
     thin = DiluteHost(density=0.001, host_atom=HOST_ATOM)
     thick = DiluteHost(density=0.003, host_atom=HOST_ATOM)
-    body_lo = thin.to_shell(0.05, 6.0)
-    body_hi = thick.to_shell(0.05, 6.0)
-    u_lo = total_pairwise_sum(atom_a, thin, body_lo, 0.05, quad)
-    u_hi = total_pairwise_sum(atom_a, thick, body_hi, 0.05, quad)
+    u_lo = total_pairwise_sum(atom_a, thin, 0.05, 6.0, quad)
+    u_hi = total_pairwise_sum(atom_a, thick, 0.05, 6.0, quad)
     assert u_hi == pytest.approx(3.0 * u_lo, rel=1e-10, abs=0.0)
 
 
 def test_pairwise_sum_shells_add(atom_a, quad):
     host = DiluteHost(density=0.003, host_atom=HOST_ATOM)
-    inner = total_pairwise_sum(atom_a, host, host.to_shell(0.05, 2.0), 0.05, quad)
-    outer = total_pairwise_sum(atom_a, host, host.to_shell(2.0, 9.0), 0.05, quad)
-    full = total_pairwise_sum(atom_a, host, host.to_shell(0.05, 9.0), 0.05, quad)
+    inner = total_pairwise_sum(atom_a, host, 0.05, 2.0, quad)
+    outer = total_pairwise_sum(atom_a, host, 2.0, 9.0, quad)  # the shell 2 <= s <= 9
+    full = total_pairwise_sum(atom_a, host, 0.05, 9.0, quad)
     assert inner + outer == pytest.approx(full, rel=1e-9, abs=0.0)
 
 
 def test_pairwise_sum_converges_to_infinite_limit(atom_a, quad):
     host = DiluteHost(density=0.003, host_atom=HOST_ATOM)
     infinite = u1_pairwise_sum(atom_a, host, 0.05, quad)
-    truncated = total_pairwise_sum(atom_a, host, host.to_shell(0.05, 40.0), 0.05, quad)
+    truncated = total_pairwise_sum(atom_a, host, 0.05, 40.0, quad)
     assert truncated == pytest.approx(infinite, rel=1e-4, abs=0.0)
     assert abs(truncated) < abs(infinite)  # tail of the attraction is missing
 
@@ -231,7 +229,7 @@ def test_pairwise_sum_makes_one_u_integral_per_radial_step(monkeypatch, atom_a, 
     monkeypatch.setattr(oracle, "pair_free_space", pair)
     monkeypatch.setattr(potentials, "integrate_semi_infinite", semi_infinite)
     host = DiluteHost(density=0.01, host_atom=HOST_ATOM)
-    total_pairwise_sum(atom_a, host, host.to_shell(0.05, 5.0), 0.05, quad)
+    total_pairwise_sum(atom_a, host, 0.05, 5.0, quad)
     assert [s.size for s in radial] == [60] + [30] * (len(radial) - 1)
     assert len(radial) > 1
     assert len(grids) == len(u_integrals) == len(radial)

@@ -343,6 +343,23 @@ def test_overflowing_retarded_coefficient_is_an_invariant_error():
         coeff_retarded(huge, huge, VACUUM)
 
 
+@pytest.mark.parametrize("op, l", [
+    (lambda a, b, m, l, q: pair_bulk(a, b, m, l, q).U, 1e-53),
+    (lambda a, b, m, l, q: pair_bulk(a, b, m, l, q, corrected=False).U, np.array([1e-60, 1e-3])),
+    (lambda a, b, m, l, q: force_pair(a, b, m, l, q), 1e-50),
+    (lambda a, b, m, l, q: pair_free_space(a, b, l, q), 1e-60),
+], ids=["pair_bulk", "pair_bulk-grid", "force_pair", "pair_free_space"])
+def test_tiny_separation_is_an_invariant_error(atom_a, atom_b, glass, quad, op, l):
+    # the l^6 or l^7 of the prefactor underflows: each used to return -inf
+    # with only a RuntimeWarning
+    smallest = float(np.min(l))
+    message = f"not finite at the smallest separation {smallest:.6g}"
+    with pytest.raises(InvariantError, match=message):
+        op(atom_a, atom_b, glass, l, quad)
+    # a separation whose prefactor still fits stays finite
+    assert math.isfinite(float(np.min(op(atom_a, atom_b, glass, 1e-40, quad))))
+
+
 def test_retardation_slopes_in_vacuum(atom_a, quad):
     # log-log slope of |U(l)|: -6 non-retarded, -7 retarded
     def slope(l_lo, l_hi):
