@@ -430,7 +430,12 @@ def _ring_integrand(models, m: MediumResponse, dist, vv, legs, context: str):
         weight = 1.0
         for model in models:  # (u^2 D^2)^N prod alpha_k; ** is a per-CPU SIMD pow
             weight = weight * u * u * d2 * model.alpha_iu(u)
-        return weight[:, None] * _kernels.ring_trace(n * u, mu, dist, vv, legs)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            out = weight[:, None] * _kernels.ring_trace(n * u, mu, dist, vv, legs)
+        if not np.isfinite(out).all():
+            raise InvariantError(f"{context}: the ring integrand is not finite at the smallest "
+                                 f"separation {float(dist.min()):.6g}: its 1/l^3 dyads overflow")
+        return out
 
     return f
 

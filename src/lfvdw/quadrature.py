@@ -22,9 +22,9 @@ node (and its component, for K > 1) and its panel in the integration
 variable (t for semi-infinite integrals, with the node's u alongside); a
 step's panels are checked in order.
 
-Determinism: panels are refined in a fixed worst-error-first order with
-insertion-order tie breaking, and every total is a correctly rounded fsum
-over the panels, in which their order cannot change a bit.
+Determinism: panels are refined worst error first, ties in insertion order;
+every total is a correctly rounded fsum, taken only on the steps whose stop
+test the running sums, within their proven slack (Higham 2002), cannot rule out.
 """
 
 from __future__ import annotations
@@ -88,8 +88,8 @@ class QuadSpec:
     def __post_init__(self):
         if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
             raise ConfigError("tolerances must be finite and positive")
-        if self.max_subdivisions < 8:
-            raise ConfigError("max_subdivisions must be at least 8")
+        if type(self.max_subdivisions) is not int or self.max_subdivisions < 8:
+            raise ConfigError("max_subdivisions must be an integer of at least 8")
 
 
 class QuadResult(NamedTuple):
@@ -100,9 +100,15 @@ class QuadResult(NamedTuple):
     evals: int
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the caller's check names the culprit
+def _sums(y, half):  # K15, G7 and |K15 - G7| of the panels whose node values are y
+    k15, g7 = half[:, None] * (_WGK @ y), half[:, None] * (_WG @ y[:, 1::2])
+    return k15, g7, np.abs(k15 - g7)
+
+
 def _panels(g: Callable[[np.ndarray], np.ndarray], edges, to_u=None):
     """(a, b, K15, |K15 - G7|) of the panels between consecutive edges: the
-    panel ends as two tuples, the sums as two (P, K) arrays.
+    panel ends as two tuples, K15 as P lists of K floats, |K15 - G7| as (P, K).
 
     All panels' nodes go to g in one call, 15 per panel in panel order;
     each panel's sums are taken on its own 15-row slice, so its bits do
@@ -112,9 +118,7 @@ def _panels(g: Callable[[np.ndarray], np.ndarray], edges, to_u=None):
     mid, half = 0.5 * (e[:-1] + e[1:]), 0.5 * (e[1:] - e[:-1])
     x = (mid[:, None] + half[:, None] * _XGK).ravel()
     y = g(x).reshape(half.size, 15, -1)
-    k15 = half[:, None] * (_WGK @ y)
-    g7 = half[:, None] * (_WG @ y[:, 1::2])
-    err = np.abs(k15 - g7)
+    k15, g7, err = _sums(y, half)
     if not np.isfinite(err).all():  # finite sums leave it finite unless it overflows
         finite = np.isfinite(k15).all(axis=1) & np.isfinite(g7).all(axis=1)
         p = int(np.argmin(finite))
@@ -127,7 +131,7 @@ def _panels(g: Callable[[np.ndarray], np.ndarray], edges, to_u=None):
                 f"integrand {what} {float(y[p, k, c])} at {where} of panel "
                 f"[{float(edges[p])}, {float(edges[p + 1])}] makes the panel sum non-finite"
             )
-    return edges[:-1], edges[1:], k15, err
+    return edges[:-1], edges[1:], k15.tolist(), err
 
 
 def _adaptive(
@@ -150,40 +154,46 @@ def _adaptive(
         y = y.reshape(x.size, -1)
         return y if to_u is None else y * (scale / (1.0 - x) ** 2)[:, None]
 
-    def fsums(rows):  # correctly rounded sum over the panels, per component
-        return [math.fsum(c) for c in zip(*rows)]
-
-    def tol(value):
-        return [max(spec.rel_tol * abs(v), spec.abs_tol) for v in value]
+    def totals(rows):  # correctly rounded sums over the panels, per component, and limits
+        value = list(map(math.fsum, zip(*rows)))
+        return value, [max(spec.rel_tol * abs(v), spec.abs_tol) for v in value]
 
     def public(v):  # floats for an (M,) f
         return np.array(v) if shape else v[0]
 
-    heap, seq, weight, edges, subdivisions = [], 0, None, breaks, 0
+    def track(c, v, e, av, ae, s, k15, err, d):  # the witness after a panel in (1) or out (-1)
+        return c, v + d * k15[c], e + d * err[c], av + abs(k15[c]), ae + err[c], s + 2.0**-52
+
+    def unconverged(c, v, e, av, ae, s):  # errs[c] > limits[c] for sure: n terms summed in
+        return e - s * ae > (1 + 2**-40) * max(  # floats are within (n + 1) u sum |x| of exact;
+            spec.rel_tol * (abs(v) + s * av), spec.abs_tol) + 2**-1070  # s = 2 (n + 2) u
+
+    heap, seq, weight, edges, subdivisions, w = [], 0, None, breaks, 0, None
     while True:
         a, b, k15, err = _panels(g, edges, to_u)
-        if weight is None:  # fixed on the initial panels
-            weight = 1.0 / np.array(tol(fsums(k15.tolist())))
+        if weight is None:  # fixed on the initial panels, whose sums are the first value
+            value, limits = totals(k15)
+            weight = 1.0 / np.array(limits)
         keys = (err * weight).max(axis=1).tolist()
-        for panel in zip(keys, a, b, k15.tolist(), err.tolist()):
+        if w is None and max(keys) > 1.0:  # a panel alone fails: its component is the witness
+            w = (int(np.argmax(err * weight)) % len(weight), 0.0, 0.0, 0.0, 0.0, 2**-51)
+        for panel in zip(keys, a, b, k15, err.tolist()):
             heapq.heappush(heap, (-panel[0], seq, *panel[1:]))
-            seq += 1
-        value, errs = fsums([h[4] for h in heap]), fsums([h[5] for h in heap])
-        limits, evals = tol(value), 15 * seq
-        if all(e <= t for e, t in zip(errs, limits)):
-            return QuadResult(public(value), public(errs), evals)
-        if subdivisions >= spec.max_subdivisions:
+            seq, w = seq + 1, w and track(*w, *panel[3:], 1)
+        if not (w and unconverged(*w)) or subdivisions >= spec.max_subdivisions:
+            value, limits = totals([h[4] for h in heap]) if subdivisions else (value, limits)
+            errs, evals = list(map(math.fsum, zip(*[h[5] for h in heap]))), 15 * seq
+            if all(e <= t for e, t in zip(errs, limits)):
+                return QuadResult(public(value), public(errs), evals)
             k = max(range(len(errs)), key=lambda i: errs[i] / limits[i])
-            raise ConvergenceError(
-                f"no convergence after {subdivisions} subdivisions "
-                f"({f'component {k}: ' if len(errs) > 1 else ''}"
-                f"err_est={errs[k]:.3e}, value={value[k]:.6e})",
-                value=public(value),
-                err_est=public(errs),
-                evals=evals,
-            )
-        _, _, lo, hi, _, _ = heapq.heappop(heap)
-        edges, subdivisions = (lo, 0.5 * (lo + hi), hi), subdivisions + 1
+            w = (k, value[k], errs[k], abs(value[k]), errs[k], 3 * 2**-52)  # the worst
+        if subdivisions >= spec.max_subdivisions:
+            raise ConvergenceError(f"no convergence after {subdivisions} subdivisions "
+                                   f"({f'component {k}: ' if len(errs) > 1 else ''}"
+                                   f"err_est={errs[k]:.3e}, value={value[k]:.6e})",
+                                   value=public(value), err_est=public(errs), evals=evals)
+        _, _, lo, hi, *rows = heapq.heappop(heap)
+        edges, subdivisions, w = (lo, 0.5 * (lo + hi), hi), subdivisions + 1, track(*w, *rows, -1)
 
 
 def integrate_semi_infinite(

@@ -706,3 +706,19 @@ def test_tiny_separation_exits_3(tmp_path, argv, smallest):
     err = json.loads(proc.stdout)["error"]
     assert err["type"] == "InvariantError"
     assert f"not finite at the smallest separation {smallest}" in err["message"]
+
+
+def test_tiny_ring_separation_exits_3(tmp_path):
+    # the ring's 1/l^3 dyads overflow: nbody used to print numpy RuntimeWarnings
+    # and then fail on a quadrature u-node instead of the separation
+    config = tmp_path / "no_cavity.yaml"  # no sweep.R_c, so no separation guard
+    config.write_text(Path(CONFIG).read_text().replace("  R_c: 0.05\n", ""))
+    positions = tmp_path / "tiny.txt"
+    positions.write_text("probe 0 0 0\npartner 1e-60 0 0\n")
+    proc = run_cli("nbody", "--config", str(config), "--positions", str(positions),
+                   "--material", "glass")
+    assert proc.returncode == 3
+    assert proc.stderr == ""
+    err = json.loads(proc.stdout)["error"]
+    assert err["type"] == "InvariantError"
+    assert "the ring integrand is not finite at the smallest separation 1e-60" in err["message"]

@@ -348,10 +348,15 @@ def test_overflowing_retarded_coefficient_is_an_invariant_error():
     (lambda a, b, m, l, q: pair_bulk(a, b, m, l, q, corrected=False).U, np.array([1e-60, 1e-3])),
     (lambda a, b, m, l, q: force_pair(a, b, m, l, q), 1e-50),
     (lambda a, b, m, l, q: pair_free_space(a, b, l, q), 1e-60),
-], ids=["pair_bulk", "pair_bulk-grid", "force_pair", "pair_free_space"])
+    (lambda a, b, m, l, q: n_atom_bulk([(a, (0.0, 0.0, 0.0)), (b, (l, 0.0, 0.0))], m, q), 1e-60),
+    (lambda a, b, m, l, q: n_atom_orderings([(a, (0.0, 0.0, 0.0)), (b, (0.0, l, 0.0))],
+                                            m, q)[0][1], 1e-60),
+], ids=["pair_bulk", "pair_bulk-grid", "force_pair", "pair_free_space", "n_atom_bulk",
+        "n_atom_orderings"])
 def test_tiny_separation_is_an_invariant_error(atom_a, atom_b, glass, quad, op, l):
     # the l^6 or l^7 of the prefactor underflows: each used to return -inf
-    # with only a RuntimeWarning
+    # with only a RuntimeWarning; a ring's 1/l^3 dyads overflow instead, which
+    # used to warn from numpy and then fail on a u-node
     smallest = float(np.min(l))
     message = f"not finite at the smallest separation {smallest:.6g}"
     with pytest.raises(InvariantError, match=message):

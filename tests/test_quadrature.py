@@ -3,12 +3,18 @@
 from __future__ import annotations
 
 import math
+import types
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lfvdw import quadrature
 from lfvdw.errors import ConfigError, ConvergenceError, DomainError, InvariantError, LfvdwError
 from lfvdw.quadrature import QuadSpec, integrate_finite, integrate_semi_infinite
+from oracles import fsum_engine
 
 
 def test_spec_defaults():
@@ -25,6 +31,12 @@ BAD_SPECS = [
     dict(max_subdivisions=4),
     dict(rel_tol=math.inf),
     dict(abs_tol=math.inf),
+    # max_subdivisions is an int: NaN or inf would never stop a failing integral
+    dict(max_subdivisions=math.nan),
+    dict(max_subdivisions=math.inf),
+    dict(max_subdivisions=10.5),
+    dict(max_subdivisions="100"),
+    dict(max_subdivisions=True),
 ]
 
 
@@ -317,3 +329,84 @@ def test_integrand_of_another_shape_is_a_domain_error(f):
     for integrate in (lambda: integrate_semi_infinite(f), lambda: integrate_finite(f, 0.0, 1.0)):
         with pytest.raises(DomainError, match="must return \\(M,\\) or \\(M, K\\) values"):
             integrate()
+
+
+# ----------------------------------------------------------------------
+# running sums rule out the stop test: the bits of an fsum on every step
+# ----------------------------------------------------------------------
+
+def _component(family, c, q, x0):
+    # smooth, peaked at x0, singular at 0, cancelling (its integral over
+    # (0, inf) is 0, so only abs_tol or the budget stops it), and kinked
+    return [
+        lambda x: np.exp(-c * x) / (1.0 + x) ** 2,
+        lambda x: 1.0 / (10.0**-q + (x - x0) ** 2),
+        lambda x: np.exp(-c * x) / np.sqrt(x + 10.0**-q),
+        lambda x: np.exp(-c * x) - 2.0 * np.exp(-2.0 * c * x),
+        lambda x: np.abs(np.sin(c * x)) * np.exp(-x),
+    ][family]
+
+
+def _outcome(integrate):
+    # a result or a ConvergenceError, every float as its bytes
+    try:
+        res = integrate()
+        return "result", np.asarray(res.value).tobytes(), np.asarray(res.err_est).tobytes(), (
+            res.evals, type(res.value), type(res.err_est))
+    except ConvergenceError as exc:
+        return str(exc), np.asarray(exc.value).tobytes(), np.asarray(exc.err_est).tobytes(), (
+            exc.evals, type(exc.value), type(exc.err_est))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    semi_infinite=st.booleans(),
+    columns=st.sampled_from([1, 2, 7]).flatmap(lambda k: st.lists(
+        st.tuples(st.integers(0, 4), st.floats(0.5, 30.0), st.floats(1.0, 6.0),
+                  st.floats(0.1, 1.9)), min_size=k, max_size=k)),
+    rel_exp=st.floats(-13.0, -4.0),
+    abs_tol=st.sampled_from([1e-14, 1e-300]),
+    max_subdivisions=st.sampled_from([8, 60, 400]),
+    scale=st.floats(0.3, 5.0),
+)
+def test_running_sums_keep_the_bits_of_an_fsum_every_step(
+        semi_infinite, columns, rel_exp, abs_tol, max_subdivisions, scale):
+    parts = [_component(*column) for column in columns]
+    if len(parts) == 1:  # the (M,) integrand, with float results
+        f = parts[0]
+    else:
+        def f(x):
+            return np.column_stack([part(x) for part in parts])
+    spec = QuadSpec(rel_tol=10.0**rel_exp, abs_tol=abs_tol, max_subdivisions=max_subdivisions)
+
+    def integrate():
+        if semi_infinite:
+            return integrate_semi_infinite(f, spec, scale)
+        return integrate_finite(f, 0.0, 2.0, spec)
+
+    new = _outcome(integrate)
+    with mock.patch.object(quadrature, "_adaptive", fsum_engine.adaptive):
+        old = _outcome(integrate)
+    assert new == old
+
+
+@pytest.mark.parametrize("columns", [1, 3])
+def test_exact_sums_run_a_bounded_number_of_times(monkeypatch, columns):
+    # an integral that subdivides over 200 times takes a few passes of
+    # fsums over its components, not one per step (the weights, the last
+    # step and the steps whose stop test could pass)
+    calls = []
+
+    def fsum(values):
+        calls.append(1)
+        return math.fsum(values)
+
+    monkeypatch.setattr(quadrature, "math", types.SimpleNamespace(**{**vars(math), "fsum": fsum}))
+
+    def f(x):
+        y = np.abs(np.sin(20.0 * x))
+        return y if columns == 1 else np.column_stack([y, np.abs(np.cos(60.0 * x)), x])
+
+    res = integrate_finite(f, 0.0, math.pi, QuadSpec(rel_tol=1e-10))
+    assert (res.evals - 60) // 30 >= 200
+    assert len(calls) <= 6 * columns
