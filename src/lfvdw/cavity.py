@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DomainError, InvariantError, _check_radius
-from .response import MediumResponse, _as_nodes, _host_arrays, _pos_nodes, _ret
+from .response import MediumResponse, _pos_nodes, _ret
 
 __all__ = [
     "CavitySpec",
@@ -74,7 +74,7 @@ def coeff_C_exact(spec: CavitySpec, l: int, u):
     if l not in (1, 2):
         raise DomainError(f"cavity coefficient order l={l} not in {{1, 2}}")
     nodes, scalar = _pos_nodes(u)
-    eps, _, n = _host_arrays(spec.host, nodes)
+    eps, _, n = spec.host._eps_mu_n(nodes)
     return _ret(_finite(f"C_{l}", spec, nodes, _kernels.cavity_c, spec.radius * nodes, n, eps, l),
                 scalar)
 
@@ -86,7 +86,7 @@ def coeff_C_expansion(spec: CavitySpec, u):
     is O(u R_c).
     """
     nodes, scalar = _pos_nodes(u)
-    eps, mu, n = _host_arrays(spec.host, nodes)
+    eps, mu, n = spec.host._eps_mu_n(nodes)
     t0 = spec.radius * nodes
     return _ret(_finite("C_1 expansion", spec, nodes, _kernels.cavity_c1_expansion, t0, eps, mu, n),
                 scalar)
@@ -101,7 +101,7 @@ def coeff_D_exact(spec: CavitySpec, u):
     being silently accepted.
     """
     nodes, scalar = _pos_nodes(u)
-    eps, mu, n = _host_arrays(spec.host, nodes)
+    eps, mu, n = spec.host._eps_mu_n(nodes)
     t0 = spec.radius * nodes
     try:
         d = _finite("D", spec, nodes, _kernels.cavity_d, t0, n, eps, mu)
@@ -125,5 +125,4 @@ def coeff_D_leading(m: MediumResponse, u):
 
     Independent of mu and of the cavity radius; defined for u >= 0.
     """
-    nodes, scalar = _as_nodes(u)
-    return _ret(_d_leading(m.eps_iu(nodes)), scalar)
+    return _d_leading(m.eps_iu(u))

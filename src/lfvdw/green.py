@@ -45,7 +45,7 @@ import numpy as np
 from . import _kernels
 from .errors import DomainError, GeometryError, _check_radius
 from .quadrature import QuadSpec
-from .response import MediumResponse, _host_arrays, _pos_nodes, _ret
+from .response import MediumResponse, _pos_nodes, _ret
 
 __all__ = ["BodyShell", "bulk_dyad", "born_scatter_trace"]
 
@@ -68,7 +68,7 @@ def bulk_dyad(m: MediumResponse, r, rp, u: float) -> np.ndarray:
         raise GeometryError("bulk dyad is singular at coincident points")
     v = sep / dist
 
-    _, mu, n = _host_arrays(m, nodes)
+    _, mu, n = m._eps_mu_n(nodes)
     return _kernels.pair_dyads(n * nodes, mu, np.array([dist]), np.outer(v, v)[None])[0, 0]
 
 

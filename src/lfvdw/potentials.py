@@ -29,7 +29,7 @@ from . import _kernels
 from .cavity import CavitySpec, _d_leading, coeff_C_exact
 from .errors import DomainError, GeometryError, InvariantError, _check_radius
 from .quadrature import QuadSpec, integrate_semi_infinite
-from .response import AtomModel, MediumResponse, _host_arrays, _ret, scale_hint
+from .response import AtomModel, MediumResponse, _ret, scale_hint
 
 __all__ = [
     "U1Expansion",
@@ -106,8 +106,8 @@ def _local_field(eps, context: str):
 def _pair_weight(atom_a, atom_b, m, u: np.ndarray, corrected: bool, context: str):
     """(alpha_A alpha_B W / eps^2, n) on the nodes, with W = D^4 when
     corrected, else W = 1."""
-    eps, _, n = _host_arrays(m, u)
-    phi = atom_a.alpha_iu(u) * atom_b.alpha_iu(u) / (eps * eps)
+    eps, _, n = m._eps_mu_n(u)
+    phi = atom_a._alpha(u) * atom_b._alpha(u) / (eps * eps)
     if corrected:
         d2 = _local_field(eps, context)
         phi = phi * (d2 * d2)
@@ -130,7 +130,7 @@ def u1_exact(atom: AtomModel, spec: CavitySpec, q: QuadSpec = QuadSpec()) -> flo
     scale = scale_hint(atom, spec.host)
 
     def f(u):
-        return -(1.0 / math.pi) * u * u * u * coeff_C_exact(spec, 1, u) * atom.alpha_iu(u)
+        return -(1.0 / math.pi) * u * u * u * coeff_C_exact(spec, 1, u) * atom._alpha(u)
 
     return integrate_semi_infinite(f, q, scale=scale).value
 
@@ -140,8 +140,8 @@ def _small_radius_integrals(atom: AtomModel, spec: CavitySpec, q: QuadSpec, c: f
     d = c eps + c - 1, as one two-component integral."""
 
     def f(u):
-        eps, mu, _ = _host_arrays(spec.host, u)
-        alpha = atom.alpha_iu(u)
+        eps, mu, _ = spec.host._eps_mu_n(u)
+        alpha = atom._alpha(u)
         d = c * eps + (c - 1.0)
         return np.column_stack([(eps - 1.0) / d * alpha, u * u * bracket(eps, mu) / (d * d) * alpha])
 
@@ -199,7 +199,7 @@ def u1_linearized(
     def f(u):
         xv = np.atleast_1d(np.asarray(chi(u), dtype=np.float64))
         zv = np.atleast_1d(np.asarray(zeta(u), dtype=np.float64))
-        return -(0.5 / math.pi) * u * u * u * atom.alpha_iu(u) * (
+        return -(0.5 / math.pi) * u * u * u * atom._alpha(u) * (
             _kernels.born_bracket(radius * u, xv, zv)
         )
 
@@ -217,11 +217,11 @@ def u2_single(atom: AtomModel, spec: CavitySpec, scatter_trace, q: QuadSpec = Qu
     scale = scale_hint(atom, spec.host)
 
     def f(u):
-        d2 = _local_field(spec.host.eps_iu(u), "u2_single")
+        d2 = _local_field(spec.host._eps_mu_n(u)[0], "u2_single")
         tr = np.asarray(scatter_trace(u), dtype=np.float64)
         if tr.shape != np.shape(u):
             raise DomainError("scatter_trace must return one value per node")
-        return 2.0 * u * u * d2 * atom.alpha_iu(u) * tr
+        return 2.0 * u * u * d2 * atom._alpha(u) * tr
 
     return integrate_semi_infinite(f, q, scale=scale).value
 
@@ -247,10 +247,10 @@ def pair_free_space(
 
     def f(u):
         x = np.multiply.outer(u, l)
-        alpha = atom_a.alpha_iu(u)
-        cols = [(alpha * atom_b.alpha_iu(u))[:, None] * _kernels.kernel_g(x)]
+        alpha = atom_a._alpha(u)
+        cols = [(alpha * atom_b._alpha(u))[:, None] * _kernels.kernel_g(x)]
         if mag:
-            cols.append((u * u * alpha * atom_b.beta_iu(u))[:, None] * _kernels.kernel_h(x))
+            cols.append((u * u * alpha * atom_b._beta(u))[:, None] * _kernels.kernel_h(x))
         return np.hstack(cols)
 
     res = integrate_semi_infinite(f, q, scale=scale_hint(atom_a, atom_b))
@@ -321,12 +321,7 @@ def pair_bulk(
     f = _pair_integrand(atom_a, atom_b, m, l, corrected, _kernels.kernel_g, "pair_bulk")
     res = integrate_semi_infinite(f, q, scale=scale_hint(atom_a, atom_b, m))
     norm = 2.0 * math.pi * (l * l * l) * (l * l * l)
-    u_val = -_over_power(res.value, norm, l, "pair_bulk")
-    if np.any(u_val >= 0.0):  # -0.0 too: an underflowed alpha_A alpha_B attracts with nothing
-        raise InvariantError(
-            f"pair potential came out non-negative ({np.max(u_val):.6g}); ground-state "
-            "atoms in an eps, mu >= 1 medium must attract"
-        )
+    u_val = _attractive(-_over_power(res.value, norm, l, "pair_bulk"), "pair potential")
     return PairResult(
         separation=_ret(l, scalar),
         U=_ret(u_val, scalar),
@@ -336,6 +331,15 @@ def pair_bulk(
     )
 
 
+def _attractive(values: np.ndarray, what: str) -> np.ndarray:
+    """values, once every one is < 0: every factor of the pair integrands is
+    positive. -0.0 raises too, as an underflowed integral attracts with nothing."""
+    if np.any(values >= 0.0):
+        raise InvariantError(f"{what} came out non-negative ({np.max(values):.6g}); "
+                             "ground-state atoms in an eps, mu >= 1 medium must attract")
+    return values
+
+
 def coeff_retarded(atom_a: AtomModel, atom_b: AtomModel, m: MediumResponse) -> float:
     """Retarded coefficient C_r with U -> -C_r / l^7 for large l.
 
@@ -343,8 +347,7 @@ def coeff_retarded(atom_a: AtomModel, atom_b: AtomModel, m: MediumResponse) -> f
     C_r = (23/(4 pi)) alpha_A(0) alpha_B(0) / (n(0) eps(0)^2) W(0),
     with W(0) asserted to stay in [1, 81/16].
     """
-    eps0 = m.eps_iu(0.0)
-    n0 = m.n_iu(0.0)
+    eps0, _, n0 = (float(v[0]) for v in m._eps_mu_n(np.zeros(1)))
     d2 = float(_local_field(eps0, "coeff_retarded"))
     return _positive_coeff(
         23.0 / (4.0 * math.pi) * atom_a.alpha_static * atom_b.alpha_static / (n0 * (eps0 * eps0))
@@ -399,11 +402,14 @@ def _ring_setup(atoms, cavity_radius: float | None, context: str, stacklevel: in
     if bad.any():
         raise GeometryError(f"atom {int(np.argmax(bad))} has a non-finite coordinate")
     first, second = np.triu_indices(n_atoms, 1)
-    sep = pos[second] - pos[first]
-    dist = np.linalg.norm(sep, axis=1)
-    if (dist == 0.0).any():
-        k = int(np.argmax(dist == 0.0))
-        raise GeometryError(f"atoms {first[k]} and {second[k]} coincide")
+    with np.errstate(over="ignore"):  # checked below, so finite distances keep their bits
+        sep = pos[second] - pos[first]
+        dist = np.linalg.norm(sep, axis=1)
+    for bad, what in ((dist == 0.0, "coincide"),
+                      (dist == math.inf, "are too far apart: their squared distance overflows")):
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise GeometryError(f"atoms {first[k]} and {second[k]} {what}")
     _guard_separation(dist, cavity_radius, context, stacklevel + 1)
     v = sep / dist[:, None]
     vv = v[:, :, None] * v[:, None, :]
@@ -425,11 +431,11 @@ def _ring_integrand(models, m: MediumResponse, dist, vv, legs, context: str):
     column per ordering."""
 
     def f(u):
-        eps, mu, n = _host_arrays(m, u)
+        eps, mu, n = m._eps_mu_n(u)
         d2 = _local_field(eps, context)
         weight = 1.0
         for model in models:  # (u^2 D^2)^N prod alpha_k; ** is a per-CPU SIMD pow
-            weight = weight * u * u * d2 * model.alpha_iu(u)
+            weight = weight * u * u * d2 * model._alpha(u)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             out = weight[:, None] * _kernels.ring_trace(n * u, mu, dist, vv, legs)
         if not np.isfinite(out).all():
@@ -489,15 +495,15 @@ def force_pair(
     """Radial force -dU/dl on the corrected bulk pair potential, a float for
     one separation l, an array for a 1-D grid.
 
-    Differentiates the integrand analytically; negative values pull the
-    atoms together. The cavity radius never enters the value, only the
-    separation guard.
+    Differentiates the integrand analytically. Every value pulls the atoms
+    together, so one that is not negative, -0.0 included, raises.
+    The cavity radius never enters the value, only the separation guard.
     """
     l, scalar = _guard_separation(l, cavity_radius, "force_pair")
     f = _pair_integrand(atom_a, atom_b, m, l, True, _kernels.kernel_force, "force_pair")
     res = integrate_semi_infinite(f, q, scale=scale_hint(atom_a, atom_b, m))
     norm = 2.0 * math.pi * (l * l * l) * (l * l * l) * l
-    return _ret(-_over_power(res.value, norm, l, "force_pair"), scalar)
+    return _ret(_attractive(-_over_power(res.value, norm, l, "force_pair"), "pair force"), scalar)
 
 
 def cavity_center_stiffness(
@@ -516,7 +522,7 @@ def cavity_center_stiffness(
     r = spec.radius
 
     def f(u):
-        return u * u * u * u * u * coeff_C_exact(spec, 2, u) * atom.alpha_iu(u)
+        return u * u * u * u * u * coeff_C_exact(spec, 2, u) * atom._alpha(u)
 
     res = integrate_semi_infinite(f, q, scale=scale)
     k_exact = -res.value / (3.0 * math.pi)

@@ -12,9 +12,16 @@ atomic polarizability is a sum of undamped resonance terms
 
     alpha(iu) = sum_k a_k w_k^2 / (w_k^2 + u^2).
 
-The model objects are frozen and hashable; every method accepts a scalar or
-a non-empty 1-D array of finite u >= 0 and returns a matching float or
-float64 array.
+The model objects are frozen and hashable; every public method accepts a
+scalar or a non-empty 1-D array of finite u >= 0 and returns a matching
+float or float64 array.
+
+Nodes are checked once. Each public method checks its u with _as_nodes,
+calls one node-level form and unwraps the result with _ret. The
+node-level forms are MediumResponse._eps_mu_n (eps, mu and n together) and
+AtomModel._alpha and _beta; they take a 1-D float64 array that is already
+checked. Integrands call them directly on the quadrature engine's nodes.
+A test fake host subclasses MediumResponse and overrides _eps_mu_n alone.
 """
 
 from __future__ import annotations
@@ -56,17 +63,6 @@ def _pos_nodes(u):
 def _ret(values: np.ndarray, scalar: bool):
     """Undo _as_nodes: a float for scalar input, else the array."""
     return float(values[0]) if scalar else values
-
-
-def _host_arrays(host, u: np.ndarray):
-    """eps, mu and n = sqrt(eps mu) of a host medium on a 1-D node array.
-
-    Goes through the host's eps_iu/mu_iu, so any object with those
-    methods serves as a host.
-    """
-    eps = host.eps_iu(u)
-    mu = host.mu_iu(u)
-    return eps, mu, np.sqrt(eps * mu)
 
 
 @dataclass(frozen=True)
@@ -123,20 +119,26 @@ class MediumResponse:
         object.__setattr__(self, "_eps_arrays", _term_arrays(self.eps_terms))
         object.__setattr__(self, "_mu_arrays", _term_arrays(self.mu_terms))
 
+    def _eps_mu_n(self, u: np.ndarray):
+        """eps, mu and n = sqrt(eps mu) on a 1-D array of checked nodes."""
+        eps = 1.0 + _kernels.lorentz_sum(u, *self._eps_arrays)
+        mu = 1.0 + _kernels.lorentz_sum(u, *self._mu_arrays)
+        return eps, mu, np.sqrt(eps * mu)
+
     def eps_iu(self, u):
         """Relative permittivity eps(iu) >= 1."""
         nodes, scalar = _as_nodes(u)
-        return _ret(1.0 + _kernels.lorentz_sum(nodes, *self._eps_arrays), scalar)
+        return _ret(self._eps_mu_n(nodes)[0], scalar)
 
     def mu_iu(self, u):
         """Relative permeability mu(iu) >= 1."""
         nodes, scalar = _as_nodes(u)
-        return _ret(1.0 + _kernels.lorentz_sum(nodes, *self._mu_arrays), scalar)
+        return _ret(self._eps_mu_n(nodes)[1], scalar)
 
     def n_iu(self, u):
         """Refractive index n(iu) = sqrt(eps(iu) mu(iu)) >= 1."""
         nodes, scalar = _as_nodes(u)
-        return _ret(_host_arrays(self, nodes)[2], scalar)
+        return _ret(self._eps_mu_n(nodes)[2], scalar)
 
     @property
     def max_resonance(self) -> float:
@@ -184,15 +186,22 @@ class AtomModel:
         object.__setattr__(self, "_alpha_arrays", _pole_arrays(self.resonances))
         object.__setattr__(self, "_beta_arrays", _pole_arrays(self.beta_resonances))
 
+    def _alpha(self, u: np.ndarray):
+        """alpha (beta for _beta) on a 1-D array of checked nodes."""
+        return _kernels.alpha_sum(u, *self._alpha_arrays)
+
+    def _beta(self, u: np.ndarray):
+        return _kernels.alpha_sum(u, *self._beta_arrays)
+
     def alpha_iu(self, u):
         """Polarizability alpha(iu), reduced units 4 pi eps0 (c/w_ref)^3."""
         nodes, scalar = _as_nodes(u)
-        return _ret(_kernels.alpha_sum(nodes, *self._alpha_arrays), scalar)
+        return _ret(self._alpha(nodes), scalar)
 
     def beta_iu(self, u):
         """Magnetizability beta(iu), reduced units (4 pi / mu0) (c/w_ref)^3."""
         nodes, scalar = _as_nodes(u)
-        return _ret(_kernels.alpha_sum(nodes, *self._beta_arrays), scalar)
+        return _ret(self._beta(nodes), scalar)
 
     @property
     def alpha_static(self) -> float:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -23,27 +24,27 @@ with warnings.catch_warnings():
         pass
 
 
-class ConstantMedium:
+@dataclass(frozen=True, init=False)
+class ConstantMedium(MediumResponse):
     """Frequency-independent medium for limit checks.
 
-    Duck-types the response interface; real media built from Lorentz
-    terms always satisfy eps, mu >= 1 on the imaginary axis, so this is
-    the only way to probe invariant guards with eps < 1.
+    Overrides only the node-level MediumResponse._eps_mu_n, so the public
+    methods and every integrand check nodes as for a real host. Real media
+    built from Lorentz terms always satisfy eps, mu >= 1 on the imaginary
+    axis, so this is the only way to probe invariant guards with eps < 1.
     """
 
+    eps: float = 1.0
+    mu: float = 1.0
+
     def __init__(self, eps: float, mu: float = 1.0):
-        self._eps = float(eps)
-        self._mu = float(mu)
-        self.max_resonance = 0.0
+        super().__init__()
+        object.__setattr__(self, "eps", float(eps))
+        object.__setattr__(self, "mu", float(mu))
 
-    def eps_iu(self, u):
-        return np.full_like(np.asarray(u, dtype=float), self._eps)
-
-    def mu_iu(self, u):
-        return np.full_like(np.asarray(u, dtype=float), self._mu)
-
-    def n_iu(self, u):
-        return np.full_like(np.asarray(u, dtype=float), math.sqrt(self._eps * self._mu))
+    def _eps_mu_n(self, u):
+        n = math.sqrt(self.eps * self.mu)
+        return np.full_like(u, self.eps), np.full_like(u, self.mu), np.full_like(u, n)
 
 
 @pytest.fixture(scope="session")

@@ -8,11 +8,13 @@ which bits a change moved:
     python3 tests/oracles/dump_outputs.py --compare old.txt new.txt
 
 ``--counts`` prints instead, for each library key, how many integrand
-calls and evaluations its quadrature took (``key: calls=<n> evals=<n>``),
-summed over every integral the key starts, nested ones included, and for
-each CLI invocation the integrals it starts as well
-(``cli <name> <format>: integrals=<n> calls=<n> evals=<n>``); two such
-files compare the same way.
+calls and evaluations its quadrature took and how many node checks
+(calls of ``response._as_nodes``) it made
+(``key: calls=<n> evals=<n> checks=<n>``), summed over every integral the
+key starts, nested ones included, and for each CLI invocation the
+integrals it starts as well
+(``cli <name> <format>: integrals=<n> calls=<n> evals=<n> checks=<n>``);
+two such files compare the same way.
 
 Every line reads ``key: value``. The library values are the reprs of the
 integrated quantities on a dielectric-magnetic (glass), a dielectric-only
@@ -221,28 +223,47 @@ def _counting(adaptive, tally):
     return wrapped
 
 
-def counts(out=sys.stdout):
-    from lfvdw import LfvdwError, quadrature
+def _checking(as_nodes, tally):
+    """as_nodes, adding one to tally's checks per call."""
 
-    # every integral of the package goes through the engine's _adaptive
+    def wrapped(u):
+        tally["checks"] += 1
+        return as_nodes(u)
+
+    return wrapped
+
+
+def counts(out=sys.stdout):
+    from lfvdw import LfvdwError, quadrature, response
+
+    # every integral of the package goes through the engine's _adaptive;
+    # every module that imports the node check by name (lfvdw imports them
+    # all) gets the counting one
     tally = {}
-    adaptive = quadrature._adaptive
+    adaptive, as_nodes = quadrature._adaptive, response._as_nodes
+    holders = [m for name, m in sys.modules.items()
+               if name.startswith("lfvdw") and getattr(m, "_as_nodes", None) is as_nodes]
     quadrature._adaptive = _counting(adaptive, tally)
+    for module in holders:
+        module._as_nodes = _checking(as_nodes, tally)
     try:
         for key, fn in library_lines():
-            tally.update(integrals=0, calls=0, evals=0)
+            tally.update(integrals=0, calls=0, evals=0, checks=0)
             try:
                 fn()
             except LfvdwError as exc:
                 key = f"{key} ({type(exc).__name__})"
-            out.write(f"{key}: calls={tally['calls']} evals={tally['evals']}\n")
+            out.write(f"{key}: calls={tally['calls']} evals={tally['evals']} "
+                      f"checks={tally['checks']}\n")
         for key, run in cli_runs():
-            tally.update(integrals=0, calls=0, evals=0)
+            tally.update(integrals=0, calls=0, evals=0, checks=0)
             run()
             out.write(f"{key}: integrals={tally['integrals']} calls={tally['calls']} "
-                      f"evals={tally['evals']}\n")
+                      f"evals={tally['evals']} checks={tally['checks']}\n")
     finally:
         quadrature._adaptive = adaptive
+        for module in holders:
+            module._as_nodes = as_nodes
 
 
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf")

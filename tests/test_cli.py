@@ -722,3 +722,28 @@ def test_tiny_ring_separation_exits_3(tmp_path):
     err = json.loads(proc.stdout)["error"]
     assert err["type"] == "InvariantError"
     assert "the ring integrand is not finite at the smallest separation 1e-60" in err["message"]
+
+
+def test_force_check_at_huge_separation_exits_3():
+    # force_pair's integral underflows at l = 1e7; it used to return -0.0
+    proc = run_cli("force-check", "--config", CONFIG, "--atom-a", "probe", "--atom-b", "partner",
+                   "--material", "glass", "--separation", "1e7")
+    assert proc.returncode == 3
+    assert proc.stderr == ""
+    err = json.loads(proc.stdout)["error"]
+    assert err["type"] == "InvariantError"
+    assert err["message"].startswith("pair force came out non-negative")
+
+
+def test_ring_distance_overflow_exits_3(tmp_path):
+    # finite coordinates whose squared distance overflows: nbody used to print a
+    # numpy RuntimeWarning, then fail on "separation ... got array([inf])"
+    positions = tmp_path / "far.txt"
+    positions.write_text("probe 0 0 0\npartner 1 0 0\nprobe 0 1e200 0\n")
+    proc = run_cli("nbody", "--config", CONFIG, "--positions", str(positions),
+                   "--material", "glass")
+    assert proc.returncode == 3
+    assert proc.stderr == ""
+    err = json.loads(proc.stdout)["error"]
+    assert err["type"] == "GeometryError"
+    assert err["message"] == "atoms 0 and 2 are too far apart: their squared distance overflows"

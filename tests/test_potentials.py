@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import ConstantMedium
-from lfvdw import _kernels, potentials
+from lfvdw import _kernels, potentials, response
 from lfvdw.cavity import CavitySpec, coeff_D_leading
 from lfvdw.errors import ConfigError, DomainError, GeometryError, InvariantError, LfvdwError
 from lfvdw.green import bulk_dyad
@@ -35,7 +35,7 @@ from lfvdw.potentials import (
     u2_single,
 )
 from lfvdw.quadrature import QuadSpec, integrate_finite, integrate_semi_infinite
-from lfvdw.response import VACUUM, AtomModel, LorentzTerm, MediumResponse, _host_arrays, scale_hint
+from lfvdw.response import VACUUM, AtomModel, LorentzTerm, MediumResponse, scale_hint
 
 # ----------------------------------------------------------------------
 # mpmath tanh-sinh references (tests/oracles/gen_values.py)
@@ -403,6 +403,13 @@ def test_force_reference(atom_a, atom_b, glass, quad):
     assert val < 0.0  # attractive
 
 
+def test_force_at_huge_separation_is_an_invariant_error(atom_a, atom_b, glass, quad):
+    # the integral underflows to 0 at l = 1e7 (ROADMAP item 3); force_pair
+    # used to return -0.0 where pair_bulk raised
+    with pytest.raises(InvariantError, match=r"^pair force came out non-negative \(-0\)"):
+        force_pair(atom_a, atom_b, glass, 1e7, quad)
+
+
 def test_force_matches_finite_difference(atom_a, atom_b, glass):
     tight = QuadSpec(rel_tol=1e-11)
     l = 3.0
@@ -497,6 +504,49 @@ def test_one_quadrature_call_per_quantity(monkeypatch, atom_a, atom_b, glass, qu
         assert len(calls) == expected, name
 
 
+@pytest.mark.parametrize("op", ["pair_bulk", "force_pair", "pair_free_space", "coeff_nonretarded",
+                                "n_atom_bulk", "u1_exact", "u1_expanded",
+                                "cavity_center_stiffness"])
+def test_each_integrand_call_checks_nodes_at_most_once(monkeypatch, atom_a, atom_b, glass, quad,
+                                                        op):
+    # the engine's nodes reach the responses through their node-level forms;
+    # the one check left is coeff_C_exact's, whose public u > 0 check stands
+    checks, per_call = [0], []
+    as_nodes = response._as_nodes
+
+    def counting_check(u):
+        checks[0] += 1
+        return as_nodes(u)
+
+    def counting_integral(f, *args, **kwargs):
+        def g(u):
+            before = checks[0]
+            out = f(u)
+            per_call.append(checks[0] - before)
+            return out
+
+        return integrate_semi_infinite(g, *args, **kwargs)
+
+    monkeypatch.setattr(response, "_as_nodes", counting_check)
+    monkeypatch.setattr(potentials, "integrate_semi_infinite", counting_integral)
+    spec = CavitySpec(radius=0.05, host=glass)
+    ring = [(atom_a, [0.0, 0.0, 0.0]), (atom_b, [2.0, 0.0, 0.0]),
+            (atom_a, [0.0, 2.5, 0.0]), (atom_b, [1.0, 1.0, 3.0])]
+    calls = {
+        "pair_bulk": lambda: pair_bulk(atom_a, atom_b, glass, [0.3, 2.5], quad),
+        "force_pair": lambda: force_pair(atom_a, atom_b, glass, 2.5, quad),
+        "pair_free_space": lambda: pair_free_space(atom_a, atom_b, 2.5, quad),
+        "coeff_nonretarded": lambda: coeff_nonretarded(atom_a, atom_b, glass, quad),
+        "n_atom_bulk": lambda: n_atom_bulk(ring, glass, quad),
+        "u1_exact": lambda: u1_exact(atom_a, spec, quad),
+        "u1_expanded": lambda: u1_expanded(atom_a, spec, quad),
+        "cavity_center_stiffness": lambda: cavity_center_stiffness(atom_a, spec, quad),
+    }
+    calls[op]()
+    assert per_call
+    assert max(per_call) == (1 if op in ("u1_exact", "cavity_center_stiffness") else 0)
+
+
 def test_triple_ring_static_limit(atom_a, quad):
     # equilateral triangle, side small against the resonance wavelength:
     # the retardation-free closed form must emerge
@@ -562,7 +612,7 @@ def test_stacked_ring_matches_explicit_dyad_products(atom_a, glass, n):
         [(atom_a, p) for p in pos], None, "test"
     )
     u = np.array([0.03, 0.4, 1.1, 2.7, 9.0])
-    _, mu, nr = _host_arrays(glass, u)
+    _, mu, nr = glass._eps_mu_n(u)
     got = _kernels.ring_trace(nr * u, mu, dist, vv, legs)
     assert got.shape == (u.size, len(orderings))
     for k, uk in enumerate(u):

@@ -178,3 +178,38 @@ def test_scalar_in_scalar_out():
     assert isinstance(VACUUM.eps_iu(1.0), float)
     arr = VACUUM.eps_iu(np.array([1.0, 2.0]))
     assert isinstance(arr, np.ndarray) and arr.shape == (2,)
+
+
+_TERMS = st.lists(
+    st.builds(LorentzTerm,
+              plasma_strength=st.floats(min_value=0.0, max_value=50.0),
+              resonance=st.floats(min_value=1e-3, max_value=20.0),
+              damping=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=5.0))),
+    min_size=1, max_size=3,
+)
+_POLES = st.lists(st.tuples(st.floats(min_value=1e-3, max_value=20.0),
+                            st.floats(min_value=1e-6, max_value=1.0)), min_size=1, max_size=3)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    eps_terms=_TERMS,
+    mu_terms=_TERMS,
+    resonances=_POLES,
+    beta_resonances=_POLES,
+    u=st.lists(st.floats(min_value=0.0, max_value=1e3), min_size=1, max_size=8),
+)
+def test_public_methods_are_the_node_level_forms(eps_terms, mu_terms, resonances,
+                                                 beta_resonances, u):
+    # a public method checks its nodes, then gives the node-level form's bits
+    m = MediumResponse(eps_terms=eps_terms, mu_terms=mu_terms)
+    atom = AtomModel(resonances=resonances, beta_resonances=beta_resonances)
+    nodes = np.array([0.0, *u])
+    eps, mu, n = m._eps_mu_n(nodes)
+    for public, node_level in ((m.eps_iu, eps), (m.mu_iu, mu), (m.n_iu, n),
+                               (atom.alpha_iu, atom._alpha(nodes)),
+                               (atom.beta_iu, atom._beta(nodes))):
+        assert np.array_equal(public(nodes), node_level)
+        scalar = public(u[0])
+        assert type(scalar) is float
+        assert scalar == node_level[1]
