@@ -35,7 +35,7 @@ import numpy as np
 
 from . import __version__
 from ._kernels import _libm
-from .cavity import CavitySpec, coeff_C_exact, coeff_C_expansion, coeff_D_exact, coeff_D_leading
+from .cavity import CavitySpec, _d_leading, coeff_C_exact, coeff_C_expansion, coeff_D_exact
 from .config import RunConfig, UnitSystem, load_config
 from .errors import ConfigError, ConvergenceError, DomainError, LfvdwError
 from .green import born_scatter_trace
@@ -50,7 +50,7 @@ from .potentials import (
     u1_expanded,
     u2_single,
 )
-from .response import AtomModel
+from .response import AtomModel, _as_nodes
 
 __all__ = ["main"]
 
@@ -142,15 +142,12 @@ def cmd_coeffs(cfg: RunConfig, args) -> dict:
     material = cfg.material(args.material)
     if not cfg.sweep.u:
         raise ConfigError("coeffs needs a sweep.u grid in the config")
-    u = np.array(cfg.sweep.u)
+    u, _ = _as_nodes(cfg.sweep.u)
+    eps, mu, n = material._eps_mu_n(u)  # one checked evaluation for four columns
     spec = CavitySpec(radius=_cavity_radius(cfg, args), host=material)
     columns = ["u", "eps", "mu", "n", "D_leading", "D_exact", "C1_exact", "C1_expansion", "C2"]
     table = np.column_stack([
-        u,
-        material.eps_iu(u),
-        material.mu_iu(u),
-        material.n_iu(u),
-        coeff_D_leading(material, u),
+        u, eps, mu, n, _d_leading(eps),
         coeff_D_exact(spec, u),
         coeff_C_exact(spec, 1, u),
         coeff_C_expansion(spec, u),

@@ -8,9 +8,9 @@ all host atoms outside the cavity,
     U1 = rho int_{R_c}^inf 4 pi s^2 [U_el(s) + U_mag(s)] ds,
 
 with no reference to cavity coefficients. This module computes that sum
-literally, as one adaptive radial integral over s = R_c + v, v in (0, inf)
-(or up to a body's outer radius), with no cut-off and no asymptotic tail,
-and provides a Richardson-extrapolated finite-difference force as an
+literally, as one adaptive radial integral over s = R_c + v, v in (0, inf),
+with no cut-off and no asymptotic tail (over x = ln(s/R_c) for a body up to
+R_o), and provides a Richardson-extrapolated finite-difference force as an
 independent check on the analytic force integrands.
 """
 
@@ -22,6 +22,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import _kernels
 from .errors import ConfigError, DomainError, GeometryError, _check_radius
 from .green import BodyShell
 from .potentials import pair_free_space
@@ -126,9 +127,9 @@ def u1_pairwise_sum(
 def total_pairwise_sum(
     guest: AtomModel, host: DiluteHost, R_c: float, outer_radius: float, q: QuadSpec = QuadSpec()
 ) -> float:
-    """Pairwise sum over the host atoms at R_c <= s <= outer_radius: a body
-    from the cavity wall out. outer_radius == R_c gives exactly zero, and
-    an infinite outer_radius is u1_pairwise_sum."""
+    """Pairwise sum over the host atoms at R_c <= s <= outer_radius, in x = ln(s/R_c),
+    where the s^-4 fall from the wall is e^{-3x}: a body from the cavity wall out.
+    outer_radius == R_c gives exactly zero; an infinite one is u1_pairwise_sum."""
     _check_radius("cavity", R_c)
     if not outer_radius >= R_c:  # NaN too
         raise GeometryError(f"outer radius {outer_radius} is below the cavity radius {R_c}")
@@ -137,7 +138,13 @@ def total_pairwise_sum(
     if outer_radius == R_c or host.density == 0.0:
         return 0.0
     f = _radial_integrand(guest, host, q)
-    return 4.0 * math.pi * host.density * integrate_finite(f, R_c, outer_radius, q).value
+
+    def g(x):  # s = R_c e^x, ds = s dx
+        s = R_c * _kernels._exp(x)
+        return s * f(s)
+
+    upper = math.log1p((outer_radius - R_c) / R_c)  # > 0 even one ulp past R_c
+    return 4.0 * math.pi * host.density * integrate_finite(g, 0.0, upper, q).value
 
 
 class ForceEstimate(NamedTuple):

@@ -146,13 +146,14 @@ def _adaptive(
     shape = []  # of one node's value: [] for an (M,) f, [K] for (M, K)
 
     def g(x):
-        y = np.asarray(f(x if to_u is None else to_u(x)), dtype=np.float64)
+        r = None if to_u is None else 1.0 - x  # 1 - t, for the map and its Jacobian
+        y = np.asarray(f(x if r is None else scale * x / r), dtype=np.float64)
         if y.ndim not in (1, 2) or len(y) != x.size:
             raise DomainError(f"integrand must return (M,) or (M, K) values on its "
                               f"M = {x.size} nodes, got shape {y.shape}")
         shape[:] = y.shape[1:]
         y = y.reshape(x.size, -1)
-        return y if to_u is None else y * (scale / (1.0 - x) ** 2)[:, None]
+        return y if r is None else y * (scale / r**2)[:, None]
 
     def totals(rows):  # correctly rounded sums over the panels, per component, and limits
         value = list(map(math.fsum, zip(*rows)))

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from lfvdw import oracle, potentials
+from lfvdw._kernels import _exp
 from lfvdw.errors import ConfigError, DomainError, GeometryError
 from lfvdw.green import BodyShell
 from lfvdw.oracle import (
@@ -206,14 +207,15 @@ def test_radial_integrand_is_one_u_integral_per_panel(monkeypatch, atom_a, quad)
 
 
 def test_pairwise_sum_makes_one_u_integral_per_radial_step(monkeypatch, atom_a, quad):
-    # every radial integrand call (the 4 initial panels, then each
-    # bisection) hands all of its nodes to one pair_free_space grid
+    # every radial integrand call in x = ln(s/R_c) (the 4 initial panels,
+    # then each bisection) hands all of its nodes, as s = R_c e^x, to one
+    # pair_free_space grid; at rel_tol 1e-12 the engine bisects
     radial, grids, u_integrals = [], [], []
 
     def finite(f, *args):
-        def recorded(s):
-            radial.append(s.copy())
-            return f(s)
+        def recorded(x):
+            radial.append(x.copy())
+            return f(x)
 
         return integrate_finite(recorded, *args)
 
@@ -229,11 +231,53 @@ def test_pairwise_sum_makes_one_u_integral_per_radial_step(monkeypatch, atom_a, 
     monkeypatch.setattr(oracle, "pair_free_space", pair)
     monkeypatch.setattr(potentials, "integrate_semi_infinite", semi_infinite)
     host = DiluteHost(density=0.01, host_atom=HOST_ATOM)
-    total_pairwise_sum(atom_a, host, 0.05, 5.0, quad)
-    assert [s.size for s in radial] == [60] + [30] * (len(radial) - 1)
+    for q in (quad, replace(quad, rel_tol=1e-12)):
+        del radial[:], grids[:], u_integrals[:]
+        total_pairwise_sum(atom_a, host, 0.05, 5.0, q)
+        assert [x.size for x in radial] == [60] + [30] * (len(radial) - 1)
+        assert len(grids) == len(u_integrals) == len(radial)
+        assert all(np.array_equal(g, 0.05 * _exp(x)) for g, x in zip(grids, radial))
     assert len(radial) > 1
-    assert len(grids) == len(u_integrals) == len(radial)
-    assert all(np.array_equal(g, s) for g, s in zip(grids, radial))
+
+
+@pytest.mark.parametrize("rel_tol", [1e-8, 1e-10])
+@pytest.mark.parametrize("R_c, R_o", [(0.001, 10.0), (0.05, 10.0), (0.5, 100.0), (5.0, 10.0)])
+@pytest.mark.parametrize("guest, host_atom", [("atom_a", "atom_a"), ("atom_b", "atom_a"),
+                                              ("atom_a", "HOST_ATOM")])
+def test_body_sum_meets_linearized_difference(request, guest, host_atom, R_c, R_o, rel_tol):
+    # the literal sum over R_c <= s <= R_o against the closed radial form
+    # u1_linearized(R_c) - u1_linearized(R_o), taken at rel_tol 1e-13;
+    # guests with and without a beta pole, and one magnetic host atom
+    guest = request.getfixturevalue(guest)
+    host_atom = HOST_ATOM if host_atom == "HOST_ATOM" else request.getfixturevalue(host_atom)
+    host = DiluteHost(density=1e-3, host_atom=host_atom)
+    ref_q = QuadSpec(rel_tol=1e-13)
+    reference = (u1_linearized(guest, R_c, host.chi_iu, host.zeta_iu, ref_q)
+                 - u1_linearized(guest, R_o, host.chi_iu, host.zeta_iu, ref_q))
+    body = total_pairwise_sum(guest, host, R_c, R_o, QuadSpec(rel_tol=rel_tol))
+    assert body == pytest.approx(reference, rel=2.0 * rel_tol, abs=0.0)
+
+
+def test_body_one_ulp_thick_is_finite_and_attractive(atom_b):
+    host = DiluteHost(density=1e-3, host_atom=HOST_ATOM)
+    for R_c in (0.05, 5.0):
+        body = total_pairwise_sum(atom_b, host, R_c, math.nextafter(R_c, math.inf))
+        assert math.isfinite(body) and body <= 0.0
+
+
+def test_body_sum_on_glass_atoms_is_one_radial_step(monkeypatch, atom_a, atom_b, quad):
+    # probe in a partner gas (the atoms of glass.yaml), R_c 0.05, R_o 10:
+    # in x the s^-4 fall from the wall is e^{-3x}, which the initial panels
+    # resolve; integrated in s, the engine bisected toward R_c
+    grids = []
+
+    def pair(*args):
+        grids.append(np.size(args[2]))
+        return pair_free_space(*args)
+
+    monkeypatch.setattr(oracle, "pair_free_space", pair)
+    total_pairwise_sum(atom_a, DiluteHost(density=0.03, host_atom=atom_b), 0.05, 10.0, quad)
+    assert len(grids) <= 2
 
 
 def test_infinite_body_hands_pair_free_space_whole_radial_steps(monkeypatch, atom_a, quad):
