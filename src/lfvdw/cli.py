@@ -3,18 +3,20 @@
 Subcommands: coeffs, single, pair, nbody, limits, born-check, force-check;
 each runs the cmd_* function of its name, dashes as underscores. Every
 command reads one YAML config (--config), the only source of quadrature
-tolerances, and returns its payload in reduced units; main() alone adds the
-SI twins an SI config asks for, renders it as CSV or JSON (--format),
-writes it (--out) and picks the exit code. Output is stamped with the
-package version and a hash of the config file so identical inputs give
-byte-identical files. A pair sweep over sweep.l is one vector integral per
-corrected flag, one component per separation; U, ratio and local_slope are
-the corrected potential's. force-check's finite-difference stencil is one
-more. Every command runs in the calling thread; --threads is still
-accepted for old scripts and changes nothing. The argument parser is built
-once per process and shared by every main() call: it depends on no input,
-and parsing keeps no state between calls. Nothing else is kept; each call
-reads its config and computes its results afresh.
+tolerances, and returns its payload in reduced units; main() alone renders
+it, writes it (--out) and picks the exit code. A table (coeffs, pair) prints
+as CSV and a document (the other five) as JSON, unless --format asks for the
+other; an SI config adds SI twins, as table columns or a document's "SI"
+block. Output is stamped with the package version and a hash of the config
+file so identical inputs give byte-identical files. A pair sweep over
+sweep.l is one vector integral per corrected flag, one component per
+separation; U, ratio and local_slope are the corrected potential's.
+force-check's finite-difference stencil is one more. Every command runs in
+the calling thread; --threads is still accepted for old scripts and changes
+nothing. The argument parser is built once per process and shared by every
+main() call: it depends on no input, and parsing keeps no state between
+calls. Nothing else is kept; each call reads its config and computes its
+results afresh.
 
 Exit codes: 0 success, 1 a requested consistency check failed its
 tolerance (the payload's "pass" is false), 2 configuration/usage error
@@ -65,46 +67,34 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _render_table(cfg: RunConfig, table: dict, fmt: str) -> str:
-    """A {"columns": ..., "rows": ...} table as CSV, or as JSON rows keyed by column."""
-    columns, rows = table["columns"], table["rows"]
-    if fmt == "json":  # a NaN cell (a one-point grid's local_slope) is null
-        rows = [[None if x != x else x for x in row] for row in rows]
-        return _render_doc(cfg, {"rows": [dict(zip(columns, row)) for row in rows]}, fmt)
-    lines = [f"# lfvdw {__version__} config={cfg.config_hash}", ",".join(columns)]
-    row_fmt = ",".join(["%.17g"] * len(columns))  # the bytes of _fmt, one % per row
-    lines.extend(row_fmt % tuple(row) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
-def _render_doc(cfg: RunConfig, payload: dict, fmt: str) -> str:
-    doc = {"meta": {"version": __version__, "config_hash": cfg.config_hash}, **payload}
-    if fmt == "csv":
-        flat = {k: v for k, v in payload.items() if isinstance(v, (int, float, str, bool))}
-        lines = [
-            f"# lfvdw {__version__} config={cfg.config_hash}",
-            ",".join(flat),
-            ",".join(_fmt(v) for v in flat.values()),
-        ]
-        return "\n".join(lines) + "\n"
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
-
-
-def _si_view(unit: UnitSystem, payload: dict, si) -> dict:
-    """payload with the SI twins si declares, (name, reduced field,
-    conversion) each: appended table columns, or a document's "SI" block."""
+def _render(cfg: RunConfig, payload: dict, si, fmt: str | None) -> str:
+    """payload as stamped text, with the SI twins (name, reduced field, conversion)
+    of si under an SI config. A {"columns", "rows"} table gets them as columns and
+    is CSV unless fmt is "json"; any other payload, a document, gets an "SI" block
+    and is JSON unless fmt is "csv", one row of the document's scalar fields."""
+    unit, stamp = cfg.unit, f"# lfvdw {__version__} config={cfg.config_hash}"
+    si = si if unit.is_si else []  # a reduced config has no SI twins
     if "columns" in payload:
-        cols = [payload["columns"].index(field) for _, field, _ in si]
-        return {"columns": payload["columns"] + [name for name, _, _ in si],
-                "rows": [row + [to_si(unit, row[k]) for k, (_, _, to_si) in zip(cols, si)]
-                         for row in payload["rows"]]}
-    return {**payload, "SI": {name: to_si(unit, payload[field]) for name, field, to_si in si}}
-
-
-# How main() renders a command's payload, and in which format by default.
-# The default goes to its own dest: the subparsers share the --format action.
-_TABLE = {"render": _render_table, "default_format": "csv"}
-_DOC = {"render": _render_doc, "default_format": "json"}
+        columns, rows = payload["columns"], payload["rows"]
+        if si:
+            cols = [columns.index(field) for _, field, _ in si]
+            columns = columns + [name for name, _, _ in si]
+            rows = [row + [to_si(unit, row[k]) for k, (_, _, to_si) in zip(cols, si)]
+                    for row in rows]
+        if fmt != "json":
+            row_fmt = ",".join(["%.17g"] * len(columns))  # the bytes of _fmt, one % per row
+            lines = [stamp, ",".join(columns), *(row_fmt % tuple(row) for row in rows)]
+            return "\n".join(lines) + "\n"
+        # a NaN cell (a one-point grid's local_slope) is null
+        doc = {"rows": [dict(zip(columns, [None if x != x else x for x in row])) for row in rows]}
+    elif fmt == "csv":
+        flat = {k: v for k, v in payload.items() if isinstance(v, (int, float, str, bool))}
+        return "\n".join([stamp, ",".join(flat), ",".join(map(_fmt, flat.values()))]) + "\n"
+    else:
+        twins = {name: to_si(unit, payload[field]) for name, field, to_si in si}
+        doc = {**payload, "SI": twins} if twins else payload
+    meta = {"version": __version__, "config_hash": cfg.config_hash}
+    return json.dumps({"meta": meta, **doc}, indent=2, allow_nan=False) + "\n"
 
 
 def _positive(flag: str, value: float, allow_zero: bool = False) -> float:
@@ -212,7 +202,7 @@ def _read_positions(path: str, cfg: RunConfig) -> list[tuple[AtomModel, list[flo
                 if not all(map(math.isfinite, xyz)):
                     raise ConfigError(f"{path}:{ln}: non-finite coordinate")
                 entries.append((cfg.atom(name), xyz))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read positions file {path}: {exc}") from None
     if not entries:
         raise ConfigError(f"positions file {path} contains no atoms")
@@ -329,7 +319,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coeffs", parents=[common], help="cavity coefficient table over sweep.u")
     p.add_argument("--material", required=True)
     p.add_argument("--cavity-radius", type=float)
-    p.set_defaults(si=[("u_SI", "u", U.freq_out)], **_TABLE)
+    p.set_defaults(si=[("u_SI", "u", U.freq_out)])
 
     p = sub.add_parser("single", parents=[common], help="single embedded atom in infinite bulk")
     p.add_argument("--atom", required=True)
@@ -337,24 +327,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cavity-radius", type=float)
     p.set_defaults(si=[("cavity_radius_m", "cavity_radius", U.length_out),
                        ("U1_J", "U1", U.energy_out), ("U2_J", "U2", U.energy_out),
-                       ("total_J", "total", U.energy_out)], **_DOC)
+                       ("total_J", "total", U.energy_out)])
 
     pair_args = argparse.ArgumentParser(add_help=False, parents=[common])
     for flag in ("--atom-a", "--atom-b", "--material"):
         pair_args.add_argument(flag, required=True)
 
     p = sub.add_parser("pair", parents=[pair_args], help="two-atom potential over sweep.l")
-    p.set_defaults(si=[("l_m", "l", U.length_out), ("U_J", "U", U.energy_out)], **_TABLE)
+    p.set_defaults(si=[("l_m", "l", U.length_out), ("U_J", "U", U.energy_out)])
 
     p = sub.add_parser("nbody", parents=[common], help="N-atom ring potential from a positions file")
     p.add_argument("--positions", required=True, help="file with 'name x y z' lines")
     p.add_argument("--material", required=True)
-    p.set_defaults(si=[("energy_J", "energy", U.energy_out)], **_DOC)
+    p.set_defaults(si=[("energy_J", "energy", U.energy_out)])
 
     p = sub.add_parser("limits", parents=[pair_args], help="retarded/non-retarded coefficients")
     p.set_defaults(si=[("C_r_J_m7", "C_r", U.c_r_out), ("C_nr_J_m6", "C_nr", U.c_nr_out),
-                       ("crossover_length_m", "crossover_length_estimate", U.length_out)],
-                   **_DOC)
+                       ("crossover_length_m", "crossover_length_estimate", U.length_out)])
 
     p = sub.add_parser("born-check", parents=[common],
                        help="module path vs pairwise-summation oracle")
@@ -363,12 +352,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--density", type=float, required=True)
     p.add_argument("--outer-radius", type=float, required=True)
     p.add_argument("--cavity-radius", type=float)
-    p.set_defaults(si=[], **_DOC)  # no SI block
+    p.set_defaults(si=[])  # no SI block
 
     p = sub.add_parser("force-check", parents=[pair_args],
                        help="analytic force vs finite differences")
     p.add_argument("--separation", type=float, required=True)
-    p.set_defaults(si=[("analytic_N", "analytic", U.force_out)], **_DOC)
+    p.set_defaults(si=[("analytic_N", "analytic", U.force_out)])
     return parser
 
 
@@ -389,9 +378,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         # cmd_<command> is looked up at call time, so a wrapper set on the module runs
         payload = globals()[f"cmd_{args.command.replace('-', '_')}"](cfg, args)
-        if cfg.unit.is_si and args.si:
-            payload = _si_view(cfg.unit, payload, args.si)
-        text = args.render(cfg, payload, args.format or args.default_format)
+        text = _render(cfg, payload, args.si, args.format)
         code = 0 if payload.get("pass", True) else 1
     except LfvdwError as exc:
         text, code = _error_doc(exc)

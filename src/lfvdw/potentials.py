@@ -255,18 +255,20 @@ def pair_free_space(
 
     res = integrate_semi_infinite(f, q, scale=scale_hint(atom_a, atom_b))
     raw = res.value.reshape(1 + mag, -1)  # one row per part
-    l2 = l * l
-    total = -_over_power(raw[0], 2.0 * math.pi * l2 * l2 * l2, l, "pair_free_space")
+    total = -_over_power(raw[0], lambda: 2.0 * math.pi * (l * l) * (l * l) * (l * l), l,
+                         "pair_free_space")
     if mag:
-        total = total + _over_power(raw[1], 2.0 * math.pi * l2 * l2, l, "pair_free_space")
+        total = total + _over_power(raw[1], lambda: 2.0 * math.pi * (l * l) * (l * l), l,
+                                    "pair_free_space")
     return _ret(total, scalar)
 
 
-def _over_power(raw: np.ndarray, norm: np.ndarray, l: np.ndarray, context: str) -> np.ndarray:
-    """raw / norm, norm a power of the separations l: a quotient that is not finite
-    (an l so small that its l^6 or l^7 underflows) raises, with no RuntimeWarning."""
+def _over_power(raw: np.ndarray, norm, l: np.ndarray, context: str) -> np.ndarray:
+    """raw / norm(), norm() the 2 pi l^n prefactor of the separations l, formed here
+    with no RuntimeWarning: a quotient that is not finite (an l so small that its l^6
+    or l^7 underflows) raises; an l so large that the prefactor overflows gives 0."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        out = raw / norm
+        out = raw / norm()
     if not np.isfinite(out).all():
         raise InvariantError(f"{context}: the result is not finite at the smallest separation "
                              f"{float(l.min()):.6g}: its 1/l^n prefactor overflows")
@@ -320,13 +322,16 @@ def pair_bulk(
     l, scalar = _guard_separation(l, cavity_radius, "pair_bulk")
     f = _pair_integrand(atom_a, atom_b, m, l, corrected, _kernels.kernel_g, "pair_bulk")
     res = integrate_semi_infinite(f, q, scale=scale_hint(atom_a, atom_b, m))
-    norm = 2.0 * math.pi * (l * l * l) * (l * l * l)
+
+    def norm():
+        return 2.0 * math.pi * (l * l * l) * (l * l * l)
+
     u_val = _attractive(-_over_power(res.value, norm, l, "pair_bulk"), "pair potential")
     return PairResult(
         separation=_ret(l, scalar),
         U=_ret(u_val, scalar),
         corrected=corrected,
-        err_est=_ret(res.err_est / norm, scalar),
+        err_est=_ret(res.err_est / norm(), scalar),  # norm() is finite once U is
         evals=res.evals,
     )
 
@@ -502,8 +507,9 @@ def force_pair(
     l, scalar = _guard_separation(l, cavity_radius, "force_pair")
     f = _pair_integrand(atom_a, atom_b, m, l, True, _kernels.kernel_force, "force_pair")
     res = integrate_semi_infinite(f, q, scale=scale_hint(atom_a, atom_b, m))
-    norm = 2.0 * math.pi * (l * l * l) * (l * l * l) * l
-    return _ret(_attractive(-_over_power(res.value, norm, l, "force_pair"), "pair force"), scalar)
+    force = -_over_power(res.value, lambda: 2.0 * math.pi * (l * l * l) * (l * l * l) * l, l,
+                         "force_pair")
+    return _ret(_attractive(force, "pair force"), scalar)
 
 
 def cavity_center_stiffness(

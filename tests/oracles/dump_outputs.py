@@ -13,18 +13,21 @@ calls and evaluations its quadrature took and how many node checks
 (``key: calls=<n> evals=<n> checks=<n>``), summed over every integral the
 key starts, nested ones included, and for each CLI invocation the
 integrals it starts as well
-(``cli <name> <format>: integrals=<n> calls=<n> evals=<n> checks=<n>``);
+(``cli <name> <format>: integrals=<n> calls=<n> evals=<n> checks=<n>``,
+``default`` for the run with no --format);
 two such files compare the same way.
 
 Every line reads ``key: value``. The library values are the reprs of the
 integrated quantities on a dielectric-magnetic (glass), a dielectric-only
 and a magnetic-only host at rel_tol 1e-8 and 1e-10; the CLI lines are the
-stdout of 16 invocations on tests/data/glass.yaml and of the same 16 on
-its SI twin tests/data/glass_si.yaml, with the flags in SI units; one key
-per output line. ``--compare`` prints, for every key whose value differs,
-the largest relative deviation over the numbers on that line (or "text"
-when the lines differ in anything but numbers), and the keys present in
-only one file. The script writes nothing into the repository.
+stdout of 24 invocations on tests/data/glass.yaml and of the same 24 on
+its SI twin tests/data/glass_si.yaml, with the flags in SI units: each of
+8 command lines with --format csv, with --format json and with no
+--format; one key per output line. ``--compare`` prints, for every key
+whose value differs, the largest relative deviation over the numbers on
+that line (or "text" when the lines differ in anything but numbers), and
+the keys present in only one file. The script writes nothing into the
+repository.
 """
 
 from __future__ import annotations
@@ -192,6 +195,8 @@ def _cli_runs(cli, prefix, config, length):
             for fmt in ("csv", "json"):
                 yield (f"{prefix} {name} {fmt}",
                        functools.partial(run, [*argv, "--config", config, "--format", fmt]))
+            # no --format: the command's own default, table CSV or document JSON
+            yield f"{prefix} {name} default", functools.partial(run, [*argv, "--config", config])
 
 
 def dump(out=sys.stdout):

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lfvdw import cli, quadrature
+from lfvdw import __version__, cli, quadrature
 from lfvdw.config import UnitSystem, load_config
 
 DATA = Path(__file__).parent / "data"
@@ -52,7 +52,7 @@ def test_csv_rows_format_every_float_as_17g():
     rows = [values, values[::-1]]
     cfg = load_config(CONFIG)
     columns = [f"c{k}" for k in range(len(values))]
-    text = cli._render_table(cfg, {"columns": columns, "rows": rows}, "csv")
+    text = cli._render(cfg, {"columns": columns, "rows": rows}, [], "csv")
     assert text.splitlines()[2:] == [",".join(f"{x:.17g}" for x in row) for row in rows]
 
 
@@ -160,11 +160,19 @@ SI_TWINS = {
 }
 
 
+def _csv_cell(v) -> str:
+    """The CSV bytes of a value parsed back from the JSON form (null a NaN cell)."""
+    return "nan" if v is None else f"{v:.17g}" if isinstance(v, float) else str(v)
+
+
 @pytest.mark.parametrize("config, length", [(CONFIG, 1.0), (SI_CONFIG, 2.99792458e-7)],
                          ids=["reduced", "SI"])
 def test_si_view_converts_each_reduced_field(tmp_path, capsys, config, length):
-    # length: the config's length unit, c/omega_ref in m for the SI twin
-    unit = load_config(config).unit
+    # length: the config's length unit, c/omega_ref in m for the SI twin. Each
+    # command runs with no --format, with csv and with json: a table (coeffs,
+    # pair) prints as CSV by default, a document (the other five) as JSON
+    cfg = load_config(config)
+    unit = cfg.unit
     positions = tmp_path / "pair.txt"
     positions.write_text(f"probe 0 0 0\npartner {3.0 * length!r} 0 0\n")
     pair = ["--atom-a", "probe", "--atom-b", "partner", "--material", "glass"]
@@ -179,8 +187,21 @@ def test_si_view_converts_each_reduced_field(tmp_path, capsys, config, length):
                        "--density", repr(0.05 / length**3), "--outer-radius", repr(10.0 * length)],
     }
     for command, argv in argvs.items():
-        assert cli.main([command, *argv, "--config", config, "--format", "json"]) == 0, command
-        doc = json.loads(capsys.readouterr().out)
+        out = {}
+        for fmt in (None, "csv", "json"):
+            flags = [] if fmt is None else ["--format", fmt]
+            assert cli.main([command, *argv, "--config", config, *flags]) == 0, (command, fmt)
+            out[fmt] = capsys.readouterr().out
+        assert out[None] == out["csv" if command in ("coeffs", "pair") else "json"], command
+        doc = json.loads(out["json"])
+        assert doc["meta"] == {"version": __version__, "config_hash": cfg.config_hash}, command
+        stamp, header, *rows = out["csv"].splitlines()
+        assert stamp == f"# lfvdw {__version__} config={cfg.config_hash}", command
+        # a table: one CSV row per row; a document: one CSV row of its scalar fields
+        records = doc["rows"] if "rows" in doc else [
+            {k: v for k, v in doc.items() if not isinstance(v, (dict, list))}]
+        assert header.split(",") == list(records[0]), command
+        assert rows == [",".join(map(_csv_cell, record.values())) for record in records], command
         twins = SI_TWINS[command]
         names = [name for name, _, _ in twins]
         if not unit.is_si or not twins:  # no SI column or key, and no empty "SI" block
@@ -579,6 +600,19 @@ def test_non_finite_position_is_a_config_error(tmp_path):
     assert f"{positions}:2" in err["message"]
 
 
+def test_positions_file_that_is_not_utf8_is_a_config_error(tmp_path):
+    # the decode error used to escape as a UnicodeDecodeError traceback, exit 1
+    positions = tmp_path / "latin1.txt"
+    positions.write_bytes(b"probe 0 0 0\npartner 3 0 \xff\n")
+    proc = run_cli("nbody", "--config", CONFIG, "--positions", str(positions),
+                   "--material", "glass")
+    assert proc.returncode == 2
+    assert proc.stderr == ""
+    err = json.loads(proc.stdout)["error"]
+    assert err["type"] == "config"
+    assert err["message"].startswith(f"cannot read positions file {positions}: ")
+
+
 def test_physics_error_exit_code(tmp_path):
     positions = tmp_path / "overlap.txt"
     positions.write_text("probe 0 0 0\nprobe 0 0 0\n")
@@ -733,6 +767,20 @@ def test_force_check_at_huge_separation_exits_3():
     err = json.loads(proc.stdout)["error"]
     assert err["type"] == "InvariantError"
     assert err["message"].startswith("pair force came out non-negative")
+
+
+def test_far_pair_sweep_exits_3_with_empty_stderr(tmp_path):
+    # x^4 e^{-2x} used to be inf * 0 at l = 1e200: four RuntimeWarning lines on
+    # stderr, then an error naming a u-node's nan
+    config = tmp_path / "far.yaml"
+    config.write_text(Path(CONFIG).read_text().replace("l: [2.0, 3.0, 5.0]", "l: [1e200]"))
+    proc = run_cli("pair", "--config", str(config), "--atom-a", "probe", "--atom-b", "partner",
+                   "--material", "glass")
+    assert proc.returncode == 3
+    assert proc.stderr == ""
+    err = json.loads(proc.stdout)["error"]
+    assert err["type"] == "InvariantError"
+    assert err["message"].startswith("pair potential came out non-negative")
 
 
 def test_ring_distance_overflow_exits_3(tmp_path):

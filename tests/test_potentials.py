@@ -410,6 +410,28 @@ def test_force_at_huge_separation_is_an_invariant_error(atom_a, atom_b, glass, q
         force_pair(atom_a, atom_b, glass, 1e7, quad)
 
 
+@pytest.mark.parametrize("l", [1e60, 1e200])
+def test_far_separations_fail_typed_with_no_warning(atom_a, atom_b, glass, quad, l):
+    # 2 pi l^6 overflows past l ~ 1e51, and x^4 e^{-2x} was inf * 0 past
+    # x ~ 1e77: both printed a RuntimeWarning, and the second a nan, before
+    # any LfvdwError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvariantError, match=r"^pair potential came out non-negative"):
+            pair_bulk(atom_a, atom_b, glass, l, quad)
+        with pytest.raises(InvariantError, match=r"^pair force came out non-negative"):
+            force_pair(atom_a, atom_b, glass, l, quad)
+        assert pair_free_space(atom_a, atom_b, l, quad) == 0.0  # the true underflow
+
+
+def test_pair_kernels_are_zero_where_their_exponential_is():
+    x = np.array([372.6, 1e3, 1e80, 1e200, math.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kernel in (_kernels.kernel_g, _kernels.kernel_h, _kernels.kernel_force):
+            assert kernel(x).tolist() == [0.0] * x.size, kernel.__name__
+
+
 def test_force_matches_finite_difference(atom_a, atom_b, glass):
     tight = QuadSpec(rel_tol=1e-11)
     l = 3.0
