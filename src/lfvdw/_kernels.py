@@ -58,7 +58,7 @@ _SERIES_CUT = 3.0
 _SERIES_TERMS = 16
 _EXP_CLIP = 709.0  # glibc's cexp rescales above about 709.09
 # e^{-2x} is exactly 0 past x = 372.6, so clipping x at this in the pair
-# kernels' polynomials moves no finite value and leaves no inf * 0
+# kernels moves no value and leaves neither an inf * 0 nor an overflowing -2x
 _POLY_CLIP = 1e3
 
 
@@ -98,11 +98,10 @@ def alpha_sum(u, strength, resonance):
     return out
 
 
-def _poly(x, coefs):
-    """The monic c_0 + p (c_1 + ... + p (c_{n-1} + p)) of coefs = (c_0, ..., c_{n-1})
-    at p = min(x, _POLY_CLIP): Horner's steps run in place on one array, the same
-    IEEE operations as the product written out."""
-    p = np.minimum(x, _POLY_CLIP)
+def _poly(p, coefs):
+    """The monic c_0 + p (c_1 + ... + p (c_{n-1} + p)) of coefs = (c_0, ..., c_{n-1}):
+    Horner's steps run in place on one array, the same IEEE operations as the
+    product written out."""
     out = p + coefs[-1]
     for c in reversed(coefs[:-1]):
         out *= p
@@ -112,17 +111,20 @@ def _poly(x, coefs):
 
 def kernel_g(x):
     """Traced electric pair kernel 2 e^{-2x} (3 + 6x + 5x^2 + 2x^3 + x^4)."""
-    return 2.0 * _exp(-2.0 * x) * _poly(x, (3.0, 6.0, 5.0, 2.0))
+    p = np.minimum(x, _POLY_CLIP)
+    return 2.0 * _exp(-2.0 * p) * _poly(p, (3.0, 6.0, 5.0, 2.0))
 
 
 def kernel_h(x):
     """Traced magnetic pair kernel 2 e^{-2x} (1 + 2x + x^2)."""
-    return 2.0 * _exp(-2.0 * x) * _poly(x, (1.0, 2.0))
+    p = np.minimum(x, _POLY_CLIP)
+    return 2.0 * _exp(-2.0 * p) * _poly(p, (1.0, 2.0))
 
 
 def kernel_force(y):
     """Radial-derivative kernel 6 g(y) - y g'(y) = 4 e^{-2y} (9 + 18y + 16y^2 + 8y^3 + 3y^4 + y^5)."""
-    return 4.0 * _exp(-2.0 * y) * _poly(y, (9.0, 18.0, 16.0, 8.0, 3.0))
+    p = np.minimum(y, _POLY_CLIP)
+    return 4.0 * _exp(-2.0 * p) * _poly(p, (9.0, 18.0, 16.0, 8.0, 3.0))
 
 
 def born_bracket(x, chi, zeta):

@@ -10,7 +10,8 @@ with v the unit separation vector. This is the complex form
 (mu k / 4 pi) e^{ikL} [(1/x + i/x^2 - 1/x^3) I - ...] with k = i n u and
 x = kL, which is real on the imaginary axis, so bulk_dyad returns it as
 a real 3x3 float64 matrix. It calls _kernels.pair_dyads, the kernel that
-also builds the legs of the N-atom ring.
+also builds the legs of the N-atom ring, on the checked pair distances L
+and dyads vv of _pair_geometry, the one builder of both pair geometries.
 
 The traced two-point kernels (_kernels.kernel_g and kernel_h) are
 
@@ -35,6 +36,7 @@ so that
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -53,23 +55,38 @@ __all__ = ["BodyShell", "bulk_dyad", "born_scatter_trace"]
 def bulk_dyad(m: MediumResponse, r, rp, u: float) -> np.ndarray:
     """Bulk Green tensor G(r, rp, iu) of the infinite homogeneous medium,
     as a 3x3 float64 matrix."""
-    r = np.asarray(r, dtype=np.float64)
-    rp = np.asarray(rp, dtype=np.float64)
-    if r.shape != (3,) or rp.shape != (3,):
-        raise GeometryError("r and rp must be 3-vectors")
-    if not (np.isfinite(r).all() and np.isfinite(rp).all()):
-        raise GeometryError(f"r and rp must have finite coordinates; got {r} and {rp}")
+    _, _, dist, vv = _pair_geometry((r, rp))
     nodes, scalar = _pos_nodes(u)
     if not scalar:
         raise DomainError("bulk dyad takes one frequency u")
-    sep = r - rp
-    dist = float(np.linalg.norm(sep))
-    if dist == 0.0:
-        raise GeometryError("bulk dyad is singular at coincident points")
-    v = sep / dist
-
     _, mu, n = m._eps_mu_n(nodes)
-    return _kernels.pair_dyads(n * nodes, mu, np.array([dist]), np.outer(v, v)[None])[0, 0]
+    return _kernels.pair_dyads(n * nodes, mu, dist, vv)[0, 0]
+
+
+def _pair_geometry(positions):
+    """(first, second, dist, vv) of the P pairs of N points, atom k the k-th: index
+    arrays, distances > 0 with a finite square, and (P, 3, 3) unit-vector dyads."""
+    try:
+        rows = [np.asarray(p, dtype=np.float64) for p in positions]
+    except (TypeError, ValueError) as exc:
+        raise GeometryError(f"positions must be 3-vectors of numbers: {exc}") from None
+    for k, row in enumerate(rows):
+        if row.shape != (3,):
+            raise GeometryError(f"positions must be 3-vectors; atom {k} has shape {row.shape}")
+        if not np.isfinite(row).all():
+            raise GeometryError(f"atom {k} has a non-finite coordinate")
+    pos = np.array(rows)
+    first, second = np.array(list(itertools.combinations(range(len(rows)), 2)), dtype=np.intp).T
+    with np.errstate(over="ignore"):  # checked below, so finite distances keep their bits
+        sep = pos[second] - pos[first]
+        dist = np.linalg.norm(sep, axis=1)
+    for bad, what in ((dist == 0.0, "coincide"),
+                      (dist == math.inf, "are too far apart: their squared distance overflows")):
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise GeometryError(f"atoms {first[k]} and {second[k]} {what}")
+    v = sep / dist[:, None]
+    return first, second, dist, v[:, :, None] * v[:, None, :]
 
 
 @dataclass(frozen=True)

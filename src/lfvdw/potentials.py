@@ -28,6 +28,7 @@ import numpy as np
 from . import _kernels
 from .cavity import CavitySpec, _d_leading, coeff_C_exact
 from .errors import DomainError, GeometryError, InvariantError, _check_radius
+from .green import _pair_geometry
 from .quadrature import QuadSpec, integrate_semi_infinite
 from .response import AtomModel, MediumResponse, _ret, scale_hint
 
@@ -120,7 +121,9 @@ def _pair_integrand(atom_a, atom_b, m, l: np.ndarray, corrected: bool, kernel, c
 
     def f(u):
         phi, n = _pair_weight(atom_a, atom_b, m, u, corrected, context)
-        return phi[:, None] * kernel(np.multiply.outer(n * u, l))
+        with np.errstate(over="ignore"):  # an overflowed n u l is inf, where each kernel is 0
+            y = np.multiply.outer(n * u, l)
+        return phi[:, None] * kernel(y)
 
     return f
 
@@ -246,7 +249,8 @@ def pair_free_space(
     mag = bool(atom_b.beta_resonances)
 
     def f(u):
-        x = np.multiply.outer(u, l)
+        with np.errstate(over="ignore"):  # an overflowed u l is inf, where both kernels are 0
+            x = np.multiply.outer(u, l)
         alpha = atom_a._alpha(u)
         cols = [(alpha * atom_b._alpha(u))[:, None] * _kernels.kernel_g(x)]
         if mag:
@@ -326,7 +330,7 @@ def pair_bulk(
     def norm():
         return 2.0 * math.pi * (l * l * l) * (l * l * l)
 
-    u_val = _attractive(-_over_power(res.value, norm, l, "pair_bulk"), "pair potential")
+    u_val = _attractive(-_over_power(res.value, norm, l, "pair_bulk"), "pair potential", l, scalar)
     return PairResult(
         separation=_ret(l, scalar),
         U=_ret(u_val, scalar),
@@ -336,12 +340,17 @@ def pair_bulk(
     )
 
 
-def _attractive(values: np.ndarray, what: str) -> np.ndarray:
+def _attractive(values: np.ndarray, what: str, l: np.ndarray, scalar: bool) -> np.ndarray:
     """values, once every one is < 0: every factor of the pair integrands is
-    positive. -0.0 raises too, as an underflowed integral attracts with nothing."""
-    if np.any(values >= 0.0):
-        raise InvariantError(f"{what} came out non-negative ({np.max(values):.6g}); "
-                             "ground-state atoms in an eps, mu >= 1 medium must attract")
+    positive. -0.0 raises too, as an underflowed integral attracts with nothing;
+    the message names the first failing separation of l, and its index on a grid."""
+    bad = values >= 0.0
+    if bad.any():
+        k = int(np.argmax(bad))
+        point = "" if scalar else f" (point {k + 1} of {l.size})"
+        raise InvariantError(f"{what} came out non-negative ({values[k]:.6g}) at separation "
+                             f"{l[k]:.6g}{point}; ground-state atoms in an eps, mu >= 1 "
+                             "medium must attract")
     return values
 
 
@@ -382,10 +391,8 @@ def _positive_coeff(c: float, context: str) -> float:
     return c
 
 
-def _ring_setup(atoms, cavity_radius: float | None, context: str, stacklevel: int = 3):
-    """Validate an N-atom arrangement and precompute its pair geometry;
-    stacklevel counts frames from here to the caller the separation
-    warning should name.
+def _ring_setup(atoms, cavity_radius: float | None, context: str):
+    """Validate an N-atom arrangement and precompute its pair geometry.
 
     Returns (models, orderings, dist, vv, legs, prefactor): the distinct
     atom cycles up to rotation and reflection, anchored at 0, as an
@@ -400,24 +407,8 @@ def _ring_setup(atoms, cavity_radius: float | None, context: str, stacklevel: in
     if n_atoms > _MAX_RING_ATOMS:
         raise GeometryError(f"ring symmetrization grows factorially; N <= {_MAX_RING_ATOMS}")
     models = [a for a, _ in entries]
-    pos = np.array([np.asarray(p, dtype=np.float64) for _, p in entries])
-    if pos.shape != (n_atoms, 3):
-        raise GeometryError("positions must be 3-vectors")
-    bad = ~np.isfinite(pos).all(axis=1)
-    if bad.any():
-        raise GeometryError(f"atom {int(np.argmax(bad))} has a non-finite coordinate")
-    first, second = np.triu_indices(n_atoms, 1)
-    with np.errstate(over="ignore"):  # checked below, so finite distances keep their bits
-        sep = pos[second] - pos[first]
-        dist = np.linalg.norm(sep, axis=1)
-    for bad, what in ((dist == 0.0, "coincide"),
-                      (dist == math.inf, "are too far apart: their squared distance overflows")):
-        if bad.any():
-            k = int(np.argmax(bad))
-            raise GeometryError(f"atoms {first[k]} and {second[k]} {what}")
-    _guard_separation(dist, cavity_radius, context, stacklevel + 1)
-    v = sep / dist[:, None]
-    vv = v[:, :, None] * v[:, None, :]
+    first, second, dist, vv = _pair_geometry([p for _, p in entries])
+    _guard_separation(dist, cavity_radius, context, 5)  # 5 frames up: the public caller
 
     pair_index = np.empty((n_atoms, n_atoms), dtype=np.intp)
     pair_index[first, second] = pair_index[second, first] = np.arange(len(dist))
@@ -455,10 +446,12 @@ def _ring_energies(atoms, m: MediumResponse, q: QuadSpec, cavity_radius, context
     """(ordering, energy) of each distinct ring ordering, one component of a
     single vector integral with its own tolerance; context names the public
     function in errors and warnings, whose caller the separation warning names."""
-    models, orderings, dist, vv, legs, pref = _ring_setup(atoms, cavity_radius, context, 4)
+    models, orderings, dist, vv, legs, pref = _ring_setup(atoms, cavity_radius, context)
     f = _ring_integrand(models, m, dist, vv, legs, context)
-    values = integrate_semi_infinite(f, q, scale=scale_hint(m, *models)).value
-    return [(tuple(o), pref * v) for o, v in zip(orderings.tolist(), values.tolist())]
+    energies = pref * integrate_semi_infinite(f, q, scale=scale_hint(m, *models)).value
+    if len(models) == 2:  # the one N = 2 ring is the corrected pair potential
+        _attractive(energies, "two-atom ring energy", dist, True)
+    return [(tuple(o), e) for o, e in zip(orderings.tolist(), energies.tolist())]
 
 
 def n_atom_bulk(
@@ -509,7 +502,7 @@ def force_pair(
     res = integrate_semi_infinite(f, q, scale=scale_hint(atom_a, atom_b, m))
     force = -_over_power(res.value, lambda: 2.0 * math.pi * (l * l * l) * (l * l * l) * l, l,
                          "force_pair")
-    return _ret(_attractive(force, "pair force"), scalar)
+    return _ret(_attractive(force, "pair force", l, scalar), scalar)
 
 
 def cavity_center_stiffness(

@@ -19,7 +19,8 @@ two such files compare the same way.
 
 Every line reads ``key: value``. The library values are the reprs of the
 integrated quantities on a dielectric-magnetic (glass), a dielectric-only
-and a magnetic-only host at rel_tol 1e-8 and 1e-10; the CLI lines are the
+and a magnetic-only host at rel_tol 1e-8 and 1e-10, then the nine entries
+of ``bulk_dyad``, row by row, on glass and in vacuum; the CLI lines are the
 stdout of 24 invocations on tests/data/glass.yaml and of the same 24 on
 its SI twin tests/data/glass_si.yaml, with the flags in SI units: each of
 8 command lines with --format csv, with --format json and with no
@@ -60,6 +61,15 @@ RING_POSITIONS = (
     (2.5, 3.0, 1.5),
     (-2.0, 1.0, 2.5),
 )
+# (r, rp) of bulk_dyad: on an axis, the same swapped, a skew pair, and a
+# separation whose 1-D norm and row-wise norm differ in the last bit
+DYAD_POINTS = (
+    ((0.0, 0.0, 0.0), (3.0, 0.0, 0.0)),
+    ((3.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
+    ((1.0, 1.0, 4.0), (2.5, 3.0, 1.5)),
+    ((0.1, 0.4, 1.7), (0.0, 0.0, 0.0)),
+)
+DYAD_U = (0.3, 2.0)
 R_C = 0.05
 OUTER = 10.0
 DENSITY = 0.03
@@ -86,10 +96,10 @@ def library_lines():
     # runs without the package on the path
     import lfvdw
     from lfvdw.cavity import CavitySpec
-    from lfvdw.green import born_scatter_trace
+    from lfvdw.green import born_scatter_trace, bulk_dyad
     from lfvdw.oracle import DiluteHost, total_pairwise_sum, u1_pairwise_sum
     from lfvdw.quadrature import QuadSpec
-    from lfvdw.response import AtomModel, LorentzTerm, MediumResponse
+    from lfvdw.response import VACUUM, AtomModel, LorentzTerm, MediumResponse
 
     probe = AtomModel(resonances=((1.0, 0.02),))
     partner = AtomModel(resonances=((1.3, 0.015),), beta_resonances=((2.1, 0.004),))
@@ -152,6 +162,11 @@ def library_lines():
                 yield f"n_atom_bulk{tag}(N={n})", lambda: lfvdw.n_atom_bulk(ring[:n], host, q)
                 yield (f"n_atom_orderings{tag}(N={n})",
                        lambda: [e for _, e in lfvdw.n_atom_orderings(ring[:n], host, q)])
+    for host_name, host in (("glass", hosts["glass"]), ("vacuum", VACUUM)):
+        for r, rp in DYAD_POINTS:
+            for u in DYAD_U:
+                yield (f"bulk_dyad[{host_name}](r={r},rp={rp},u={u})",
+                       lambda: bulk_dyad(host, r, rp, u).ravel().tolist())
 
 
 def cli_runs():

@@ -783,6 +783,34 @@ def test_far_pair_sweep_exits_3_with_empty_stderr(tmp_path):
     assert err["message"].startswith("pair potential came out non-negative")
 
 
+def test_far_pair_sweep_names_the_failing_point(tmp_path):
+    config = tmp_path / "far.yaml"
+    config.write_text(Path(CONFIG).read_text().replace("l: [2.0, 3.0, 5.0]", "l: [2.0, 1e200]"))
+    proc = run_cli("pair", "--config", str(config), "--atom-a", "probe", "--atom-b", "partner",
+                   "--material", "glass")
+    assert proc.returncode == 3
+    assert proc.stderr == ""
+    err = json.loads(proc.stdout)["error"]
+    assert err["type"] == "InvariantError"
+    assert err["message"].startswith(
+        "pair potential came out non-negative (-0) at separation 1e+200 (point 2 of 2); ")
+
+
+def test_far_two_atom_ring_exits_3(tmp_path):
+    # the N = 2 ring integral underflows 1e7 apart (ROADMAP item 3); nbody used
+    # to exit 0 and print energy 0.0
+    positions = tmp_path / "far2.txt"
+    positions.write_text("probe 0 0 0\npartner 1e7 0 0\n")
+    proc = run_cli("nbody", "--config", CONFIG, "--positions", str(positions),
+                   "--material", "glass")
+    assert proc.returncode == 3
+    assert proc.stderr == ""
+    err = json.loads(proc.stdout)["error"]
+    assert err["type"] == "InvariantError"
+    assert err["message"].startswith(
+        "two-atom ring energy came out non-negative (-0) at separation 1e+07; ")
+
+
 def test_ring_distance_overflow_exits_3(tmp_path):
     # finite coordinates whose squared distance overflows: nbody used to print a
     # numpy RuntimeWarning, then fail on "separation ... got array([inf])"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -31,9 +32,23 @@ AT_ZERO = "^u must be > 0: the cavity coefficients, the Born trace and the bulk 
         (lambda: coeff_D_exact(SPEC, 0.0), DomainError, AT_ZERO),
         (lambda: born_scatter_trace(SHELL, np.array([0.0, 1.0])), DomainError, AT_ZERO),
         (lambda: bulk_dyad(VACUUM, np.ones(3), np.zeros(3), 0.0), DomainError, AT_ZERO),
-        (lambda: bulk_dyad(VACUUM, np.ones(3), np.ones(3), 1.0), GeometryError, "coincident"),
+        (lambda: bulk_dyad(VACUUM, np.ones(3), np.ones(3), 1.0), GeometryError,
+         "^atoms 0 and 1 coincide$"),
         (lambda: n_atom_bulk([(ATOM, [1.0, 0.0, 0.0]), (ATOM, [1.0, 0.0, 0.0])], VACUUM),
          GeometryError, "atoms 0 and 1 coincide"),
+        # bulk_dyad printed numpy's "overflow encountered in dot" and returned zeros
+        (lambda: bulk_dyad(VACUUM, [1e200, 0.0, 0.0], np.zeros(3), 1.0), GeometryError,
+         "^atoms 0 and 1 are too far apart: their squared distance overflows$"),
+        # the ring's np.array of the positions raised a raw "inhomogeneous shape" ValueError
+        (lambda: n_atom_bulk([(ATOM, [0.0, 0.0, 0.0]), (ATOM, [1.0, 0.0])], VACUUM),
+         GeometryError, r"^positions must be 3-vectors; atom 1 has shape \(2,\)$"),
+        (lambda: bulk_dyad(VACUUM, [1.0, 0.0], np.zeros(3), 1.0), GeometryError,
+         r"^positions must be 3-vectors; atom 0 has shape \(2,\)$"),
+        # both raised numpy's raw ValueError
+        (lambda: n_atom_bulk([(ATOM, [0.0, 0.0, 0.0]), (ATOM, ["x", 0.0, 0.0])], VACUUM),
+         GeometryError, "^positions must be 3-vectors of numbers: could not convert string"),
+        (lambda: bulk_dyad(VACUUM, np.zeros(3), ["x", 0.0, 0.0], 1.0), GeometryError,
+         "^positions must be 3-vectors of numbers: could not convert string"),
         (lambda: coeff_C_exact(SPEC, 3, 1.0), DomainError, r"order l=3 not in \{1, 2\}"),
         # an infinite radius used to pass, giving 0.0 or an error about separations
         (lambda: CavitySpec(radius=math.inf, host=VACUUM), GeometryError, CAVITY),
@@ -50,11 +65,15 @@ AT_ZERO = "^u must be > 0: the cavity coefficients, the Born trace and the bulk 
          r"^\|zeta\(iu\)\| <= 4 pi rho sum\|b_k\| = 0.0628 is not dilute \(needs < 0.01\)$"),
     ],
     ids=["C_exact-u0", "C_expansion-u0", "D_exact-u0", "born_trace-u0", "bulk_dyad-u0",
-         "bulk_dyad-coincident", "n_atom_bulk-coincident", "C_exact-order3",
+         "bulk_dyad-coincident", "n_atom_bulk-coincident", "bulk_dyad-far",
+         "n_atom_bulk-2-vector", "bulk_dyad-2-vector", "n_atom_bulk-non-numeric",
+         "bulk_dyad-non-numeric", "C_exact-order3",
          "cavity_spec-inf", "u1_linearized-inf", "u1_pairwise_sum-inf", "total_pairwise_sum-inf",
          "body_shell-inf", "dilute_host-zeta"],
 )
 def test_each_bad_input_raises_its_one_error_type(call, error, message):
-    with pytest.raises(error, match=message) as exc_info:
-        call()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning in place of the error fails
+        with pytest.raises(error, match=message) as exc_info:
+            call()
     assert exc_info.type is error

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from lfvdw import _kernels
 from lfvdw.errors import DomainError, GeometryError
-from lfvdw.green import BodyShell, born_scatter_trace, bulk_dyad
+from lfvdw.green import BodyShell, _pair_geometry, born_scatter_trace, bulk_dyad
 from lfvdw.quadrature import QuadSpec, integrate_semi_infinite
 from lfvdw.response import VACUUM, LorentzTerm, MediumResponse
 
@@ -105,6 +105,21 @@ def test_pair_kernels_closed_values():
     assert h[1] == pytest.approx(8.0 * math.exp(-2.0), rel=1e-15, abs=0.0)
     assert g[2] == pytest.approx(402.0 * math.exp(-6.0), rel=1e-15, abs=0.0)
     assert h[2] == pytest.approx(32.0 * math.exp(-6.0), rel=1e-15, abs=0.0)
+
+
+def test_dyad_is_the_two_point_leg_of_the_shared_geometry():
+    # bulk_dyad and the N-atom ring both build their pairs with _pair_geometry
+    # and their dyads with _kernels.pair_dyads, so the two agree to the bit
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        r, rp = rng.uniform(-3, 3, 3), rng.uniform(-3, 3, 3)
+        u = rng.uniform(0.05, 5.0)
+        first, second, dist, vv = _pair_geometry([r, rp])
+        assert first.tolist() == [0] and second.tolist() == [1]
+        nodes = np.array([u])
+        _, mu, n = MEDIUM._eps_mu_n(nodes)
+        leg = _kernels.pair_dyads(n * nodes, mu, dist, vv)[0, 0]
+        assert bulk_dyad(MEDIUM, r, rp, u).tobytes() == leg.tobytes()
 
 
 def test_dyad_argument_validation():

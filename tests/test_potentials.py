@@ -406,15 +406,16 @@ def test_force_reference(atom_a, atom_b, glass, quad):
 def test_force_at_huge_separation_is_an_invariant_error(atom_a, atom_b, glass, quad):
     # the integral underflows to 0 at l = 1e7 (ROADMAP item 3); force_pair
     # used to return -0.0 where pair_bulk raised
-    with pytest.raises(InvariantError, match=r"^pair force came out non-negative \(-0\)"):
+    with pytest.raises(InvariantError, match=r"^pair force came out non-negative \(-0\) "
+                       r"at separation 1e\+07; "):
         force_pair(atom_a, atom_b, glass, 1e7, quad)
 
 
-@pytest.mark.parametrize("l", [1e60, 1e200])
+@pytest.mark.parametrize("l", [1e60, 1e200, 1.7e308])
 def test_far_separations_fail_typed_with_no_warning(atom_a, atom_b, glass, quad, l):
     # 2 pi l^6 overflows past l ~ 1e51, and x^4 e^{-2x} was inf * 0 past
     # x ~ 1e77: both printed a RuntimeWarning, and the second a nan, before
-    # any LfvdwError
+    # any LfvdwError; at 1.7e308 the products u l, n u l and -2 u l overflowed
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(InvariantError, match=r"^pair potential came out non-negative"):
@@ -424,8 +425,15 @@ def test_far_separations_fail_typed_with_no_warning(atom_a, atom_b, glass, quad,
         assert pair_free_space(atom_a, atom_b, l, quad) == 0.0  # the true underflow
 
 
+def test_failed_attraction_names_its_separation(atom_a, atom_b, glass, quad):
+    # the l = 1e200 point underflows to -0; the message used to name no separation
+    with pytest.raises(InvariantError, match=r"^pair potential came out non-negative \(-0\) "
+                       r"at separation 1e\+200 \(point 2 of 2\); "):
+        pair_bulk(atom_a, atom_b, glass, np.array([2.0, 1e200]), quad)
+
+
 def test_pair_kernels_are_zero_where_their_exponential_is():
-    x = np.array([372.6, 1e3, 1e80, 1e200, math.inf])
+    x = np.array([372.6, 1e3, 1e80, 1e200, 1.7e308, math.inf])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for kernel in (_kernels.kernel_g, _kernels.kernel_h, _kernels.kernel_force):
@@ -643,6 +651,16 @@ def test_stacked_ring_matches_explicit_dyad_products(atom_a, glass, n):
             for a, b in zip(cycle, np.roll(cycle, -1)):
                 prod = prod @ bulk_dyad(glass, pos[a], pos[b], uk)
             assert got[k, o] == pytest.approx(np.trace(prod), rel=1e-13, abs=0.0)
+
+
+def test_two_atom_ring_must_attract(atom_a, atom_b, glass, quad):
+    # the N = 2 ring is the corrected pair potential; 1e7 apart its integral
+    # underflows, and n_atom_orderings used to return [((0, 1), -0.0)]
+    atoms = [(atom_a, [0.0, 0.0, 0.0]), (atom_b, [1e7, 0.0, 0.0])]
+    for ring in (n_atom_bulk, n_atom_orderings):
+        with pytest.raises(InvariantError, match=r"^two-atom ring energy came out non-negative "
+                           r"\(-0\) at separation 1e\+07; "):
+            ring(atoms, glass, quad)
 
 
 def test_ring_rejects_non_finite_positions(atom_a, glass, quad):
