@@ -1,7 +1,11 @@
 """Array kernels shared by the response, cavity, green and potentials modules.
 
 Every function here is plain numpy array code over float64 node arrays,
-1-D except where a docstring gives another shape.
+1-D except where a docstring gives another shape. Inside an integral a
+kernel runs under the quadrature engine's np.errstate, so a value may
+overflow to inf there with no warning (pair_dyads' 1/y^3 at a tiny
+separation, say); the engine or the caller's finiteness check names it.
+The clips below guard values, not warnings.
 
 Bit contract
 ------------

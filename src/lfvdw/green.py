@@ -45,7 +45,7 @@ from typing import Callable
 import numpy as np
 
 from . import _kernels
-from .errors import DomainError, GeometryError, _check_radius
+from .errors import DomainError, GeometryError, InvariantError, _check_radius
 from .quadrature import QuadSpec
 from .response import MediumResponse, _pos_nodes, _ret
 
@@ -54,13 +54,18 @@ __all__ = ["BodyShell", "bulk_dyad", "born_scatter_trace"]
 
 def bulk_dyad(m: MediumResponse, r, rp, u: float) -> np.ndarray:
     """Bulk Green tensor G(r, rp, iu) of the infinite homogeneous medium,
-    as a 3x3 float64 matrix."""
+    as a 3x3 float64 matrix; an entry past the float range is an InvariantError."""
     _, _, dist, vv = _pair_geometry((r, rp))
     nodes, scalar = _pos_nodes(u)
     if not scalar:
         raise DomainError("bulk dyad takes one frequency u")
     _, mu, n = m._eps_mu_n(nodes)
-    return _kernels.pair_dyads(n * nodes, mu, dist, vv)[0, 0]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked below
+        g = _kernels.pair_dyads(n * nodes, mu, dist, vv)[0, 0]
+    if not np.isfinite(g).all():
+        raise InvariantError(f"bulk dyad is not finite at separation {float(dist[0]):.6g}, "
+                             f"u = {float(nodes[0]):.6g}: its 1/l^3 terms overflow")
+    return g
 
 
 def _pair_geometry(positions):

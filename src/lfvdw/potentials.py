@@ -121,8 +121,7 @@ def _pair_integrand(atom_a, atom_b, m, l: np.ndarray, corrected: bool, kernel, c
 
     def f(u):
         phi, n = _pair_weight(atom_a, atom_b, m, u, corrected, context)
-        with np.errstate(over="ignore"):  # an overflowed n u l is inf, where each kernel is 0
-            y = np.multiply.outer(n * u, l)
+        y = np.multiply.outer(n * u, l)  # an overflowed n u l is inf, where each kernel is 0
         return phi[:, None] * kernel(y)
 
     return f
@@ -249,8 +248,7 @@ def pair_free_space(
     mag = bool(atom_b.beta_resonances)
 
     def f(u):
-        with np.errstate(over="ignore"):  # an overflowed u l is inf, where both kernels are 0
-            x = np.multiply.outer(u, l)
+        x = np.multiply.outer(u, l)  # an overflowed u l is inf, where both kernels are 0
         alpha = atom_a._alpha(u)
         cols = [(alpha * atom_b._alpha(u))[:, None] * _kernels.kernel_g(x)]
         if mag:
@@ -432,8 +430,7 @@ def _ring_integrand(models, m: MediumResponse, dist, vv, legs, context: str):
         weight = 1.0
         for model in models:  # (u^2 D^2)^N prod alpha_k; ** is a per-CPU SIMD pow
             weight = weight * u * u * d2 * model._alpha(u)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            out = weight[:, None] * _kernels.ring_trace(n * u, mu, dist, vv, legs)
+        out = weight[:, None] * _kernels.ring_trace(n * u, mu, dist, vv, legs)
         if not np.isfinite(out).all():
             raise InvariantError(f"{context}: the ring integrand is not finite at the smallest "
                                  f"separation {float(dist.min()):.6g}: its 1/l^3 dyads overflow")

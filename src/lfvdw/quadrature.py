@@ -16,8 +16,13 @@ the one column (M, 1), with float results. Each panel's sums use only its
 own 15 rows, so sharing a call moves no bit. Each component k stops once
 its error estimate meets max(rel_tol |I_k|, abs_tol); the panel refined
 next has the largest max_k err_k w_k, with w_k = 1/max(rel_tol |I_k|,
-abs_tol) fixed on the initial panels. A panel whose Kronrod or Gauss sum
-is not finite raises InvariantError at once, naming the first non-finite
+abs_tol) fixed on the initial panels.
+
+Floating-point state: each refinement step calls the integrand and forms
+its panel sums under one np.errstate that silences numpy's overflow,
+invalid and divide warnings, so an integrand needs none of its own and an
+intermediate may overflow to inf. A panel whose Kronrod or Gauss sum is
+not finite raises InvariantError at once, naming the first non-finite
 node (and its component, for K > 1) and its panel in the integration
 variable (t for semi-infinite integrals, with the node's u alongside); a
 step's panels are checked in order.
@@ -100,12 +105,6 @@ class QuadResult(NamedTuple):
     evals: int
 
 
-@np.errstate(over="ignore", invalid="ignore")  # the caller's check names the culprit
-def _sums(y, half):  # K15, G7 and |K15 - G7| of the panels whose node values are y
-    k15, g7 = half[:, None] * (_WGK @ y), half[:, None] * (_WG @ y[:, 1::2])
-    return k15, g7, np.abs(k15 - g7)
-
-
 def _panels(g: Callable[[np.ndarray], np.ndarray], edges, to_u=None):
     """(a, b, K15, |K15 - G7|) of the panels between consecutive edges: the
     panel ends as two tuples, K15 as P lists of K floats, |K15 - G7| as (P, K).
@@ -117,8 +116,10 @@ def _panels(g: Callable[[np.ndarray], np.ndarray], edges, to_u=None):
     e = np.asarray(edges, dtype=np.float64)
     mid, half = 0.5 * (e[:-1] + e[1:]), 0.5 * (e[1:] - e[:-1])
     x = (mid[:, None] + half[:, None] * _XGK).ravel()
-    y = g(x).reshape(half.size, 15, -1)
-    k15, g7, err = _sums(y, half)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # named below
+        y = g(x).reshape(half.size, 15, -1)
+        k15, g7 = half[:, None] * (_WGK @ y), half[:, None] * (_WG @ y[:, 1::2])
+        err = np.abs(k15 - g7)
     if not np.isfinite(err).all():  # finite sums leave it finite unless it overflows
         finite = np.isfinite(k15).all(axis=1) & np.isfinite(g7).all(axis=1)
         p = int(np.argmin(finite))

@@ -13,8 +13,9 @@ atomic polarizability is a sum of undamped resonance terms
     alpha(iu) = sum_k a_k w_k^2 / (w_k^2 + u^2).
 
 The model objects are frozen and hashable; every public method accepts a
-scalar or a non-empty 1-D array of finite u >= 0 and returns a matching
-float or float64 array.
+number or a non-empty 1-D array of u >= 0, each with a finite square
+(u <= sqrt(DBL_MAX) = 1.34e154), and returns a matching float or float64
+array; any other u is a DomainError.
 
 Nodes are checked once. Each public method checks its u with _as_nodes,
 calls one node-level form and unwraps the result with _ret. The
@@ -27,6 +28,7 @@ A test fake host subclasses MediumResponse and overrides _eps_mu_n alone.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,17 +38,20 @@ from .errors import DomainError
 
 __all__ = ["LorentzTerm", "MediumResponse", "AtomModel", "VACUUM"]
 
+_U_MAX = math.sqrt(sys.float_info.max)  # the largest u whose square u * u is finite
+
 
 def _as_nodes(u):
-    """Validate a non-empty set of finite nodes >= 0 and return (float64
-    array, was_scalar); the one node check of the package."""
+    """Validate a number or a non-empty 1-D array of nodes 0 <= u <= _U_MAX
+    and return (float64 array, was_scalar); the one node check of the package."""
     arr = np.asarray(u, dtype=np.float64)
     scalar = arr.ndim == 0
     if scalar:
         arr = arr.reshape(1)
     # NaN fails both comparisons, so this also rejects it
-    if not (arr.size and arr.min() >= 0.0 and arr.max() < math.inf):
-        raise DomainError("imaginary-axis frequency u must be finite and >= 0")
+    if not (arr.ndim == 1 and arr.size and arr.min() >= 0.0 and arr.max() <= _U_MAX):
+        raise DomainError(f"imaginary-axis frequency u must be finite and >= 0, with a finite "
+                          f"square (u <= {_U_MAX:.6g}), as a number or a non-empty 1-D array")
     return arr, scalar
 
 

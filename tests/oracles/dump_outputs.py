@@ -20,7 +20,9 @@ two such files compare the same way.
 Every line reads ``key: value``. The library values are the reprs of the
 integrated quantities on a dielectric-magnetic (glass), a dielectric-only
 and a magnetic-only host at rel_tol 1e-8 and 1e-10, then the nine entries
-of ``bulk_dyad``, row by row, on glass and in vacuum; the CLI lines are the
+of ``bulk_dyad``, row by row, on glass and in vacuum, and three edge inputs
+(eps at u = 1e200, ``bulk_dyad`` 1e-120 apart and eps on a 2 x 2 u), each
+an error's type and message where the package rejects it; the CLI lines are the
 stdout of 24 invocations on tests/data/glass.yaml and of the same 24 on
 its SI twin tests/data/glass_si.yaml, with the flags in SI units: each of
 8 command lines with --format csv, with --format json and with no
@@ -70,6 +72,11 @@ DYAD_POINTS = (
     ((0.1, 0.4, 1.7), (0.0, 0.0, 0.0)),
 )
 DYAD_U = (0.3, 2.0)
+# edge inputs that each end in a typed error: a u whose square overflows,
+# points whose dyad's 1/l^3 terms overflow, and a u of two dimensions
+EDGE_U = 1e200
+EDGE_DYAD = ((1e-120, 0.0, 0.0), (0.0, 0.0, 0.0))
+EDGE_U_2D = [[0.5, 1.0], [2.0, 5.0]]
 R_C = 0.05
 OUTER = 10.0
 DENSITY = 0.03
@@ -167,6 +174,10 @@ def library_lines():
             for u in DYAD_U:
                 yield (f"bulk_dyad[{host_name}](r={r},rp={rp},u={u})",
                        lambda: bulk_dyad(host, r, rp, u).ravel().tolist())
+    yield f"eps_iu[glass](u={EDGE_U})", lambda: hosts["glass"].eps_iu(EDGE_U)
+    yield (f"bulk_dyad[vacuum](r={EDGE_DYAD[0]},rp={EDGE_DYAD[1]},u=1.0)",
+           lambda: bulk_dyad(VACUUM, *EDGE_DYAD, 1.0).ravel().tolist())
+    yield f"eps_iu[glass](u={EDGE_U_2D})", lambda: hosts["glass"].eps_iu(EDGE_U_2D).tolist()
 
 
 def cli_runs():

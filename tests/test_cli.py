@@ -783,6 +783,19 @@ def test_far_pair_sweep_exits_3_with_empty_stderr(tmp_path):
     assert err["message"].startswith("pair potential came out non-negative")
 
 
+def test_coeffs_at_a_frequency_whose_square_overflows_exits_3_with_empty_stderr(tmp_path):
+    # u * u overflowed in the Lorentz sums: a RuntimeWarning on stderr and exit 0
+    config = tmp_path / "huge_u.yaml"
+    config.write_text(Path(CONFIG).read_text().replace("u: [0.2, 0.5, 1.0, 2.0, 5.0]",
+                                                        "u: [0.2, 1.0e200]"))
+    proc = run_cli("coeffs", "--config", str(config), "--material", "glass")
+    assert proc.returncode == 3
+    assert proc.stderr == ""
+    err = json.loads(proc.stdout)["error"]
+    assert err["type"] == "DomainError"
+    assert "must be finite and >= 0, with a finite square (u <= 1.34078e+154)" in err["message"]
+
+
 def test_far_pair_sweep_names_the_failing_point(tmp_path):
     config = tmp_path / "far.yaml"
     config.write_text(Path(CONFIG).read_text().replace("l: [2.0, 3.0, 5.0]", "l: [2.0, 1e200]"))

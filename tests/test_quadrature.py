@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import types
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -165,6 +166,39 @@ def test_non_finite_integrand_fails_on_its_first_panel_finite():
     with pytest.raises(InvariantError, match=r"nan at node 3\.\d+ of panel \[3\.0, 4\.0\]"):
         integrate_finite(_nan_beyond(3.0, calls), 0.0, 4.0, QuadSpec())
     assert calls == [60]
+
+
+def _overflowing(u):
+    # e^{-1000 u}, whose e^{1000 u} overflows to inf past u = 0.71: 1/inf is 0
+    return 1.0 / np.exp(1e3 * u)
+
+
+def test_integrand_may_overflow_to_a_finite_value_with_no_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = integrate_semi_infinite(_overflowing, QuadSpec(rel_tol=1e-12))
+    assert res.value == pytest.approx(1e-3, rel=1e-12)
+
+
+def test_integrand_nan_from_an_invalid_operation_is_named_with_no_warning():
+    # sqrt(3 - u) is numpy's invalid nan past u = 3, as in _nan_beyond
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(
+            InvariantError, match=r"^integrand value nan at node 0\.80\d+ \(u = 4\.04\d+\) of "
+                                  r"panel \[0\.5, 1\.0\] makes the panel sum non-finite$"
+        ):
+            integrate_semi_infinite(lambda u: np.exp(-u) * np.sqrt(3.0 - u), QuadSpec())
+
+
+def test_overflowing_integrand_keeps_the_bits_of_the_fsum_engine():
+    def integrate():
+        return integrate_semi_infinite(_overflowing, QuadSpec(rel_tol=1e-12))
+
+    new = _outcome(integrate)
+    with mock.patch.object(quadrature, "_adaptive", fsum_engine.adaptive):
+        old = _outcome(integrate)
+    assert new == old
 
 
 # ----------------------------------------------------------------------
